@@ -164,6 +164,16 @@ def cmd_dn(config: RunConfig, out: Path, args) -> int:
         from .dnmap import DNOperator
 
         dn = DNOperator.load(args.load)
+        for pointer, found, wanted in (
+            ("/grid", dn.grid_fingerprint, grid.fingerprint()),
+            ("/medium", dn.medium_fingerprint, config.medium(grid).fingerprint()),
+        ):
+            if found != wanted:
+                raise ConfigError(
+                    pointer,
+                    f"{args.load} holds a D-N map for {pointer[1:]} fingerprint {found}, "
+                    f"but this config gives {wanted}",
+                )
         src = f"loaded from {args.load}"
     else:
         dn = assemble_dn(config.medium(grid), grid)

@@ -3,14 +3,15 @@
 The complex equation is discretized through its energy form: face-averaged
 flux terms for the diagonal tensor entries, node-centered products of
 centered differences for the cross terms, and trapezoid mass terms.  The
-resulting complex matrix A is symmetric (not Hermitian); the linear solves
-run on the equivalent real block system
-
-    [[Re A, -Im A], [Im A, Re A]]
-
-so the strong-ellipticity structure of the 2n x 2n real coefficient block
-carries over verbatim to the discrete operator.  One LU factorization per
-operator is reused across all right-hand sides.
+resulting complex matrix A is symmetric (not Hermitian), and strong
+ellipticity makes its real part Re A positive definite on the unknowns.
+The interior block A_II is factored as it stands, in complex arithmetic:
+SuperLU orders it with minimum degree on A^T + A and takes the pivots from
+the diagonal without row interchanges.  Such an LU exists under every
+symmetric permutation, with bounded growth, because the Hermitian part of
+A_II is Re A_II (Golub & Van Loan 1979, "Unsymmetric positive definite
+linear systems"); every solve still checks its residual.  One factorization
+per operator is reused across all right-hand sides.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ SOLVE_RTOL = 1e-10
 
 @dataclass
 class ComplexField:
-    """Complex nodal field; the solver works on its (Re, Im) pair."""
+    """Complex nodal field over every grid node."""
 
     grid: GridDomain
     values: np.ndarray
@@ -42,10 +43,6 @@ class ComplexField:
             raise ValueError("field shape does not match the grid")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
-
-    @property
-    def real_imag(self) -> np.ndarray:
-        return np.concatenate([self.values.real, self.values.imag])
 
 
 @dataclass
@@ -63,23 +60,34 @@ class DiscreteOperator:
         return len(self.interior_idx)
 
     def _interior_blocks(self):
+        """(A_II, A_IB): the rows of the unknowns, split by column set."""
         if "blocks" not in self._cache:
-            A_II = self.matrix[self.interior_idx][:, self.interior_idx].tocsc()
-            A_IB = self.matrix[self.interior_idx][:, self.boundary_idx].tocsc()
-            re, im = A_II.real, A_II.imag
-            block = sp.bmat([[re, -im], [im, re]], format="csc")
-            self._cache["blocks"] = (A_II, A_IB, block)
+            rows = self.matrix[self.interior_idx]
+            A_II = rows[:, self.interior_idx].tocsc()
+            A_IB = rows[:, self.boundary_idx].tocsc()
+            self._cache["blocks"] = (A_II, A_IB)
         return self._cache["blocks"]
 
     @property
     def real_block_matrix(self) -> sp.csc_matrix:
-        """The real block form of the interior system, shape (2 Ni, 2 Ni)."""
-        return self._interior_blocks()[2]
+        """The real block form [[Re A_II, -Im A_II], [Im A_II, Re A_II]] of the
+        interior system, shape (2 Ni, 2 Ni).  Built on each call; no solve
+        uses it, it exposes the real 2n x 2n energy form for inspection."""
+        A_II = self._interior_blocks()[0]
+        re, im = A_II.real, A_II.imag
+        return sp.bmat([[re, -im], [im, re]], format="csc")
 
     def factorization(self):
+        """Sparse LU of the complex A_II: minimum degree on A_II^T + A_II,
+        diagonal pivots (see the module docstring for why they suffice)."""
         if "lu" not in self._cache:
             try:
-                self._cache["lu"] = spla.splu(self.real_block_matrix)
+                self._cache["lu"] = spla.splu(
+                    self._interior_blocks()[0],
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
             except RuntimeError as exc:
                 raise FactorizationError(f"sparse LU failed: {exc}") from exc
         return self._cache["lu"]
@@ -212,7 +220,7 @@ def solve_dirichlet(op: DiscreteOperator, g, f=None, rtol: float = SOLVE_RTOL) -
     ``op.interior_idx``.  The relative algebraic residual must reach ``rtol``
     (1e-10 by default).
     """
-    A_II, A_IB, _ = op._interior_blocks()
+    A_II, A_IB = op._interior_blocks()
     g_b = _boundary_vector(op, g)
     ni = op.interior_count
 
@@ -233,9 +241,7 @@ def solve_dirichlet(op: DiscreteOperator, g, f=None, rtol: float = SOLVE_RTOL) -
     if rhs_norm == 0.0:
         return ComplexField(op.grid, values)
 
-    lu = op.factorization()
-    x = lu.solve(np.concatenate([rhs.real, rhs.imag]))
-    u = x[:ni] + 1j * x[ni:]
+    u = op.factorization().solve(rhs)
     residual = np.linalg.norm(A_II @ u - rhs) / rhs_norm
     if not residual <= rtol:
         raise ResidualError(

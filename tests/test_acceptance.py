@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion (plain ``pytest`` captures the lines; they still show
-with ``-rA``).  The slowest pieces are the 33^3 factorization in the
-convergence study and the two 17^3 stability sweeps.
+with ``-rA``).  The slowest pieces are the two 17^3 stability sweeps,
+then the 33^3 solve of the convergence study.
 """
 
 import json

@@ -122,6 +122,29 @@ class TestCliCommands:
         assert r1["operator_norm"] == pytest.approx(r2["operator_norm"], rel=1e-12)
         assert r1["bilinear_symmetry_residual"] <= 1e-12
 
+    @pytest.mark.parametrize(
+        "section, leaf, value, pointer",
+        [("apriori", "k", 0.3, "/medium"), ("grid", "m_per_axis", 11, "/grid")],
+    )
+    def test_dn_load_rejects_a_foreign_file(self, tmp_path, capsys, section, leaf, value, pointer):
+        path = small_config(tmp_path)  # k = 0.12, m = 9
+        saved = tmp_path / "dn.npz"
+        assert main(["dn", "--config", str(path), "--out", str(tmp_path / "o1"), "--save", str(saved)]) == 0
+        cfg = json.loads(path.read_text())
+        cfg[section][leaf] = value
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["dn", "--config", str(other), "--out", str(tmp_path / "o2"), "--load", str(saved)])
+        assert code == 2
+        err = capsys.readouterr().err
+        stored = np.load(saved)[f"{pointer[1:]}_fingerprint"]
+        run = RunConfig.from_file(str(other))
+        grid = run.grid()
+        wanted = grid.fingerprint() if pointer == "/grid" else run.medium(grid).fingerprint()
+        assert pointer in err and str(stored) in err and wanted in err
+        assert not (tmp_path / "o2" / "dn_report.json").exists()
+
     def test_stability_report_has_slopes(self, tmp_path):
         path = small_config(tmp_path, **{"experiments.stability": {
             "profile_order": 0, "h": 0, "eps_start": 0.2, "eps_count": 3,

@@ -4,14 +4,16 @@ import pytest
 from otlab.dnmap import (
     DNOperator,
     SobolevScale,
+    _whitened,
     alessandrini_residual,
     assemble_dn,
     sobolev_operator_norm,
     sobolev_pairing,
 )
+from otlab.errors import ResidualError
 from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium
-from otlab.solver import assemble
+from otlab.solver import assemble, solve_dirichlet
 
 
 def apriori(**kw):
@@ -63,6 +65,18 @@ class TestAssembly:
         back = DNOperator.load(path)
         assert np.array_equal(back.matrix, dn9.matrix)
         assert back.medium_fingerprint == dn9.medium_fingerprint
+
+    def test_foreign_factor_fails_the_residual_check(self, grid9):
+        # an LU of another medium solves the wrong system; both solvers must
+        # reject it instead of returning its answer
+        op = assemble(medium_on(grid9), grid9)
+        other = assemble(medium_on(grid9, mu_a="1.4", mu_s="0.8"), grid9)
+        op._cache["lu"] = other.factorization()
+        g = np.cos(grid9.points[op.boundary_idx, 0]).astype(complex)
+        with pytest.raises(ResidualError, match="solve residual"):
+            solve_dirichlet(op, g)
+        with pytest.raises(ResidualError, match=r"D-N column block 0\.\.385"):
+            assemble_dn(medium_on(grid9), grid9, operator=op)
 
     def test_energy_identity(self, grid9, dn9):
         # Re(f^H S f) equals the K_R-weighted gradient energy plus the
@@ -189,9 +203,18 @@ class TestOperatorNorm:
                 abs(c) * base, rel=1e-6
             )
 
-    def test_matches_dense_svd(self, grid9, scale9, dn9):
-        from otlab.dnmap import _whitened
+    def test_whitening_matches_the_complex_product(self, scale9):
+        rng = np.random.default_rng(5)
+        nb = len(scale9.boundary_idx)
+        delta = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
+        delta = delta + delta.T
+        w = (1.0 + scale9.eigenvalues) ** -0.25
+        V = scale9.eigenvectors
+        reference = (w[:, None] * (V.T @ delta @ V)) * w[None, :]
+        gap = np.linalg.norm(_whitened(delta, scale9) - reference) / np.linalg.norm(reference)
+        assert gap <= 1e-13
 
+    def test_matches_dense_svd(self, grid9, scale9, dn9):
         other = assemble_dn(medium_on(grid9, mu_a="1 + 0.15*cos(x2)"), grid9)
         delta = other.matrix - dn9.matrix
         power = sobolev_operator_norm(delta, scale9)

@@ -180,6 +180,30 @@ class TestOperatorStructure:
             assert 1.0 / c2 <= ratio <= c2
 
 
+class TestComplexFactor:
+    @pytest.mark.parametrize("annulus", [False, True])
+    def test_matches_dense_solve_with_cross_terms(self, annulus):
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        B = np.array([[0.1, 0.05, -0.04], [0.05, -0.05, 0.03], [-0.04, 0.03, 0.0]])
+        med = OpticalMedium.from_expressions(
+            grid, apriori(), mu_a="1 + 0.1*sin(x1 + x2)", mu_s="1", B=B, supp_B_interior=False
+        )
+        mask = grid.annulus_interior_mask(np.zeros(3), 0.15, 0.45) if annulus else None
+        op = assemble(med, grid, interior_mask=mask)
+        ii, bb = op.interior_idx, op.boundary_idx
+        A = op.matrix.toarray()
+        assert np.count_nonzero(A[ii[len(ii) // 2]]) > 7  # cross terms present
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=len(bb)) + 1j * rng.normal(size=len(bb))
+        f = rng.normal(size=len(ii)) + 1j * rng.normal(size=len(ii))
+        sol = solve_dirichlet(op, g, f)
+        rhs = f * grid.volume_weights[ii] - A[np.ix_(ii, bb)] @ g
+        dense = np.linalg.solve(A[np.ix_(ii, ii)], rhs)
+        gap = np.linalg.norm(sol.values[ii] - dense) / np.linalg.norm(dense)
+        assert gap <= 1e-12
+        assert np.array_equal(sol.values[bb], g)
+
+
 class TestApplyOperator:
     def test_solution_reproduces_source(self):
         grid = GridDomain(extent=1.0, m_per_axis=9)
