@@ -24,7 +24,6 @@ def main():
     parser.add_argument("--k", type=float, default=0.12)
     parser.add_argument("--eps-start", type=float, default=0.2)
     parser.add_argument("--eps-count", type=int, default=6)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     apriori = AprioriData(
@@ -34,7 +33,7 @@ def main():
     medium = OpticalMedium.from_expressions(grid, apriori, mu_a="1", mu_s="1")
     pspec = PerturbationSpec(medium, profile_order=args.profile_order)
     eps = [args.eps_start / 2**i for i in range(args.eps_count)]
-    report = run_stability_experiment(pspec, args.h, eps, threads=args.threads)
+    report = run_stability_experiment(pspec, args.h, eps)
 
     header = ["eps", "dn_gap", "sup_mu"] + [f"sup_d{j}" for j in range(args.h + 1)]
     print("  ".join(f"{name:>12s}" for name in header))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -108,18 +107,12 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
     else:
         grid = config.grid()
     medium = config.medium(grid)
-    solver_cfg = config.raw.get("solver", {})
-    op = assemble(
-        medium,
-        grid,
-        include_reaction=not section.get("no_reaction", False),
-        grid_cap=int(solver_cfg.get("grid_cap", 49)),
-    )
+    op = assemble(medium, grid, include_reaction=not section.get("no_reaction", False))
     from .expressions import Expression
 
     g_expr = Expression(str(section.get("boundary_data", "1")), dimension=3)
     g = g_expr(grid.points[op.boundary_idx]).astype(complex)
-    sol = solve_dirichlet(op, g, rtol=float(solver_cfg.get("rtol", 1e-10)))
+    sol = solve_dirichlet(op, g, rtol=float(config.raw.get("solver", {}).get("rtol", 1e-10)))
     residual = float(np.abs(apply_operator(op, sol)).max())
     payload = {
         **_stamp(config),
@@ -292,17 +285,20 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
     apriori = config.apriori(**overrides)
     grid = config.grid()
     medium = config.medium(grid, apriori)
-    pspec = PerturbationSpec(
-        medium,
-        profile_order=int(section.get("profile_order", 0)),
-        width=float(section.get("width", 0.3)),
-        depth=float(section.get("depth", 0.4)),
-    )
+    try:
+        pspec = PerturbationSpec(
+            medium,
+            profile_order=int(section.get("profile_order", 0)),
+            width=float(section.get("width", 0.3)),
+            depth=float(section.get("depth", 0.4)),
+        )
+    except ValueError as exc:
+        raise ConfigError("/experiments/stability", str(exc)) from exc
     h_order = int(section.get("h", 0))
     eps0 = float(section.get("eps_start", 0.2))
     count = int(section.get("eps_count", 6))
     eps = [eps0 / 2**i for i in range(count)]
-    report = run_stability_experiment(pspec, h_order, eps, threads=config.threads)
+    report = run_stability_experiment(pspec, h_order, eps)
 
     columns = report.table()
     _write_csv(out / "stability_rows.csv", _comments(config), columns)
@@ -377,11 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON run configuration (bundled default if omitted)")
     common.add_argument("--out", default="otlab_out", help="output directory")
     common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument(
-        "--threads",
-        type=int,
-        help="worker budget (falls back to OTLAB_THREADS, then the config)",
-    )
     parser = argparse.ArgumentParser(
         prog="otlab",
         description="Numerical laboratory for time-harmonic diffuse optical tomography.",
@@ -436,14 +427,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.raw["seed"] = args.seed
             config.seed = args.seed
-        threads = args.threads
-        if threads is None and os.environ.get("OTLAB_THREADS"):
-            threads = int(os.environ["OTLAB_THREADS"])
-        if threads is not None:
-            if threads < 1:
-                raise ConfigError("/threads", "must be >= 1")
-            config.raw["threads"] = threads
-            config.threads = threads
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, out, args)

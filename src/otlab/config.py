@@ -7,9 +7,10 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, MemoryBudgetError
 from .grid import GridDomain
 from .medium import AprioriData, OpticalMedium
+from .solver import MAX_POINTS_PER_AXIS
 
 APRIORI_KEYS = {
     "n": ("n", int),
@@ -46,23 +47,30 @@ class RunConfig:
 
     Explicit configs must be complete: the grid and every a-priori constant
     are required (no silent defaulting), the medium section is optional and
-    defaults to the homogeneous unit medium.
+    defaults to the homogeneous unit medium.  ``solver.grid_cap`` may lower
+    the built-in grid cap; every grid the config hands out is checked
+    against it.  A ``threads`` key left by older configs is ignored.
     """
 
     raw: dict
     seed: int
-    threads: int
+    grid_cap: int
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("/", "top-level config must be an object")
         seed = _number(data.get("seed", 0), "/seed", int)
-        threads = _number(data.get("threads", 1), "/threads", int)
-        if threads < 1:
-            raise ConfigError("/threads", "must be >= 1")
+        solver = data.get("solver", {})
+        if not isinstance(solver, dict):
+            raise ConfigError("/solver", "expected an object")
+        grid_cap = _number(solver.get("grid_cap", MAX_POINTS_PER_AXIS), "/solver/grid_cap", int)
+        if grid_cap > MAX_POINTS_PER_AXIS:
+            raise ConfigError(
+                "/solver/grid_cap", f"may lower the built-in cap {MAX_POINTS_PER_AXIS}, not raise it"
+            )
         # validate eagerly so malformed configs fail before any work starts
-        cfg = cls(raw=data, seed=seed, threads=threads)
+        cfg = cls(raw=data, seed=seed, grid_cap=grid_cap)
         cfg.apriori()
         cfg.grid()
         return cfg
@@ -106,9 +114,12 @@ class RunConfig:
             _require(section, "m_per_axis", "/grid/m_per_axis"), "/grid/m_per_axis", int
         )
         try:
-            return GridDomain(extent=extent, m_per_axis=m)
+            grid = GridDomain(extent=extent, m_per_axis=m)
         except ValueError as exc:
             raise ConfigError("/grid", str(exc)) from exc
+        if m > self.grid_cap:
+            raise MemoryBudgetError(f"m_per_axis={m} exceeds the cap {self.grid_cap} (/solver/grid_cap)")
+        return grid
 
     def medium(self, grid: GridDomain, apriori: AprioriData | None = None) -> OpticalMedium:
         section = self.raw.get("medium", {"mu_a": "1", "mu_s": "1"})

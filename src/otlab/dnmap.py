@@ -15,6 +15,32 @@ H^{1/2} and its dual are realized spectrally on the boundary surface grid:
 a face-wise five-point graph Laplacian S_b stitched across cube edges, a
 trapezoid mass matrix M_b, and fractional powers of I + M_b^{-1} S_b in the
 (M_b-orthonormal) eigenbasis.
+
+Stability sweeps need the difference S2 - S1 of two media that differ only
+on a small node patch, and take it from the discrete Alessandrini identity
+instead of subtracting two assembled matrices.  Write H = [-A_II^{-1} A_IB; I]
+for the discrete harmonic extension of boundary data, so that A H = [0; S]
+and H^T A H = S.  For two media with energy matrices A1, A2 = A1 + E, the
+symmetry of A1 gives H1^T A1 H2 = (A1 H1)^T H2 = S1 (the boundary block of
+H2 is the identity), and H1^T A2 H2 = H1^T [0; S2] = S2, hence
+
+    S2 - S1 = H1^T E H2.
+
+E vanishes outside the rows and columns of a node set P (the perturbed
+nodes and their stencil neighbours), so only the rows of H1 and H2 on P
+enter: P_I = P inside the unknown set, P_B = P on the Dirichlet set, where
+H is the identity.  With X = A1_II^{-1} R for the unit vectors R on P_I,
+the base blocks are G_PP = R^T X (the P_I block of A1_II^{-1}) and, since
+A1_II is symmetric, H1|_{P_I} = -X^T A1_IB.  Restricting
+(A1_II + E_II) H2|_I = -(A1_IB + E_IB) to P_I after applying A1_II^{-1}
+gives the push-through (Woodbury) form
+
+    (I + G_PP E_II) H2|_{P_I} = H1|_{P_I} - G_PP E_IB,
+
+a dense system of size |P_I|.  One sparse solve per patch column, done once
+for the base medium, therefore replaces the Nb column solves of every
+perturbed medium; the difference is formed directly, without the
+cancellation of subtracting two O(1) matrices.
 """
 
 from __future__ import annotations
@@ -149,6 +175,27 @@ class DNOperator:
         )
 
 
+def _require_residual(residual: np.ndarray, rhs: np.ndarray, label: str, grid: GridDomain):
+    """Raise ResidualError unless ||residual|| <= SOLVE_RTOL ||rhs||."""
+    gap = np.linalg.norm(residual)
+    rhs_norm = np.linalg.norm(rhs)
+    if not gap <= SOLVE_RTOL * rhs_norm:
+        raise ResidualError(
+            f"{label}: residual {gap / rhs_norm:.3e} exceeds {SOLVE_RTOL:.1e} "
+            f"(grid {grid.m_per_axis}^3)"
+        )
+
+
+def _solve_checked(lu, A_II, rhs: np.ndarray, label: str, grid: GridDomain) -> np.ndarray:
+    """Solve A_II U = rhs with the factor ``lu`` and check the residual."""
+    try:
+        U = lu.solve(rhs)
+    except RuntimeError as exc:
+        raise FactorizationError(f"{label} failed: {exc}") from exc
+    _require_residual(A_II @ U - rhs, rhs, label, grid)
+    return U
+
+
 def assemble_dn(
     medium: OpticalMedium,
     grid: GridDomain | None = None,
@@ -182,19 +229,7 @@ def assemble_dn(
     for start in range(0, nb, DN_CHUNK):
         sel = slice(start, min(start + DN_CHUNK, nb))
         rhs = -A_IB[:, sel].toarray()
-        try:
-            U = lu.solve(rhs)
-        except RuntimeError as exc:
-            raise FactorizationError(
-                f"D-N column block starting at {start} failed: {exc}"
-            ) from exc
-        gap = np.linalg.norm(A_II @ U - rhs)
-        rhs_norm = np.linalg.norm(rhs)
-        if not gap <= SOLVE_RTOL * rhs_norm:
-            raise ResidualError(
-                f"D-N column block {start}..{sel.stop - 1}: residual "
-                f"{gap / rhs_norm:.3e} exceeds {SOLVE_RTOL:.1e} (grid {grid.m_per_axis}^3)"
-            )
+        U = _solve_checked(lu, A_II, rhs, f"D-N column block {start}..{sel.stop - 1}", grid)
         S[:, sel] += A_BI @ U
     return DNOperator(
         matrix=S,
@@ -202,6 +237,118 @@ def assemble_dn(
         medium_fingerprint=op.medium_fingerprint,
         grid_fingerprint=grid.fingerprint(),
     )
+
+
+def _difference(base: DiscreteOperator, op: DiscreteOperator) -> sp.csr_matrix:
+    """E = op.matrix - base.matrix with its exact zeros dropped."""
+    if op.grid != base.grid or not np.array_equal(op.interior_idx, base.interior_idx):
+        raise ValueError("operators must share one grid and one unknown set")
+    E = (op.matrix - base.matrix).tocsr()
+    E.eliminate_zeros()
+    return E
+
+
+def _support(E: sp.csr_matrix) -> np.ndarray:
+    rows, cols = E.nonzero()
+    return np.union1d(rows, cols)
+
+
+def perturbation_nodes(base: DiscreteOperator, op: DiscreteOperator) -> np.ndarray:
+    """Ascending nodes on the rows and columns where op.matrix - base.matrix is nonzero."""
+    return _support(_difference(base, op))
+
+
+@dataclass
+class PatchGreen:
+    """Base-medium blocks that give S2 - S1 for any medium differing from the
+    base only on the node patch P (derivation in the module docstring).
+
+    ``interior`` holds the positions of P_I in ``base.interior_idx`` and
+    ``boundary`` those of P_B in ``base.boundary_idx``; ``green`` is G_PP and
+    ``extension`` is H1 on P_I, shape (|P_I|, Nb).
+    """
+
+    base: DiscreteOperator
+    nodes: np.ndarray
+    interior: np.ndarray
+    boundary: np.ndarray
+    green: np.ndarray
+    extension: np.ndarray
+
+    @classmethod
+    def build(cls, base: DiscreteOperator, nodes) -> "PatchGreen":
+        """Factor the base A_II once and solve it for the unit vectors on P_I."""
+        nodes = np.unique(np.asarray(nodes, dtype=int))
+        interior = np.flatnonzero(np.isin(base.interior_idx, nodes))
+        boundary = np.flatnonzero(np.isin(base.boundary_idx, nodes))
+        A_II, A_IB = base._interior_blocks()
+        lu = base.factorization()
+        ni, npi = base.interior_count, len(interior)
+        green = np.empty((npi, npi), dtype=complex)
+        extension = np.empty((npi, len(base.boundary_idx)), dtype=complex)
+        for start in range(0, npi, DN_CHUNK):
+            sel = slice(start, min(start + DN_CHUNK, npi))
+            width = sel.stop - start
+            rhs = np.zeros((ni, width), dtype=complex)
+            rhs[interior[sel], np.arange(width)] = 1.0
+            X = _solve_checked(
+                lu, A_II, rhs, f"patch Green's block {start}..{sel.stop - 1}", base.grid
+            )
+            green[:, sel] = X[interior]
+            extension[sel] = -(A_IB.T @ X).T
+        return cls(base, nodes, interior, boundary, green, extension)
+
+    def difference(self, op: DiscreteOperator) -> np.ndarray:
+        """S(op) - S(base) = H1|_P^T E_PP H2|_P on the nodal boundary basis.
+
+        Raises ValueError when E reaches a node outside the patch.  Two
+        residuals are checked against SOLVE_RTOL: the dense push-through
+        solve's own, and that of op's interior equations on the patch rows
+        whose stencil stays inside P_I (the only equations H2|_P can be
+        tested against), measured against ||A2_IB|| as in a full Dirichlet
+        solve; the latter rejects a G_PP or H1 that does not belong to the
+        base medium, and is skipped when no such row exists.
+        """
+        base, grid = self.base, self.base.grid
+        E = _difference(base, op)
+        outside = np.setdiff1d(_support(E), self.nodes)
+        if outside.size:
+            raise ValueError(
+                f"the perturbation reaches {outside.size} node(s) outside the prepared "
+                f"patch of {len(self.nodes)} (first: node {outside[0]})"
+            )
+        p_int = base.interior_idx[self.interior]
+        p_bnd = base.boundary_idx[self.boundary]
+        order = np.concatenate([p_int, p_bnd])
+        E_PP = E[order][:, order]
+        npi = len(p_int)
+        E_PI = E_PP[:, :npi]
+        G = self.green
+
+        M = np.eye(npi) + G @ E_PI[:npi]
+        rhs = self.extension.copy()
+        rhs[:, self.boundary] -= G @ E_PP[:npi, npi:].toarray()
+        H2 = np.linalg.solve(M, rhs)
+        _require_residual(M @ H2 - rhs, rhs, "patch push-through solve", grid)
+
+        # op's interior equations on the patch rows whose interior stencil lies in P_I
+        off_patch = np.ones(grid.num_points, dtype=bool)
+        off_patch[base.boundary_idx] = False
+        off_patch[p_int] = False
+        A_rows = op.matrix[p_int]
+        inner = np.flatnonzero(A_rows[:, off_patch].getnnz(axis=1) == 0)
+        if inner.size:
+            A_inner = A_rows[inner]
+            residual = A_inner[:, p_int] @ H2 + A_inner[:, base.boundary_idx].toarray()
+            A_IB = op.matrix[op.interior_idx][:, op.boundary_idx]
+            _require_residual(residual, A_IB.data, "patch harmonic extension", grid)
+
+        # H_P = [H|_{P_I}; the identity rows at P_B]
+        F = E_PI @ H2
+        F[:, self.boundary] += E_PP[:, npi:].toarray()
+        delta = self.extension.T @ F[:npi]
+        delta[self.boundary] += F[npi:]
+        return delta
 
 
 def _whitened(delta: np.ndarray, scale: SobolevScale) -> np.ndarray:

@@ -56,6 +56,13 @@ class TestConfig:
         b = RunConfig.from_dict(data)
         assert a.fingerprint() != b.fingerprint()
 
+    def test_grid_cap_cannot_exceed_the_built_in_cap(self):
+        data = default_config_dict()
+        data["solver"] = {"grid_cap": 51}
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(data)
+        assert err.value.pointer == "/solver/grid_cap"
+
     def test_medium_from_raw_sample_arrays(self):
         data = default_config_dict()
         data["grid"]["m_per_axis"] = 9
@@ -94,6 +101,23 @@ class TestCliExitCodes:
     def test_inadmissible_check_exits_3(self, tmp_path):
         path = small_config(tmp_path, **{"medium.mu_a": "3"})  # above lam
         assert main(["check", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    def test_perturbation_without_grid_support_exits_2(self, tmp_path, capsys):
+        path = small_config(tmp_path, **{"experiments.stability": {
+            "profile_order": 1, "h": 0, "eps_start": 0.2, "eps_count": 3,
+            "width": 0.3, "depth": 0.05}})
+        out = tmp_path / "o"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for name in ("/experiments/stability", "width", "depth", "profile_order"):
+            assert name in err
+        assert not (out / "stability_rows.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "dn", "stability"])
+    def test_grid_cap_applies_to_every_command(self, tmp_path, capsys, command):
+        path = small_config(tmp_path, solver={"grid_cap": 5})  # m = 9
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "MemoryBudgetError" in capsys.readouterr().err
 
 
 class TestCliCommands:

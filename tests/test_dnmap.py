@@ -3,10 +3,12 @@ import pytest
 
 from otlab.dnmap import (
     DNOperator,
+    PatchGreen,
     SobolevScale,
     _whitened,
     alessandrini_residual,
     assemble_dn,
+    perturbation_nodes,
     sobolev_operator_norm,
     sobolev_pairing,
 )
@@ -14,6 +16,7 @@ from otlab.errors import ResidualError
 from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium
 from otlab.solver import assemble, solve_dirichlet
+from otlab.stability import PerturbationSpec
 
 
 def apriori(**kw):
@@ -258,3 +261,61 @@ class TestAlessandrini:
                 alessandrini_residual(med1, med2, f.astype(complex), g.astype(complex))
             )
         assert residuals[1] < residuals[0]
+
+
+def interior_anisotropic_B(grid):
+    """A constant anisotropic B tapered to zero on the boundary layer."""
+    B0 = np.array([[0.1, 0.05, -0.04], [0.05, -0.05, 0.03], [-0.04, 0.03, 0.0]])
+    taper = np.prod(np.cos(np.pi * grid.points), axis=1) * grid.interior_mask
+    return B0[None] * taper[:, None, None]
+
+
+class TestPatchGreen:
+    """The discrete Alessandrini identity S2 - S1 = H1^T E H2 on the patch."""
+
+    @pytest.fixture(scope="class")
+    def sweep9(self, grid9):
+        spec = PerturbationSpec(medium_on(grid9), profile_order=0)
+        base = assemble(spec.base, grid9)
+        op2 = assemble(spec.perturbed(0.2), grid9)
+        return spec, base, op2, PatchGreen.build(base, perturbation_nodes(base, op2))
+
+    @pytest.mark.parametrize("anisotropic", [False, True])
+    def test_matches_subtraction_of_assembled_maps(self, grid9, anisotropic):
+        B = interior_anisotropic_B(grid9) if anisotropic else None
+        med = OpticalMedium.from_expressions(grid9, apriori(), mu_a="1", mu_s="1", B=B)
+        assert med.admissibility_violations() == []
+        spec = PerturbationSpec(med, profile_order=0)
+        med2 = spec.perturbed(0.2)
+        base, op2 = assemble(med, grid9), assemble(med2, grid9)
+        E = (op2.matrix - base.matrix).toarray()
+        # the cross terms widen E's rows beyond the 7-point stencil
+        assert (np.count_nonzero(E, axis=1).max() > 7) == anisotropic
+        delta = PatchGreen.build(base, perturbation_nodes(base, op2)).difference(op2)
+        reference = assemble_dn(med2, grid9).matrix - assemble_dn(med, grid9).matrix
+        gap = np.linalg.norm(delta - reference) / np.linalg.norm(reference)
+        assert gap <= 1e-12
+
+    def test_foreign_green_block_fails_the_residual_check(self, grid9, sweep9):
+        spec, base, op2, patch = sweep9
+        other = assemble(medium_on(grid9, mu_a="1.4", mu_s="0.8"), grid9)
+        foreign = PatchGreen.build(other, patch.nodes)
+        swapped = PatchGreen(base, patch.nodes, patch.interior, patch.boundary,
+                             foreign.green, patch.extension)
+        with pytest.raises(ResidualError, match="patch harmonic extension"):
+            swapped.difference(op2)
+
+    def test_corrupted_green_block_fails_the_residual_check(self, sweep9):
+        spec, base, op2, patch = sweep9
+        rng = np.random.default_rng(3)
+        noise = 1e-6 * np.abs(patch.green).max() * rng.normal(size=patch.green.shape)
+        corrupted = PatchGreen(base, patch.nodes, patch.interior, patch.boundary,
+                               patch.green + noise, patch.extension)
+        with pytest.raises(ResidualError, match="patch harmonic extension"):
+            corrupted.difference(op2)
+
+    def test_perturbation_outside_the_patch_is_rejected(self, sweep9):
+        spec, base, op2, patch = sweep9
+        smaller = PatchGreen.build(base, patch.nodes[:-1])
+        with pytest.raises(ValueError, match="outside the prepared patch"):
+            smaller.difference(op2)

@@ -138,6 +138,11 @@ class TestPerturbationSpec:
         assert spec.admissible_amplitude(0.25)
         assert not spec.admissible_amplitude(0.8)  # exceeds lam = 1.5
 
+    def test_profile_without_grid_support_rejected(self):
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        with pytest.raises(ValueError, match="vanishes at every node"):
+            PerturbationSpec(base_medium(grid), profile_order=1, depth=0.05)
+
     def test_order_beyond_smoothness_rejected(self):
         grid = GridDomain(extent=1.0, m_per_axis=9)
         with pytest.raises(ValueError):
@@ -255,13 +260,21 @@ class TestStabilityExperiment:
         assert set(cols) >= {"eps", "dn_gap", "sup_mu_boundary", "tensor_gap"}
         assert len(cols["eps"]) == len(small_experiment.rows)
 
-    def test_worker_pool_matches_sequential(self):
+    def test_small_amplitudes_keep_the_linear_response(self):
         grid = GridDomain(extent=1.0, m_per_axis=9)
-        med = base_medium(grid)
-        spec = PerturbationSpec(med, profile_order=0)
-        eps = [0.2, 0.1, 0.05]
-        seq = run_stability_experiment(spec, 0, eps, threads=1)
-        par = run_stability_experiment(spec, 0, eps, threads=3)
-        for a, b in zip(seq.rows, par.rows):
-            assert a.eps == b.eps
-            assert a.dn_gap == b.dn_gap
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        rep = run_stability_experiment(spec, 0, [0.2 * 10.0**-i for i in range(8)])
+        gaps = [r.dn_gap for r in rep.rows]
+        assert rep.rows[-1].eps == pytest.approx(2e-8)
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert rep.observed_slopes["boundary_values"] == pytest.approx(1.0, abs=0.15)
+
+    def test_amplitude_below_resolution_gives_zero_gap(self):
+        # mu_a + 1e-300 * profile rounds to mu_a: the gap is exactly zero and
+        # stays out of the power-law fits
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        rep = run_stability_experiment(spec, 0, [0.2, 0.1, 1e-300])
+        assert rep.rows[-1].dn_gap == 0.0
+        assert [r.linear_regime for r in rep.rows] == [True, True, False]
+        assert np.isfinite(rep.observed_slopes["boundary_values"])
