@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -174,7 +175,7 @@ def cmd_dn(config: RunConfig, out: Path, args) -> int:
         if args.save:
             dn.save(args.save, metadata=_stamp(config))
     sym = float(np.abs(dn.matrix - dn.matrix.T).max())
-    norm = sobolev_operator_norm(dn.matrix, scale)
+    norm = sobolev_operator_norm(dn.matrix, scale, seed=config.seed)
     payload = {
         **_stamp(config),
         "source": src,
@@ -277,6 +278,15 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
         section["eps_start"] = args.eps_start
     if args.eps_count is not None:
         section["eps_count"] = args.eps_count
+    h_order = int(section.get("h", 0))
+    eps0 = float(section.get("eps_start", 0.2))
+    count = int(section.get("eps_count", 6))
+    if not (math.isfinite(eps0) and eps0 > 0.0):
+        raise ConfigError(
+            "/experiments/stability", f"eps_start must be positive and finite, got {eps0}"
+        )
+    if count < 1:
+        raise ConfigError("/experiments/stability", f"eps_count must be at least 1, got {count}")
     overrides = {}
     if args.alpha is not None:
         overrides["alpha"] = args.alpha
@@ -294,11 +304,8 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError("/experiments/stability", str(exc)) from exc
-    h_order = int(section.get("h", 0))
-    eps0 = float(section.get("eps_start", 0.2))
-    count = int(section.get("eps_count", 6))
     eps = [eps0 / 2**i for i in range(count)]
-    report = run_stability_experiment(pspec, h_order, eps)
+    report = run_stability_experiment(pspec, h_order, eps, seed=config.seed)
 
     columns = report.table()
     _write_csv(out / "stability_rows.csv", _comments(config), columns)

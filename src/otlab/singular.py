@@ -14,6 +14,14 @@ The module also houses the truncated Laplace kernel, the truncated
 Newtonian potential (the decay workhorse behind the remainder estimates),
 the discrete annulus correction solve, and the gradient lower-bound
 bracket (2-n-m)^2 C^2 + (C')^2 (1 - t^2).
+
+The potential quadrature is a product rule: cached, read-only Gauss
+nodes on fixed unit directions times radial nodes per shell or segment.
+Its kernel series in (|y|/|x|)^j P_j(x^ . y^) (the tail j > nu near the
+origin, the removed moments j <= nu further out) is therefore tabulated as
+P_j on the directions once per call, and each set of radii costs one
+small matrix product; ``truncated_laplace_kernel`` stays the direct route
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -348,8 +356,23 @@ class PotentialInfo:
     inner_shells: int
 
 
-def _sphere_nodes(n_theta: int, n_phi: int):
-    mu, wmu = np.polynomial.legendre.leggauss(n_theta)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(count))
+
+
+@lru_cache(maxsize=None)
+def _sphere_nodes(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions and weights of the Gauss-Legendre (polar) times
+    midpoint (azimuthal) product rule on the sphere, shared read-only."""
+    mu, wmu = _gauss_legendre(n_theta)
     phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
     s = np.sqrt(1.0 - mu**2)
     dirs = np.stack(
@@ -361,13 +384,40 @@ def _sphere_nodes(n_theta: int, n_phi: int):
         axis=1,
     )
     w = np.outer(wmu, np.full(n_phi, 2.0 * math.pi / n_phi)).ravel()
-    return dirs, w
+    return _read_only(dirs, w)
 
 
 def _radial_nodes(lo: float, hi: float, count: int):
-    xg, wg = np.polynomial.legendre.leggauss(count)
+    xg, wg = _gauss_legendre(count)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * xg, half * wg
+
+
+def _zonal_series(x: np.ndarray, dirs: np.ndarray, orders: range):
+    """rad -> C_3/|x| sum_{j in orders} (rad/|x|)^j P_j(x^ . d), shape
+    (len(rad), len(dirs)), for points rad * d on fixed unit directions d.
+
+    P_j(x^ . d) depends on the directions alone, so it is tabulated once;
+    each set of radii then costs one (radii x orders) @ (orders x
+    directions) product.  With rad < |x| these are the terms of the
+    expansion C_3/|x - y| = C_3/|x| sum_j (|y|/|x|)^j P_j(x^ . y^).
+    """
+    rx = float(np.linalg.norm(x))
+    cosg = dirs @ (x / rx)
+    rows = []
+    prev, cur = np.zeros_like(cosg), np.ones_like(cosg)  # P_{-1} = 0, P_0
+    for j in range(orders.stop):
+        if j >= orders.start:
+            rows.append(cur)
+        prev, cur = cur, ((2 * j + 1) * cosg * cur - j * prev) / (j + 1)
+    table = np.array(rows).reshape(len(orders), len(cosg))
+    powers = np.arange(orders.start, orders.stop)
+    scale = _sphere_constant(3) / rx
+
+    def series(rad: np.ndarray) -> np.ndarray:
+        return scale * ((rad[:, None] / rx) ** powers @ table)
+
+    return series
 
 
 @lru_cache(maxsize=None)
@@ -389,44 +439,17 @@ def _mollifier_coefficients(match_order: int = 8) -> tuple[float, ...]:
 
 def _mollified_inverse_distance(rho: np.ndarray, delta: float) -> np.ndarray:
     """1/rho for rho >= delta, an even C^8 polynomial core below."""
+    inside = rho < delta
+    if not inside.any():
+        return 1.0 / rho
     out = np.empty_like(rho)
-    outside = rho >= delta
-    out[outside] = 1.0 / rho[outside]
-    if np.any(~outside):
-        u = rho[~outside] / delta
-        acc = np.zeros_like(u)
-        coeffs = _mollifier_coefficients()
-        for i, c in enumerate(coeffs):
-            acc += c * u ** (2 * i)
-        out[~outside] = acc / delta
+    out[~inside] = 1.0 / rho[~inside]
+    u = rho[inside] / delta
+    acc = np.zeros_like(u)
+    for i, c in enumerate(_mollifier_coefficients()):
+        acc += c * u ** (2 * i)
+    out[inside] = acc / delta
     return out
-
-
-def _series_kernel(x: np.ndarray, y: np.ndarray, nu: int, terms: int):
-    """Tail series -C_3 sum_{j>nu} (|y|^j/|x|^{j+1}) P_j(cos): stable for |y| <= |x|/2."""
-    rx = np.linalg.norm(x)
-    ry = np.linalg.norm(y, axis=1)
-    with np.errstate(invalid="ignore"):
-        cosg = np.where(ry > 0, (y @ x) / (np.maximum(ry, 1e-300) * rx), 0.0)
-    t = ry / rx
-    cn = _sphere_constant(3)
-    acc = np.zeros_like(t)
-    prev = np.ones_like(t)  # P_0
-    cur = cosg.copy()       # P_1
-    tpow = np.ones_like(t)
-    top = nu + terms
-    for j in range(top + 1):
-        if j == 0:
-            pj = prev
-        elif j == 1:
-            pj = cur
-        else:
-            prev, cur = cur, ((2 * j - 1) * cosg * cur - (j - 1) * prev) / j
-            pj = cur
-        if j > nu:
-            acc += tpow * pj
-        tpow = tpow * t
-    return -cn / rx * acc
 
 
 def newtonian_potential_truncated(
@@ -443,8 +466,10 @@ def newtonian_potential_truncated(
     split at |y| = |x|/2: inside, the kernel is summed through its stable
     tail series over a geometric shell ladder (this is what makes strongly
     singular f integrable); outside, the Newtonian part is mollified on a
-    ball around x and the exact-minus-mollified difference is added back by
-    a spherical patch quadrature centred at x.
+    ball around x, the removed moments are added as their series, and the
+    exact-minus-mollified difference is added back by a spherical patch
+    quadrature centred at x.  Both series are tabulated on the fixed
+    quadrature directions (see ``_zonal_series``).
 
     Raises QuadratureBudgetError when the shell ladder fails to settle,
     reporting the tolerance it did achieve.
@@ -456,10 +481,12 @@ def newtonian_potential_truncated(
         raise ValueError("probe must satisfy 0 < |x| <= 0.75 radius")
     if nu < -1:
         raise ValueError("truncation order must be >= -1")
-    cn = _sphere_constant(3)
 
     sph_in, w_in = _sphere_nodes(rule.inner_theta, rule.inner_phi)
-    sph_out, w_out = _sphere_nodes(rule.outer_theta, rule.outer_phi)
+    # every shell uses the same directions, so the tail kernel
+    # -C_3/|x-y| + C_3 sum_{j<=nu} ... = -C_3/|x| sum_{j>nu} (|y|/|x|)^j P_j
+    # is tabulated once for the whole ladder
+    tail = _zonal_series(x, sph_in, range(nu + 1, nu + 1 + rule.series_terms))
 
     total = 0.0 + 0.0j
     err = 0.0
@@ -477,7 +504,7 @@ def newtonian_potential_truncated(
         pts = rad[:, None, None] * sph_in[None, :, :]
         pts = pts.reshape(-1, 3)
         wq = (wr[:, None] * (rad**2)[:, None] * w_in[None, :]).ravel()
-        kern = _series_kernel(x, pts, nu, rule.series_terms)
+        kern = -tail(rad).ravel()
         contrib = np.sum(wq * kern * f(pts))
         total += contrib
         mag = abs(contrib)
@@ -526,6 +553,8 @@ def _outer_contribution(f, nu, x, radius, rule, n_theta, n_phi):
     a = r / 2.0
     delta = min(r / 4.0, (radius - r) / 2.0)
     sph_out, w_out = _sphere_nodes(n_theta, n_phi)
+    # Gamma_nu + C_3/rho: the moments j <= nu that the truncation removes
+    moments = _zonal_series(x, sph_out, range(nu + 1))
 
     breakpoints = [a, r - delta, r, r + delta]
     c = r + delta
@@ -540,10 +569,9 @@ def _outer_contribution(f, nu, x, radius, rule, n_theta, n_phi):
         rad, wr = _radial_nodes(lo, hi, rule.outer_radial)
         pts = (rad[:, None, None] * sph_out[None, :, :]).reshape(-1, 3)
         wq = (wr[:, None] * (rad**2)[:, None] * w_out[None, :]).ravel()
-        rho = np.linalg.norm(pts - x, axis=1)
-        kern = -cn * _mollified_inverse_distance(rho, delta)
-        if nu >= 0:
-            kern = kern + (truncated_laplace_kernel(x, pts, nu) + cn / rho)
+        # |y - x| component by component: cheaper than a norm over rows of 3
+        rho = np.sqrt(sum((rad[:, None] * sph_out[:, k] - x[k]) ** 2 for k in range(3))).ravel()
+        kern = -cn * _mollified_inverse_distance(rho, delta) + moments(rad).ravel()
         total += np.sum(wq * kern * f(pts))
 
     # patch: add back (exact - mollified) Newtonian part on the delta-ball
@@ -564,14 +592,12 @@ def shell_source_exponent(f, radius: float, p: float = 4.0, num_shells: int = 6)
     norms on a log-log ladder recovers s.  Used to check numerically that a
     source is compatible with a requested truncation order.
     """
-    mu, wmu = np.polynomial.legendre.leggauss(12)
     sph, wsph = _sphere_nodes(12, 24)
     radii, norms = [], []
     hi = radius / 2.0
     for _ in range(num_shells):
         lo = hi / 2.0
-        rad = 0.5 * (hi + lo) + 0.5 * (hi - lo) * mu
-        wr = 0.5 * (hi - lo) * wmu
+        rad, wr = _radial_nodes(lo, hi, 12)
         pts = (rad[:, None, None] * sph[None, :, :]).reshape(-1, 3)
         wq = (wr[:, None] * (rad**2)[:, None] * wsph[None, :]).ravel()
         norms.append(np.sum(wq * np.abs(f(pts)) ** p) ** (1.0 / p))

@@ -320,6 +320,7 @@ def run_stability_experiment(
     derivative_order: int,
     eps_values,
     scale: SobolevScale | None = None,
+    seed: int = 0,
 ) -> StabilityReport:
     """Sweep the perturbation amplitude and confront the D-N gaps with the
     boundary norms the stability theory controls.
@@ -330,7 +331,8 @@ def run_stability_experiment(
     log(norm) against log(D-N gap); the inequality constants are the largest
     observed ratios norm / gap^{delta_j}.  The largest amplitude's
     perturbation fixes the node patch of the base Green's block; a smaller
-    amplitude that reaches beyond it raises ValueError.
+    amplitude that reaches beyond it raises ValueError, and so do amplitudes
+    of both signs.  ``seed`` draws the start vector of each power iteration.
     """
     base = pspec.base
     grid = base.grid
@@ -343,12 +345,14 @@ def run_stability_experiment(
         raise ValueError("derivative experiments require supp(B) interior to the domain")
     if derivative_order > pspec.smoothness:
         raise ValueError("derivative order exceeds the perturbation smoothness")
+    eps_values = sorted(set(float(e) for e in eps_values), key=abs, reverse=True)
+    if any(e > 0.0 for e in eps_values) and any(e < 0.0 for e in eps_values):
+        raise ValueError(f"amplitudes must share one sign, got {eps_values}")
 
     nu_field = build_nu_tilde(grid)
     scale = scale or SobolevScale.build(grid)
     base_op = assemble(base, grid)
 
-    eps_values = sorted(set(float(e) for e in eps_values), reverse=True)
     dropped = [e for e in eps_values if e != 0.0 and not pspec.admissible_amplitude(e)]
     for e in dropped:
         warnings.warn(f"amplitude eps={e} breaks admissibility; dropped", stacklevel=2)
@@ -370,9 +374,9 @@ def run_stability_experiment(
         rows.append(
             StabilityRow(
                 eps=eps,
-                dn_gap=sobolev_operator_norm(patch.difference(op2), scale),
-                sup_mu_boundary=eps * profile_sup,
-                sup_normal_derivatives=[eps * s for s in deriv_sups],
+                dn_gap=sobolev_operator_norm(patch.difference(op2), scale, seed=seed),
+                sup_mu_boundary=abs(eps) * profile_sup,
+                sup_normal_derivatives=[abs(eps) * s for s in deriv_sups],
                 tensor_gap=tensor_derivative_gap(base, med2, min(derivative_order, 1)),
             )
         )

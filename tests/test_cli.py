@@ -1,3 +1,4 @@
+import inspect
 import json
 from importlib import resources
 
@@ -113,6 +114,19 @@ class TestCliExitCodes:
             assert name in err
         assert not (out / "stability_rows.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, value", [("eps_start", 0.0), ("eps_start", -0.2), ("eps_count", 0)]
+    )
+    def test_non_positive_amplitude_ladder_exits_2(self, tmp_path, capsys, field, value):
+        stability = {"profile_order": 0, "h": 0, "eps_start": 0.2, "eps_count": 3,
+                     "width": 0.3, "depth": 0.4, field: value}
+        path = small_config(tmp_path, **{"experiments.stability": stability})
+        out = tmp_path / "o"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "/experiments/stability" in err and field in err
+        assert not (out / "stability_rows.csv").exists()
+
     @pytest.mark.parametrize("command", ["solve", "dn", "stability"])
     def test_grid_cap_applies_to_every_command(self, tmp_path, capsys, command):
         path = small_config(tmp_path, solver={"grid_cap": 5})  # m = 9
@@ -181,6 +195,44 @@ class TestCliCommands:
         assert (out / "stability_loglog.svg").exists()
         rows = (out / "stability_rows.csv").read_text().splitlines()
         assert any(line.startswith("eps,") for line in rows)
+
+    def test_seed_draws_the_power_iteration_start(self, tmp_path, monkeypatch):
+        # the seed changes only the start vector: gaps agree to the power
+        # iteration's tolerance, and one seed reproduces its reports bytewise
+        import otlab.cli
+        import otlab.stability
+
+        real = otlab.stability.sobolev_operator_norm
+        rtol = inspect.signature(real).parameters["rtol"].default
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("seed"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(otlab.stability, "sobolev_operator_norm", recording)
+        monkeypatch.setattr(otlab.cli, "sobolev_operator_norm", recording)
+        path = small_config(tmp_path, **{"experiments.stability": {
+            "profile_order": 0, "h": 0, "eps_start": 0.2, "eps_count": 3,
+            "width": 0.3, "depth": 0.4}})
+        runs = {}
+        for name, seed in (("a", 3), ("b", 3), ("c", 4)):
+            runs[name] = tmp_path / name
+            argv = ["stability", "--config", str(path), "--out", str(runs[name])]
+            assert main(argv + ["--seed", str(seed)]) == 0
+        assert seen == [3] * 6 + [4] * 3
+        assert main(["dn", "--config", str(path), "--out", str(tmp_path / "d"), "--seed", "5"]) == 0
+        assert seen[-1] == 5
+        for report in ("stability_report.json", "stability_rows.csv"):
+            assert (runs["a"] / report).read_bytes() == (runs["b"] / report).read_bytes()
+
+        def gaps(out):
+            lines = [l for l in (out / "stability_rows.csv").read_text().splitlines()
+                     if not l.startswith("#")]
+            col = lines[0].split(",").index("dn_gap")
+            return np.array([float(l.split(",")[col]) for l in lines[1:]])
+
+        np.testing.assert_allclose(gaps(runs["c"]), gaps(runs["a"]), rtol=rtol, atol=0)
 
     def test_gegenbauer_table(self, tmp_path):
         out = tmp_path / "out"

@@ -12,9 +12,15 @@ from otlab.singular import (
     PotentialRule,
     SingularityPoint,
     SingularSolutionSpec,
+    _gauss_legendre,
+    _radial_nodes,
+    _sphere_constant,
+    _sphere_nodes,
+    _zonal_series,
     correction_w,
     newtonian_potential_truncated,
     potential_decay_fit,
+    truncated_laplace_kernel,
 )
 
 CHEAP = PotentialRule(outer_theta=24, outer_phi=48, inner_theta=12, inner_phi=24)
@@ -131,6 +137,61 @@ class TestPotentialQuadrature:
                     direction=(0.36, 0.48, 0.8),
                     rule=CHEAP,
                 )
+
+
+class TestTabulatedKernels:
+    """The tabulated kernels against the direct truncated kernel, on the nodes
+    the default rule uses for the decay probes (|x| = 2^-5 .. 2^-10 along
+    the scripts' ray, delta = |x|/4)."""
+
+    RULE = PotentialRule()
+    DIRECTION = np.array([0.36, 0.48, 0.8])
+
+    @staticmethod
+    def _points(rad, dirs):
+        return (rad[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
+
+    @staticmethod
+    def _max_relative(approx, exact):
+        return np.abs(approx - exact).max() / np.abs(exact).max()
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("r", [2.0**-5, 2.0**-10])
+    def test_inner_tail_matches_direct_kernel(self, r, nu):
+        # the first two shells of the ladder; deeper shells lose the direct
+        # route to cancellation (-C_3/|x-y| against its own moments)
+        x = r * self.DIRECTION
+        dirs, _ = _sphere_nodes(self.RULE.inner_theta, self.RULE.inner_phi)
+        tail = _zonal_series(x, dirs, range(nu + 1, nu + 1 + self.RULE.series_terms))
+        for lo, hi in ((r / 4, r / 2), (r / 8, r / 4)):
+            rad, _ = _radial_nodes(lo, hi, self.RULE.inner_radial)
+            direct = truncated_laplace_kernel(x, self._points(rad, dirs), nu)
+            assert self._max_relative(-tail(rad).ravel(), direct) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("r", [2.0**-5, 2.0**-10])
+    def test_outer_moments_match_direct_kernel(self, r, nu):
+        x = r * self.DIRECTION
+        cn = _sphere_constant(3)
+        for n_theta, n_phi in ((40, 80), (32, 64)):  # full and low resolution
+            dirs, _ = _sphere_nodes(n_theta, n_phi)
+            moments = _zonal_series(x, dirs, range(nu + 1))
+            # the first segments of the breakpoint ladder and the last one
+            segments = [(r / 2, 0.75 * r), (0.75 * r, r), (r, 1.25 * r), (1.25 * r, 2.5 * r)]
+            for lo, hi in segments + [(0.5, 1.0)]:
+                rad, _ = _radial_nodes(lo, hi, self.RULE.outer_radial)
+                pts = self._points(rad, dirs)
+                rho = np.linalg.norm(pts - x, axis=1)
+                direct = truncated_laplace_kernel(x, pts, nu) + cn / rho
+                assert self._max_relative(moments(rad).ravel(), direct) <= 1e-12
+
+    def test_cached_nodes_are_read_only(self):
+        dirs, w = _sphere_nodes(self.RULE.inner_theta, self.RULE.inner_phi)
+        xg, wg = _gauss_legendre(self.RULE.inner_radial)
+        for arr in (dirs, w, xg, wg):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert _sphere_nodes(self.RULE.inner_theta, self.RULE.inner_phi)[0] is dirs
 
 
 class TestLaplacianConsistency:

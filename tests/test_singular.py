@@ -345,8 +345,9 @@ class TestTruncatedKernel:
                 assert abs(truncated_laplace_kernel(x, y, nu)) <= bound * (1 + 1e-10)
 
     def test_definition_matches_tail_series(self):
-        # two independent evaluation routes of the same kernel
-        from otlab.singular import _series_kernel
+        # two independent evaluation routes of the same kernel: the direct
+        # definition and the tabulated tail series of the potential quadrature
+        from otlab.singular import _zonal_series
 
         rng = np.random.default_rng(15)
         x = np.array([0.8, -0.1, 0.4])
@@ -354,9 +355,12 @@ class TestTruncatedKernel:
         ys *= (rng.uniform(0.02, 0.45, size=40) * np.linalg.norm(x))[:, None] / np.linalg.norm(
             ys, axis=1
         )[:, None]
+        ry = np.linalg.norm(ys, axis=1)
         for nu in (-1, 0, 2):
             direct = truncated_laplace_kernel(x, ys, nu)
-            series = _series_kernel(x, ys, nu, 200)
+            # radii x directions table; point i pairs radius i with direction i
+            tail = _zonal_series(x, ys / ry[:, None], range(nu + 1, nu + 201))
+            series = -np.diag(tail(ry))
             np.testing.assert_allclose(direct, series, rtol=1e-12, atol=1e-16)
 
     def test_harmonic_in_x_away_from_origin(self):

@@ -269,6 +269,22 @@ class TestStabilityExperiment:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert rep.observed_slopes["boundary_values"] == pytest.approx(1.0, abs=0.15)
 
+    def test_mixed_sign_amplitudes_rejected(self):
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        with pytest.raises(ValueError, match="one sign"):
+            run_stability_experiment(spec, 0, [0.2, 0.1, -0.05])
+
+    def test_negative_amplitudes_keep_the_linear_response(self):
+        # the boundary sups are sizes |eps| sup|profile|, so a negative ladder
+        # fits like a positive one
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        rep = run_stability_experiment(spec, 0, [-0.05, -0.2, -0.1])
+        assert [r.eps for r in rep.rows] == [-0.2, -0.1, -0.05]
+        assert all(r.sup_mu_boundary > 0.0 for r in rep.rows)
+        assert rep.observed_slopes["boundary_values"] == pytest.approx(1.0, abs=0.15)
+
     def test_amplitude_below_resolution_gives_zero_gap(self):
         # mu_a + 1e-300 * profile rounds to mu_a: the gap is exactly zero and
         # stays out of the power-law fits
