@@ -14,7 +14,7 @@ from otlab.medium import AprioriData, OpticalMedium
 from otlab.stability import PerturbationSpec, run_stability_experiment
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=int, default=17)
     parser.add_argument("--profile-order", type=int, default=0)
@@ -24,7 +24,10 @@ def main():
     parser.add_argument("--k", type=float, default=0.12)
     parser.add_argument("--eps-start", type=float, default=0.2)
     parser.add_argument("--eps-count", type=int, default=6)
-    args = parser.parse_args()
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed of the power-iteration start vectors"
+    )
+    args = parser.parse_args(argv)
 
     apriori = AprioriData(
         n=3, p=args.p, lam=1.5, E=10.0, cal_e=1.2, k=args.k, alpha=args.alpha
@@ -33,7 +36,7 @@ def main():
     medium = OpticalMedium.from_expressions(grid, apriori, mu_a="1", mu_s="1")
     pspec = PerturbationSpec(medium, profile_order=args.profile_order)
     eps = [args.eps_start / 2**i for i in range(args.eps_count)]
-    report = run_stability_experiment(pspec, args.h, eps)
+    report = run_stability_experiment(pspec, args.h, eps, seed=args.seed)
 
     header = ["eps", "dn_gap", "sup_mu"] + [f"sup_d{j}" for j in range(args.h + 1)]
     print("  ".join(f"{name:>12s}" for name in header))

@@ -39,8 +39,29 @@ gives the push-through (Woodbury) form
 
 a dense system of size |P_I|.  One sparse solve per patch column, done once
 for the base medium, therefore replaces the Nb column solves of every
-perturbed medium; the difference is formed directly, without the
-cancellation of subtracting two O(1) matrices.
+perturbed medium.
+
+The difference is never formed as an Nb x Nb matrix.  Write J for the unit
+rows at P_B and A = [H1|_{P_I}; J], a |P| x Nb matrix fixed for a sweep.
+The push-through form says H2|_{P_I} = N A with
+
+    N = M^{-1} [I, -G_PP E_{I,P_B}],   M = I + G_PP E_II,
+
+so H2|_P = [N; 0 I] A and
+
+    S2 - S1 = A^T Z A,   Z = E_{P,I} N + [0, E_{P,P_B}],
+
+with Z of size |P| x |P|: rank(S2 - S1) <= |P|, and the difference comes
+without the cancellation of subtracting two O(1) matrices.  Its
+H^{1/2} -> H^{-1/2} norm is the spectral norm of the whitened matrix
+W V^T (S2 - S1) V W, W = (I + D)^{-1/4}, in the M_b-orthonormal eigenbasis
+V, D.  With the QR factorization (A V W)^T = Q R, taken once per sweep,
+that matrix is Q (R Z R^T) Q^T; Q has orthonormal columns, so
+
+    ||S2 - S1||_{H^{1/2} -> H^{-1/2}} = ||R Z R^T||_2,
+
+and each amplitude costs |P|-sized dense work plus residual checks linear
+in Nb.
 """
 
 from __future__ import annotations
@@ -57,6 +78,9 @@ from .medium import OpticalMedium, split_real_imag
 from .solver import SOLVE_RTOL, DiscreteOperator, assemble, solve_dirichlet
 
 DN_CHUNK = 512
+# power iteration for operator norms: relative eigenvalue tolerance, step cap
+POWER_RTOL = 1e-8
+POWER_MAX_ITERATIONS = 50_000
 
 
 @dataclass
@@ -112,7 +136,14 @@ class SobolevScale:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nb, nb),
         ).tocsr()
-        lam, V = scipy.linalg.eigh(S.toarray(), np.diag(mass))
+        # M_b is diagonal: V = M_b^{-1/2} U for the eigenvectors U of the
+        # symmetric M_b^{-1/2} S_b M_b^{-1/2}, so V^T M_b V = I
+        d = mass**-0.5
+        L = S.toarray()
+        L *= d[:, None]
+        L *= d[None, :]
+        lam, V = scipy.linalg.eigh(L, overwrite_a=True, driver="evd")
+        V *= d[:, None]
         lam = np.maximum(lam, 0.0)
         return cls(grid, b_idx, mass, S, lam, V)
 
@@ -260,8 +291,9 @@ def perturbation_nodes(base: DiscreteOperator, op: DiscreteOperator) -> np.ndarr
 
 @dataclass
 class PatchGreen:
-    """Base-medium blocks that give S2 - S1 for any medium differing from the
-    base only on the node patch P (derivation in the module docstring).
+    """Base-medium blocks that give S2 - S1 = A^T Z A for any medium differing
+    from the base only on the node patch P (derivation in the module
+    docstring).
 
     ``interior`` holds the positions of P_I in ``base.interior_idx`` and
     ``boundary`` those of P_B in ``base.boundary_idx``; ``green`` is G_PP and
@@ -298,16 +330,30 @@ class PatchGreen:
             extension[sel] = -(A_IB.T @ X).T
         return cls(base, nodes, interior, boundary, green, extension)
 
-    def difference(self, op: DiscreteOperator) -> np.ndarray:
-        """S(op) - S(base) = H1|_P^T E_PP H2|_P on the nodal boundary basis.
+    def whitening(self, scale: SobolevScale) -> np.ndarray:
+        """R of the QR factorization (A V W)^T = Q R, A = [H1|_{P_I}; J].
+
+        Shape (|P|, |P|) when Nb >= |P|; ||R Z R^T||_2 is then the
+        H^{1/2} -> H^{-1/2} norm of A^T Z A (module docstring).  V is real,
+        so H1|_{P_I} V is taken part by part."""
+        V = scale.eigenvectors
+        ext = self.extension
+        AVW = np.concatenate([ext.real @ V + 1j * (ext.imag @ V), V[self.boundary]])
+        AVW *= (1.0 + scale.eigenvalues) ** -0.25
+        return np.linalg.qr(AVW.T, mode="r")
+
+    def core(self, op: DiscreteOperator) -> np.ndarray:
+        """Z, of shape (|P|, |P|), with S(op) - S(base) = A^T Z A; rows and
+        columns are ordered P_I then P_B, as the rows of A.
 
         Raises ValueError when E reaches a node outside the patch.  Two
         residuals are checked against SOLVE_RTOL: the dense push-through
-        solve's own, and that of op's interior equations on the patch rows
-        whose stencil stays inside P_I (the only equations H2|_P can be
-        tested against), measured against ||A2_IB|| as in a full Dirichlet
-        solve; the latter rejects a G_PP or H1 that does not belong to the
-        base medium, and is skipped when no such row exists.
+        solve's own, M N = [I, -G_PP E_{I,P_B}], and that of op's interior
+        equations on the patch rows whose stencil stays inside P_I (the only
+        equations H2|_P = [N; 0 I] A can be tested against), measured
+        against ||A2_IB|| as in a full Dirichlet solve; the latter rejects a
+        G_PP or H1 that does not belong to the base medium, and is skipped
+        when no such row exists.
         """
         base, grid = self.base, self.base.grid
         E = _difference(base, op)
@@ -326,10 +372,9 @@ class PatchGreen:
         G = self.green
 
         M = np.eye(npi) + G @ E_PI[:npi]
-        rhs = self.extension.copy()
-        rhs[:, self.boundary] -= G @ E_PP[:npi, npi:].toarray()
-        H2 = np.linalg.solve(M, rhs)
-        _require_residual(M @ H2 - rhs, rhs, "patch push-through solve", grid)
+        rhs = np.hstack([np.eye(npi), -(G @ E_PP[:npi, npi:].toarray())])
+        N = np.linalg.solve(M, rhs)
+        _require_residual(M @ N - rhs, rhs, "patch push-through solve", grid)
 
         # op's interior equations on the patch rows whose interior stencil lies in P_I
         off_patch = np.ones(grid.num_points, dtype=bool)
@@ -339,16 +384,26 @@ class PatchGreen:
         inner = np.flatnonzero(A_rows[:, off_patch].getnnz(axis=1) == 0)
         if inner.size:
             A_inner = A_rows[inner]
-            residual = A_inner[:, p_int] @ H2 + A_inner[:, base.boundary_idx].toarray()
+            K = A_inner[:, p_int] @ N
+            residual = K[:, :npi] @ self.extension + A_inner[:, base.boundary_idx].toarray()
+            residual[:, self.boundary] += K[:, npi:]
             A_IB = op.matrix[op.interior_idx][:, op.boundary_idx]
             _require_residual(residual, A_IB.data, "patch harmonic extension", grid)
 
-        # H_P = [H|_{P_I}; the identity rows at P_B]
-        F = E_PI @ H2
-        F[:, self.boundary] += E_PP[:, npi:].toarray()
-        delta = self.extension.T @ F[:npi]
-        delta[self.boundary] += F[npi:]
-        return delta
+        Z = E_PI @ N
+        Z[:, npi:] += E_PP[:, npi:].toarray()
+        return Z
+
+    def operator_norm(self, op: DiscreteOperator, R: np.ndarray, seed: int = 0) -> float:
+        """H^{1/2} -> H^{-1/2} norm of S(op) - S(base): ||R Z R^T||_2 for
+        R = ``self.whitening(scale)``, by the power iteration and default
+        tolerances of ``sobolev_operator_norm``."""
+        return _largest_singular_value(
+            R @ self.core(op) @ R.T,
+            rtol=POWER_RTOL,
+            max_iterations=POWER_MAX_ITERATIONS,
+            seed=seed,
+        )
 
 
 def _whitened(delta: np.ndarray, scale: SobolevScale) -> np.ndarray:
@@ -363,20 +418,12 @@ def _whitened(delta: np.ndarray, scale: SobolevScale) -> np.ndarray:
     return (w[:, None] * core) * w[None, :]
 
 
-def sobolev_operator_norm(
-    delta: np.ndarray,
-    scale: SobolevScale,
-    rtol: float = 1e-8,
-    max_iterations: int = 50_000,
-    seed: int = 0,
+def _largest_singular_value(
+    T: np.ndarray, rtol: float, max_iterations: int, seed: int
 ) -> float:
-    """Operator norm of a D-N difference from H^{1/2} to its dual.
-
-    Power iteration on T* T where T is the spectrally whitened matrix, from a
-    random start vector drawn with ``seed``; converges to the largest
-    singular value with relative eigenvalue tolerance ``rtol``.
-    """
-    T = _whitened(np.asarray(delta, dtype=complex), scale)
+    """Largest singular value of T by power iteration on T* T, from a random
+    start vector drawn with ``seed``; stops at relative eigenvalue residual
+    ``rtol`` and raises PowerIterationError after ``max_iterations`` steps."""
     if np.linalg.norm(T) == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
@@ -399,6 +446,19 @@ def sobolev_operator_norm(
         f"operator-norm power iteration did not converge in {max_iterations} steps",
         history=history[-20:],
     )
+
+
+def sobolev_operator_norm(
+    delta: np.ndarray,
+    scale: SobolevScale,
+    rtol: float = POWER_RTOL,
+    max_iterations: int = POWER_MAX_ITERATIONS,
+    seed: int = 0,
+) -> float:
+    """Operator norm of a D-N difference from H^{1/2} to its dual: the
+    largest singular value of the spectrally whitened matrix."""
+    T = _whitened(np.asarray(delta, dtype=complex), scale)
+    return _largest_singular_value(T, rtol=rtol, max_iterations=max_iterations, seed=seed)
 
 
 def alessandrini_residual(

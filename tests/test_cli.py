@@ -199,19 +199,19 @@ class TestCliCommands:
     def test_seed_draws_the_power_iteration_start(self, tmp_path, monkeypatch):
         # the seed changes only the start vector: gaps agree to the power
         # iteration's tolerance, and one seed reproduces its reports bytewise
-        import otlab.cli
-        import otlab.stability
+        # both routes, the patch norm of `stability` and the dense norm of
+        # `dn`, reach the one power-iteration helper
+        import otlab.dnmap
 
-        real = otlab.stability.sobolev_operator_norm
-        rtol = inspect.signature(real).parameters["rtol"].default
+        real = otlab.dnmap._largest_singular_value
+        rtol = inspect.signature(otlab.dnmap.sobolev_operator_norm).parameters["rtol"].default
         seen = []
 
         def recording(*args, **kwargs):
             seen.append(kwargs.get("seed"))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(otlab.stability, "sobolev_operator_norm", recording)
-        monkeypatch.setattr(otlab.cli, "sobolev_operator_norm", recording)
+        monkeypatch.setattr(otlab.dnmap, "_largest_singular_value", recording)
         path = small_config(tmp_path, **{"experiments.stability": {
             "profile_order": 0, "h": 0, "eps_start": 0.2, "eps_count": 3,
             "width": 0.3, "depth": 0.4}})

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from otlab.dnmap import (
     DNOperator,
@@ -183,6 +186,22 @@ class TestSobolevScale:
         back = scale9.fractional_weight(scale9.fractional_weight(f, 0.5), -0.5)
         np.testing.assert_allclose(back, f, atol=1e-10)
 
+    def test_matches_the_generalized_eigenproblem(self, grid9, scale9, dn9):
+        # the basis comes from the symmetric M^{-1/2} S M^{-1/2}; the
+        # generalized problem S v = lambda M v is the reference
+        lam, V = scipy.linalg.eigh(scale9.stiffness.toarray(), np.diag(scale9.mass))
+        lam = np.maximum(lam, 0.0)
+        np.testing.assert_allclose(scale9.eigenvalues, lam, rtol=1e-12, atol=1e-12 * lam.max())
+        W = scale9.eigenvectors
+        gram = W.T @ (scale9.mass[:, None] * W)
+        assert np.abs(gram - np.eye(len(lam))).max() <= 1e-12
+        reference = dataclasses.replace(scale9, eigenvalues=lam, eigenvectors=V)
+        other = assemble_dn(medium_on(grid9, mu_a="1 + 0.15*cos(x2)"), grid9)
+        delta = other.matrix - dn9.matrix
+        assert sobolev_operator_norm(delta, scale9) == pytest.approx(
+            sobolev_operator_norm(delta, reference), rel=1e-12
+        )
+
     def test_pairing_reduces_to_l2_at_order_zero(self, scale9):
         rng = np.random.default_rng(5)
         nb = len(scale9.boundary_idx)
@@ -270,6 +289,17 @@ def interior_anisotropic_B(grid):
     return B0[None] * taper[:, None, None]
 
 
+def patch_rows(patch):
+    """A = [H1|_{P_I}; J] of S2 - S1 = A^T Z A, formed from the patch blocks."""
+    nb = patch.extension.shape[1]
+    return np.concatenate([patch.extension, np.eye(nb)[patch.boundary]])
+
+
+def medium_with_B(grid, anisotropic):
+    B = interior_anisotropic_B(grid) if anisotropic else None
+    return OpticalMedium.from_expressions(grid, apriori(), mu_a="1", mu_s="1", B=B)
+
+
 class TestPatchGreen:
     """The discrete Alessandrini identity S2 - S1 = H1^T E H2 on the patch."""
 
@@ -282,8 +312,7 @@ class TestPatchGreen:
 
     @pytest.mark.parametrize("anisotropic", [False, True])
     def test_matches_subtraction_of_assembled_maps(self, grid9, anisotropic):
-        B = interior_anisotropic_B(grid9) if anisotropic else None
-        med = OpticalMedium.from_expressions(grid9, apriori(), mu_a="1", mu_s="1", B=B)
+        med = medium_with_B(grid9, anisotropic)
         assert med.admissibility_violations() == []
         spec = PerturbationSpec(med, profile_order=0)
         med2 = spec.perturbed(0.2)
@@ -291,7 +320,9 @@ class TestPatchGreen:
         E = (op2.matrix - base.matrix).toarray()
         # the cross terms widen E's rows beyond the 7-point stencil
         assert (np.count_nonzero(E, axis=1).max() > 7) == anisotropic
-        delta = PatchGreen.build(base, perturbation_nodes(base, op2)).difference(op2)
+        patch = PatchGreen.build(base, perturbation_nodes(base, op2))
+        A = patch_rows(patch)
+        delta = A.T @ patch.core(op2) @ A
         reference = assemble_dn(med2, grid9).matrix - assemble_dn(med, grid9).matrix
         gap = np.linalg.norm(delta - reference) / np.linalg.norm(reference)
         assert gap <= 1e-12
@@ -303,7 +334,7 @@ class TestPatchGreen:
         swapped = PatchGreen(base, patch.nodes, patch.interior, patch.boundary,
                              foreign.green, patch.extension)
         with pytest.raises(ResidualError, match="patch harmonic extension"):
-            swapped.difference(op2)
+            swapped.core(op2)
 
     def test_corrupted_green_block_fails_the_residual_check(self, sweep9):
         spec, base, op2, patch = sweep9
@@ -312,10 +343,46 @@ class TestPatchGreen:
         corrupted = PatchGreen(base, patch.nodes, patch.interior, patch.boundary,
                                patch.green + noise, patch.extension)
         with pytest.raises(ResidualError, match="patch harmonic extension"):
-            corrupted.difference(op2)
+            corrupted.core(op2)
 
     def test_perturbation_outside_the_patch_is_rejected(self, sweep9):
         spec, base, op2, patch = sweep9
         smaller = PatchGreen.build(base, patch.nodes[:-1])
         with pytest.raises(ValueError, match="outside the prepared patch"):
-            smaller.difference(op2)
+            smaller.core(op2)
+
+
+class TestPatchOperatorNorm:
+    """||R Z R^T||_2 against dense SVDs of the whitened Nb x Nb difference."""
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["isotropic", "anisotropic"])
+    def route9(self, request, grid9, scale9):
+        spec = PerturbationSpec(medium_with_B(grid9, request.param), profile_order=0)
+        base = assemble(spec.base, grid9)
+        op2 = assemble(spec.perturbed(0.2), grid9)
+        patch = PatchGreen.build(base, perturbation_nodes(base, op2))
+        return spec, patch, patch.whitening(scale9)
+
+    def test_matches_dense_svd_of_subtracted_maps(self, grid9, scale9, route9):
+        spec, patch, R = route9
+        med2 = spec.perturbed(0.2)
+        gap = patch.operator_norm(assemble(med2, grid9), R)
+        delta = assemble_dn(med2, grid9).matrix - assemble_dn(spec.base, grid9).matrix
+        dense = np.linalg.svd(_whitened(delta, scale9), compute_uv=False)[0]
+        assert gap == pytest.approx(dense, rel=1e-12)
+
+    def test_small_amplitude_matches_dense_svd_of_the_factors(self, grid9, scale9, route9):
+        # at eps = 2e-8 subtracting two assembled maps leaves ~1e-8 relative
+        # accuracy, so the reference whitens A^T Z A from the route's factors
+        spec, patch, R = route9
+        op2 = assemble(spec.perturbed(2e-8), grid9)
+        A = patch_rows(patch)
+        delta = A.T @ patch.core(op2) @ A
+        dense = np.linalg.svd(_whitened(delta, scale9), compute_uv=False)[0]
+        assert patch.operator_norm(op2, R) == pytest.approx(dense, rel=1e-12)
+
+    def test_power_iteration_matches_dense_svd(self, grid9, route9):
+        spec, patch, R = route9
+        op2 = assemble(spec.perturbed(0.1), grid9)
+        dense = np.linalg.svd(R @ patch.core(op2) @ R.T, compute_uv=False)[0]
+        assert patch.operator_norm(op2, R) == pytest.approx(dense, rel=1e-12)
