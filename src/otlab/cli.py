@@ -153,7 +153,6 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
 
 def cmd_dn(config: RunConfig, out: Path, args) -> int:
     grid = config.grid()
-    scale = SobolevScale.build(grid)
     if args.load:
         from .dnmap import DNOperator
 
@@ -175,7 +174,7 @@ def cmd_dn(config: RunConfig, out: Path, args) -> int:
         if args.save:
             dn.save(args.save, metadata=_stamp(config))
     sym = float(np.abs(dn.matrix - dn.matrix.T).max())
-    norm = sobolev_operator_norm(dn.matrix, scale, seed=config.seed)
+    norm = sobolev_operator_norm(dn.matrix, SobolevScale.build(grid), seed=config.seed)
     payload = {
         **_stamp(config),
         "source": src,

@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .errors import ConfigError, MemoryBudgetError
 from .grid import GridDomain
 from .medium import AprioriData, OpticalMedium
@@ -124,17 +126,31 @@ class RunConfig:
     def medium(self, grid: GridDomain, apriori: AprioriData | None = None) -> OpticalMedium:
         section = self.raw.get("medium", {"mu_a": "1", "mu_s": "1"})
         apriori = apriori or self.apriori()
+        if not isinstance(section, dict):
+            raise ConfigError("/medium", "expected an object")
         try:
-            return OpticalMedium.from_expressions(
-                grid,
-                apriori,
-                mu_a=section.get("mu_a", "1"),
-                mu_s=section.get("mu_s", "1"),
-                B=section.get("B"),
-                supp_B_interior=bool(section.get("supp_B_interior", True)),
-            )
-        except Exception as exc:
+            # non-finite samples are reported below, by field and node
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                medium = OpticalMedium.from_expressions(
+                    grid,
+                    apriori,
+                    mu_a=section.get("mu_a", "1"),
+                    mu_s=section.get("mu_s", "1"),
+                    B=section.get("B"),
+                    supp_B_interior=bool(section.get("supp_B_interior", True)),
+                )
+        except (ValueError, TypeError, IndexError) as exc:
             raise ConfigError("/medium", str(exc)) from exc
+        # a non-finite sample would otherwise surface as a failed eigen-solve
+        for name, values in (("mu_a", medium.mu_a), ("mu_s", medium.mu_s), ("B", medium.B)):
+            bad = ~np.isfinite(values.reshape(grid.num_points, -1)).all(axis=1)
+            if bad.any():
+                node = int(np.argmax(bad))
+                raise ConfigError(
+                    "/medium",
+                    f"{name} is not finite at node {node} (x = {grid.points[node].tolist()})",
+                )
+        return medium
 
     def experiment(self, name: str) -> dict:
         section = self.raw.get("experiments", {})

@@ -16,6 +16,17 @@ a face-wise five-point graph Laplacian S_b stitched across cube edges, a
 trapezoid mass matrix M_b, and fractional powers of I + M_b^{-1} S_b in the
 (M_b-orthonormal) eigenbasis.
 
+S_b and M_b are invariant under the three coordinate reflections
+i_a -> m-1-i_a of the cube, so M_b^{-1/2} S_b M_b^{-1/2} commutes with the
+reflection group Z_2^3 and is block diagonal in its symmetry-adapted basis.
+For each of the eight sign characters chi, Q_chi has one orthonormal column
+per orbit of mirror images on which chi is trivial on the stabiliser, with
+at most 8 nonzeros; nodes on a mid-plane have smaller orbits and carry
+fewer characters, and the column counts sum to Nb.  The eigenbasis is
+V = [M_b^{-1/2} Q_chi U_chi] from eight symmetric eigenproblems of about
+Nb/8 each, Q_chi^T M_b^{-1/2} S_b M_b^{-1/2} Q_chi = U_chi D_chi U_chi^T,
+which costs about 1/64 of one dense Nb x Nb eigh.
+
 Stability sweeps need the difference S2 - S1 of two media that differ only
 on a small node patch, and take it from the discrete Alessandrini identity
 instead of subtracting two assembled matrices.  Write H = [-A_II^{-1} A_IB; I]
@@ -61,16 +72,20 @@ that matrix is Q (R Z R^T) Q^T; Q has orthonormal columns, so
     ||S2 - S1||_{H^{1/2} -> H^{-1/2}} = ||R Z R^T||_2,
 
 and each amplitude costs |P|-sized dense work plus residual checks linear
-in Nb.
+in Nb.  R does not depend on the order of the rows of (A V W)^T, so they
+are stacked block by block as W_chi U_chi^T (A M_b^{-1/2} Q_chi)^T and the
+sweep never forms the dense V.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import ztrmm
 
 from .errors import FactorizationError, PowerIterationError, ResidualError
 from .grid import GridDomain
@@ -83,16 +98,91 @@ POWER_RTOL = 1e-8
 POWER_MAX_ITERATIONS = 50_000
 
 
+def boundary_reflections(grid: GridDomain) -> np.ndarray:
+    """Boundary positions of the mirror images under the three coordinate
+    reflections i_a -> m-1-i_a: row a maps boundary position j (in
+    ``grid.boundary_indices`` order) to the position of its image, shape
+    (3, Nb)."""
+    b_idx = grid.boundary_indices
+    shape = (grid.m_per_axis,) * 3
+    pos = np.empty(grid.num_points, dtype=int)
+    pos[b_idx] = np.arange(len(b_idx))
+    ijk = np.array(np.unravel_index(b_idx, shape))
+    out = np.empty((3, len(b_idx)), dtype=int)
+    for axis in range(3):
+        image = ijk.copy()
+        image[axis] = grid.m_per_axis - 1 - image[axis]
+        out[axis] = pos[np.ravel_multi_index(image, shape)]
+    return out
+
+
+def symmetry_bases(grid: GridDomain) -> list:
+    """Symmetry-adapted orthonormal bases Q_chi of the boundary functions,
+    one per sign character chi = (c0, c1, c2) of the reflection group Z_2^3
+    (chi flips sign under the reflection of axis a when c_a = 1).
+
+    Each column lives on one orbit of mirror images: entry
+    +-|orbit|^{-1/2} on every orbit node, negative when the node lies past
+    the mid-plane of an odd number of axes with c_a = 1.  An orbit carries a
+    column for chi only if chi is trivial on its stabiliser (c_a = 0 on
+    every mid-plane through the orbit), so the column counts sum to Nb.
+    Every boundary row holds at most one nonzero of each Q_chi.
+    """
+    b_idx = grid.boundary_indices
+    nb = len(b_idx)
+    m = grid.m_per_axis
+    half = (m - 1) // 2
+    ijk = np.array(np.unravel_index(b_idx, (m, m, m)))
+    folded = np.minimum(ijk, m - 1 - ijk)
+    _, orbit = np.unique(
+        np.ravel_multi_index(folded, (half + 1,) * 3), return_inverse=True
+    )
+    orbit_size = np.bincount(orbit)
+    mirrored, on_mid_plane = ijk > half, ijk == half
+    bases = []
+    for chi in np.ndindex(2, 2, 2):
+        flips = np.array(chi, dtype=bool)[:, None]
+        rows = np.flatnonzero(~np.any(on_mid_plane & flips, axis=0))
+        kept, col = np.unique(orbit[rows], return_inverse=True)
+        sign = 1.0 - 2.0 * (np.sum(mirrored[:, rows] & flips, axis=0) % 2)
+        bases.append(
+            sp.csr_matrix(
+                (sign / np.sqrt(orbit_size[orbit[rows]]), (rows, col)),
+                shape=(nb, len(kept)),
+            )
+        )
+    return bases
+
+
+@dataclass
+class SymmetryBlock:
+    """One Z_2^3 block of the boundary eigenbasis: V_chi = ``basis`` @
+    ``vectors``, whose columns sit at ``positions`` of the ascending
+    spectrum."""
+
+    basis: sp.csr_matrix   # (Nb, n_chi) M_b^{-1/2} Q_chi
+    vectors: np.ndarray    # (n_chi, n_chi) eigenvectors U_chi of the block
+    positions: np.ndarray  # (n_chi,) indices into SobolevScale.eigenvalues
+
+
 @dataclass
 class SobolevScale:
-    """Boundary mass, graph Laplacian and eigenbasis backing the H^{±1/2} norms."""
+    """Boundary mass, graph Laplacian and eigenbasis backing the H^{±1/2} norms.
+
+    S_b and M_b are invariant under the three coordinate reflections of the
+    cube, so M_b^{-1/2} S_b M_b^{-1/2} is block diagonal in the bases Q_chi
+    of ``symmetry_bases``; ``blocks`` holds the eight blocks' eigenpairs.
+    ``eigenvectors`` is the dense V = [M_b^{-1/2} Q_chi U_chi] in ascending
+    eigenvalue order, built on first use only: the stability sweep works
+    block by block and never forms it.
+    """
 
     grid: GridDomain
     boundary_idx: np.ndarray
     mass: np.ndarray            # (Nb,) trapezoid surface weights
     stiffness: sp.csr_matrix    # (Nb, Nb) SPSD, kernel = constants
     eigenvalues: np.ndarray     # ascending, >= 0
-    eigenvectors: np.ndarray    # V with V^T diag(mass) V = I
+    blocks: tuple               # SymmetryBlock per sign character
 
     @classmethod
     def build(cls, grid: GridDomain) -> "SobolevScale":
@@ -136,16 +226,32 @@ class SobolevScale:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nb, nb),
         ).tocsr()
-        # M_b is diagonal: V = M_b^{-1/2} U for the eigenvectors U of the
-        # symmetric M_b^{-1/2} S_b M_b^{-1/2}, so V^T M_b V = I
-        d = mass**-0.5
-        L = S.toarray()
-        L *= d[:, None]
-        L *= d[None, :]
-        lam, V = scipy.linalg.eigh(L, overwrite_a=True, driver="evd")
-        V *= d[:, None]
-        lam = np.maximum(lam, 0.0)
-        return cls(grid, b_idx, mass, S, lam, V)
+        # M_b is diagonal and commutes with the reflections, so the block of
+        # M_b^{-1/2} S_b M_b^{-1/2} for chi is B^T S_b B with B = M_b^{-1/2} Q_chi,
+        # and V_chi = B U_chi satisfies V^T M_b V = I
+        d = sp.diags(mass**-0.5)
+        bases = [(d @ Q).tocsr() for Q in symmetry_bases(grid)]
+        pairs = [
+            scipy.linalg.eigh((B.T @ S @ B).toarray(), overwrite_a=True, driver="evd")
+            for B in bases
+        ]
+        lam = np.concatenate([p[0] for p in pairs])
+        order = np.argsort(lam, kind="stable")
+        rank = np.empty(nb, dtype=int)
+        rank[order] = np.arange(nb)
+        blocks, start = [], 0
+        for B, (block_lam, U) in zip(bases, pairs):
+            blocks.append(SymmetryBlock(B, U, rank[start : start + len(block_lam)]))
+            start += len(block_lam)
+        return cls(grid, b_idx, mass, S, np.maximum(lam[order], 0.0), tuple(blocks))
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Dense V with V^T diag(mass) V = I, columns in ascending eigenvalue order."""
+        V = np.empty((len(self.boundary_idx),) * 2)
+        for block in self.blocks:
+            V[:, block.positions] = block.basis @ block.vectors
+        return V
 
     def coefficients(self, f: np.ndarray) -> np.ndarray:
         """Expansion coefficients of boundary data in the M_b-orthonormal basis."""
@@ -331,16 +437,28 @@ class PatchGreen:
         return cls(base, nodes, interior, boundary, green, extension)
 
     def whitening(self, scale: SobolevScale) -> np.ndarray:
-        """R of the QR factorization (A V W)^T = Q R, A = [H1|_{P_I}; J].
+        """Upper triangular R of the QR factorization (A V W)^T = Q R,
+        A = [H1|_{P_I}; J], padded with zero rows to (|P|, |P|) when
+        Nb < |P|; ||R Z R^T||_2 is the H^{1/2} -> H^{-1/2} norm of A^T Z A
+        (module docstring).
 
-        Shape (|P|, |P|) when Nb >= |P|; ||R Z R^T||_2 is then the
-        H^{1/2} -> H^{-1/2} norm of A^T Z A (module docstring).  V is real,
-        so H1|_{P_I} V is taken part by part."""
-        V = scale.eigenvectors
-        ext = self.extension
-        AVW = np.concatenate([ext.real @ V + 1j * (ext.imag @ V), V[self.boundary]])
-        AVW *= (1.0 + scale.eigenvalues) ** -0.25
-        return np.linalg.qr(AVW.T, mode="r")
+        (A V W)^T is stacked from the symmetry blocks of ``scale`` as
+        W_chi U_chi^T (A B_chi)^T, B_chi = M_b^{-1/2} Q_chi, without the dense
+        V; R does not depend on the order of the rows.  U_chi is real, so its
+        product with the complex (A B_chi)^T is one real GEMM on the
+        interleaved real and imaginary parts."""
+        npatch = len(self.interior) + len(self.boundary)
+        AVWt = np.empty((len(scale.boundary_idx), npatch), dtype=complex)
+        start = 0
+        for block in scale.blocks:
+            B = block.basis
+            ABt = np.hstack([B.T @ self.extension.T, B[self.boundary].T.toarray()])
+            stop = start + B.shape[1]
+            AVWt[start:stop] = (block.vectors.T @ ABt.view(float)).view(complex)
+            AVWt[start:stop] *= ((1.0 + scale.eigenvalues[block.positions]) ** -0.25)[:, None]
+            start = stop
+        R = np.linalg.qr(AVWt, mode="r")
+        return np.pad(R, ((0, npatch - R.shape[0]), (0, 0)))
 
     def core(self, op: DiscreteOperator) -> np.ndarray:
         """Z, of shape (|P|, |P|), with S(op) - S(base) = A^T Z A; rows and
@@ -398,8 +516,10 @@ class PatchGreen:
         """H^{1/2} -> H^{-1/2} norm of S(op) - S(base): ||R Z R^T||_2 for
         R = ``self.whitening(scale)``, by the power iteration and default
         tolerances of ``sobolev_operator_norm``."""
+        # R is upper triangular: R Z R^T by two triangular products
+        RZ = ztrmm(1.0, R, self.core(op))
         return _largest_singular_value(
-            R @ self.core(op) @ R.T,
+            ztrmm(1.0, R, RZ, side=1, trans_a=1, overwrite_b=1),
             rtol=POWER_RTOL,
             max_iterations=POWER_MAX_ITERATIONS,
             seed=seed,

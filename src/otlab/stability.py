@@ -336,7 +336,8 @@ def run_stability_experiment(
     observed ratios norm / gap^{delta_j}.  The largest amplitude's
     perturbation fixes the node patch of the base Green's block; a smaller
     amplitude that reaches beyond it raises ValueError, and so do amplitudes
-    of both signs.  ``seed`` draws the start vector of each power iteration.
+    of both signs, and so does a ``scale`` built on another grid.  ``seed``
+    draws the start vector of each power iteration.
     """
     base = pspec.base
     grid = base.grid
@@ -352,6 +353,13 @@ def run_stability_experiment(
     eps_values = sorted(set(float(e) for e in eps_values), key=abs, reverse=True)
     if any(e > 0.0 for e in eps_values) and any(e < 0.0 for e in eps_values):
         raise ValueError(f"amplitudes must share one sign, got {eps_values}")
+
+    if scale is not None and scale.grid != grid:
+        raise ValueError(
+            f"the Sobolev scale was built on a {scale.grid.m_per_axis}^3 grid "
+            f"(extent {scale.grid.extent}), the medium lives on a {grid.m_per_axis}^3 "
+            f"grid (extent {grid.extent})"
+        )
 
     nu_field = build_nu_tilde(grid)
     scale = scale or SobolevScale.build(grid)

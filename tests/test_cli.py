@@ -127,6 +127,15 @@ class TestCliExitCodes:
         assert "/experiments/stability" in err and field in err
         assert not (out / "stability_rows.csv").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "dn", "check"])
+    @pytest.mark.parametrize("mu_a", ["1/0", "log(-1)"])
+    def test_non_finite_medium_exits_2(self, tmp_path, capsys, command, mu_a):
+        path = small_config(tmp_path, **{"medium.mu_a": mu_a})
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: /medium:" in err
+        assert "mu_a is not finite at node 0" in err
+
     @pytest.mark.parametrize("command", ["solve", "dn", "stability"])
     def test_grid_cap_applies_to_every_command(self, tmp_path, capsys, command):
         path = small_config(tmp_path, solver={"grid_cap": 5})  # m = 9

@@ -3,17 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from otlab.dnmap import (
     DNOperator,
     PatchGreen,
     SobolevScale,
+    SymmetryBlock,
     _whitened,
     alessandrini_residual,
     assemble_dn,
+    boundary_reflections,
     perturbation_nodes,
     sobolev_operator_norm,
     sobolev_pairing,
+    symmetry_bases,
 )
 from otlab.errors import ResidualError
 from otlab.grid import GridDomain
@@ -195,7 +199,10 @@ class TestSobolevScale:
         W = scale9.eigenvectors
         gram = W.T @ (scale9.mass[:, None] * W)
         assert np.abs(gram - np.eye(len(lam))).max() <= 1e-12
-        reference = dataclasses.replace(scale9, eigenvalues=lam, eigenvectors=V)
+        # the reference scale is one block holding the generalized basis
+        nb = len(lam)
+        whole = SymmetryBlock(sp.identity(nb, format="csr"), V, np.arange(nb))
+        reference = dataclasses.replace(scale9, eigenvalues=lam, blocks=(whole,))
         other = assemble_dn(medium_on(grid9, mu_a="1 + 0.15*cos(x2)"), grid9)
         delta = other.matrix - dn9.matrix
         assert sobolev_operator_norm(delta, scale9) == pytest.approx(
@@ -209,6 +216,63 @@ class TestSobolevScale:
         assert sobolev_pairing(f, g, scale9, 0.0) == pytest.approx(
             np.sum(scale9.mass * f * g), rel=1e-11
         )
+
+
+@pytest.fixture(scope="module", params=[9, 17], ids=["m9", "m17"])
+def dense_oracle(request):
+    """A scale and the dense generalized eigenpairs of S_b v = lambda M_b v."""
+    scale = SobolevScale.build(GridDomain(extent=1.0, m_per_axis=request.param))
+    lam, V = scipy.linalg.eigh(scale.stiffness.toarray(), np.diag(scale.mass))
+    return scale, np.maximum(lam, 0.0), V
+
+
+class TestSymmetryBlocks:
+    """The Z_2^3 block eigenbasis against the dense generalized eigh."""
+
+    def test_operators_are_invariant_under_each_reflection(self, dense_oracle):
+        scale, _, _ = dense_oracle
+        nb = len(scale.boundary_idx)
+        for image in boundary_reflections(scale.grid):
+            assert np.array_equal(image[image], np.arange(nb))
+            assert not np.array_equal(image, np.arange(nb))
+            assert np.array_equal(scale.mass[image], scale.mass)
+            assert (scale.stiffness[image][:, image] != scale.stiffness).nnz == 0
+
+    def test_bases_are_orthonormal_and_sparse(self, dense_oracle):
+        scale, _, _ = dense_oracle
+        Q = sp.hstack(symmetry_bases(scale.grid)).tocsc()
+        nb = len(scale.boundary_idx)
+        assert Q.shape == (nb, nb)
+        assert Q.getnnz(axis=0).max() <= 8
+        assert np.abs((Q.T @ Q).toarray() - np.eye(nb)).max() <= 1e-15
+
+    def test_block_sizes_sum_to_nb(self, dense_oracle):
+        scale, _, _ = dense_oracle
+        nb = len(scale.boundary_idx)
+        assert len(scale.blocks) == 8
+        assert sum(block.basis.shape[1] for block in scale.blocks) == nb
+        positions = np.concatenate([block.positions for block in scale.blocks])
+        assert np.array_equal(np.sort(positions), np.arange(nb))
+
+    def test_eigenvalues_match_the_dense_problem(self, dense_oracle):
+        scale, lam, _ = dense_oracle
+        assert np.all(np.diff(scale.eigenvalues) >= 0.0)
+        assert np.abs(scale.eigenvalues - lam).max() <= 1e-12 * lam.max()
+
+    def test_eigenvectors_are_mass_orthonormal(self, dense_oracle):
+        scale, _, _ = dense_oracle
+        V = scale.eigenvectors
+        gram = V.T @ (scale.mass[:, None] * V)
+        assert np.abs(gram - np.eye(len(gram))).max() <= 1e-12
+
+    def test_fractional_kernel_matches_the_dense_problem(self, dense_oracle):
+        # K_s = V (I+D)^{-1/2} V^T does not depend on the basis chosen inside
+        # a degenerate eigenspace
+        scale, lam, V = dense_oracle
+        W = scale.eigenvectors
+        K = (W * (1.0 + scale.eigenvalues) ** -0.5) @ W.T
+        reference = (V * (1.0 + lam) ** -0.5) @ V.T
+        assert np.abs(K - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 class TestOperatorNorm:
@@ -379,6 +443,31 @@ class TestPatchOperatorNorm:
         A = patch_rows(patch)
         delta = A.T @ patch.core(op2) @ A
         dense = np.linalg.svd(_whitened(delta, scale9), compute_uv=False)[0]
+        assert patch.operator_norm(op2, R) == pytest.approx(dense, rel=1e-12)
+
+    def test_whitening_gram_matches_the_dense_basis(self, grid9, scale9, route9):
+        # R^H R = conj(A) K_s A^T for K_s = V (I+D)^{-1/2} V^T of the dense
+        # generalized eigenpairs, whatever the row order of (A V W)^T
+        spec, patch, R = route9
+        lam, V = scipy.linalg.eigh(scale9.stiffness.toarray(), np.diag(scale9.mass))
+        A = patch_rows(patch)
+        reference = A.conj() @ ((V * (1.0 + np.maximum(lam, 0.0)) ** -0.5) @ V.T) @ A.T
+        gap = np.abs(R.conj().T @ R - reference).max() / np.abs(reference).max()
+        assert gap <= 1e-12
+
+    def test_patch_larger_than_the_boundary(self, grid9, scale9):
+        # a patch through the whole cube has |P| > Nb: R gets zero rows up to
+        # a square, as the triangular products need
+        spec = PerturbationSpec(medium_with_B(grid9, False), profile_order=0,
+                                width=0.45, depth=1.0)
+        base = assemble(spec.base, grid9)
+        op2 = assemble(spec.perturbed(0.1), grid9)
+        patch = PatchGreen.build(base, perturbation_nodes(base, op2))
+        R = patch.whitening(scale9)
+        assert len(patch.nodes) > len(scale9.boundary_idx)
+        assert R.shape == (len(patch.nodes), len(patch.nodes))
+        A = patch_rows(patch)
+        dense = np.linalg.svd(_whitened(A.T @ patch.core(op2) @ A, scale9), compute_uv=False)[0]
         assert patch.operator_norm(op2, R) == pytest.approx(dense, rel=1e-12)
 
     def test_power_iteration_matches_dense_svd(self, grid9, route9):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from otlab.dnmap import SobolevScale
 from otlab.errors import InadmissibleWaveNumberError
 from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium, split_real_imag
@@ -294,3 +295,18 @@ class TestStabilityExperiment:
         assert rep.rows[-1].dn_gap == 0.0
         assert [r.linear_regime for r in rep.rows] == [True, True, False]
         assert np.isfinite(rep.observed_slopes["boundary_values"])
+
+    def test_scale_from_another_grid_is_rejected(self):
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        scale = SobolevScale.build(GridDomain(extent=1.0, m_per_axis=11))
+        with pytest.raises(ValueError, match=r"11\^3 grid .* 9\^3 grid"):
+            run_stability_experiment(spec, 0, [0.2, 0.1], scale=scale)
+
+    def test_sweep_leaves_the_dense_eigenbasis_unbuilt(self):
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        scale = SobolevScale.build(grid)
+        rep = run_stability_experiment(spec, 0, [0.2, 0.1, 0.05], scale=scale)
+        assert all(r.dn_gap > 0.0 for r in rep.rows)
+        assert "eigenvectors" not in vars(scale)
