@@ -98,25 +98,7 @@ POWER_RTOL = 1e-8
 POWER_MAX_ITERATIONS = 50_000
 
 
-def boundary_reflections(grid: GridDomain) -> np.ndarray:
-    """Boundary positions of the mirror images under the three coordinate
-    reflections i_a -> m-1-i_a: row a maps boundary position j (in
-    ``grid.boundary_indices`` order) to the position of its image, shape
-    (3, Nb)."""
-    b_idx = grid.boundary_indices
-    shape = (grid.m_per_axis,) * 3
-    pos = np.empty(grid.num_points, dtype=int)
-    pos[b_idx] = np.arange(len(b_idx))
-    ijk = np.array(np.unravel_index(b_idx, shape))
-    out = np.empty((3, len(b_idx)), dtype=int)
-    for axis in range(3):
-        image = ijk.copy()
-        image[axis] = grid.m_per_axis - 1 - image[axis]
-        out[axis] = pos[np.ravel_multi_index(image, shape)]
-    return out
-
-
-def symmetry_bases(grid: GridDomain) -> list:
+def symmetry_bases(grid: GridDomain) -> list[sp.csr_matrix]:
     """Symmetry-adapted orthonormal bases Q_chi of the boundary functions,
     one per sign character chi = (c0, c1, c2) of the reflection group Z_2^3
     (chi flips sign under the reflection of axis a when c_a = 1).

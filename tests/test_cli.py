@@ -57,6 +57,20 @@ class TestConfig:
         b = RunConfig.from_dict(data)
         assert a.fingerprint() != b.fingerprint()
 
+    @pytest.mark.parametrize(
+        "medium",
+        [[1, 2], {"mu_a": "1 +"}, {"mu_a": {"a": 1}}, {"B": [[0, 0], [0, 0]]}],
+        ids=["not-an-object", "bad-expression", "bad-type", "short-B"],
+    )
+    def test_malformed_medium_is_a_config_error(self, medium):
+        data = default_config_dict()
+        data["grid"]["m_per_axis"] = 9
+        data["medium"] = medium
+        cfg = RunConfig.from_dict(data)
+        with pytest.raises(ConfigError) as err:
+            cfg.medium(cfg.grid())
+        assert err.value.pointer == "/medium"
+
     def test_grid_cap_cannot_exceed_the_built_in_cap(self):
         data = default_config_dict()
         data["solver"] = {"grid_cap": 51}

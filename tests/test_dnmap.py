@@ -13,7 +13,6 @@ from otlab.dnmap import (
     _whitened,
     alessandrini_residual,
     assemble_dn,
-    boundary_reflections,
     perturbation_nodes,
     sobolev_operator_norm,
     sobolev_pairing,
@@ -218,6 +217,22 @@ class TestSobolevScale:
         )
 
 
+def boundary_reflections(grid: GridDomain) -> np.ndarray:
+    """Row a maps boundary position j (in ``grid.boundary_indices`` order) to
+    the position of its mirror image under i_a -> m-1-i_a, shape (3, Nb)."""
+    b_idx = grid.boundary_indices
+    shape = (grid.m_per_axis,) * 3
+    pos = np.empty(grid.num_points, dtype=int)
+    pos[b_idx] = np.arange(len(b_idx))
+    ijk = np.array(np.unravel_index(b_idx, shape))
+    out = np.empty((3, len(b_idx)), dtype=int)
+    for axis in range(3):
+        image = ijk.copy()
+        image[axis] = grid.m_per_axis - 1 - image[axis]
+        out[axis] = pos[np.ravel_multi_index(image, shape)]
+    return out
+
+
 @pytest.fixture(scope="module", params=[9, 17], ids=["m9", "m17"])
 def dense_oracle(request):
     """A scale and the dense generalized eigenpairs of S_b v = lambda M_b v."""
@@ -238,9 +253,14 @@ class TestSymmetryBlocks:
             assert np.array_equal(scale.mass[image], scale.mass)
             assert (scale.stiffness[image][:, image] != scale.stiffness).nnz == 0
 
-    def test_bases_are_orthonormal_and_sparse(self, dense_oracle):
+    def test_bases_are_orthonormal_and_symmetry_adapted(self, dense_oracle):
         scale, _, _ = dense_oracle
-        Q = sp.hstack(symmetry_bases(scale.grid)).tocsc()
+        bases = symmetry_bases(scale.grid)
+        reflections = boundary_reflections(scale.grid)
+        for chi, Q in zip(np.ndindex(2, 2, 2), bases):
+            for axis, image in enumerate(reflections):
+                assert abs(Q[image] - (-1) ** chi[axis] * Q).max() == 0.0
+        Q = sp.hstack(bases).tocsc()
         nb = len(scale.boundary_idx)
         assert Q.shape == (nb, nb)
         assert Q.getnnz(axis=0).max() <= 8
