@@ -15,11 +15,11 @@ from otlab.medium import AprioriData, OpticalMedium
 from otlab.solver import assemble, solve_dirichlet
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grids", type=int, nargs="+", default=[17, 25, 33])
     parser.add_argument("--k", type=float, default=1.0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     apriori = AprioriData(n=3, p=4.0, lam=1.0, E=10.0, cal_e=1.0, k=args.k, alpha=0.2)
     kappa = 1.0 / (3.0 * (2.0 - 1j * args.k))

@@ -113,7 +113,7 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
 
     g_expr = Expression(str(section.get("boundary_data", "1")), dimension=3)
     g = g_expr(grid.points[op.boundary_idx]).astype(complex)
-    sol = solve_dirichlet(op, g, rtol=float(config.raw.get("solver", {}).get("rtol", 1e-10)))
+    sol = solve_dirichlet(op, g, rtol=config.rtol)
     residual = float(np.abs(apply_operator(op, sol)).max())
     payload = {
         **_stamp(config),

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError, MemoryBudgetError
 from .grid import GridDomain
 from .medium import AprioriData, OpticalMedium
-from .solver import MAX_POINTS_PER_AXIS
+from .solver import MAX_POINTS_PER_AXIS, SOLVE_RTOL
 
 APRIORI_KEYS = {
     "n": ("n", int),
@@ -51,12 +51,14 @@ class RunConfig:
     are required (no silent defaulting), the medium section is optional and
     defaults to the homogeneous unit medium.  ``solver.grid_cap`` may lower
     the built-in grid cap; every grid the config hands out is checked
-    against it.  A ``threads`` key left by older configs is ignored.
+    against it.  ``solver.rtol`` is the residual ``otlab solve`` requires,
+    a number in (0, 1).  A ``threads`` key left by older configs is ignored.
     """
 
     raw: dict
     seed: int
     grid_cap: int
+    rtol: float
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -71,8 +73,11 @@ class RunConfig:
             raise ConfigError(
                 "/solver/grid_cap", f"may lower the built-in cap {MAX_POINTS_PER_AXIS}, not raise it"
             )
+        rtol = _number(solver.get("rtol", SOLVE_RTOL), "/solver/rtol")
+        if not 0.0 < rtol < 1.0:  # also rejects nan and inf
+            raise ConfigError("/solver/rtol", f"expected a number in (0, 1), got {rtol!r}")
         # validate eagerly so malformed configs fail before any work starts
-        cfg = cls(raw=data, seed=seed, grid_cap=grid_cap)
+        cfg = cls(raw=data, seed=seed, grid_cap=grid_cap, rtol=rtol)
         cfg.apriori()
         cfg.grid()
         return cfg

@@ -5,9 +5,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import otlab.cli
+import otlab.solver
 from otlab.cli import main
 from otlab.config import RunConfig
-from otlab.errors import ConfigError
+from otlab.errors import ConfigError, ResidualError
 
 
 def default_config_dict():
@@ -77,6 +79,17 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             RunConfig.from_dict(data)
         assert err.value.pointer == "/solver/grid_cap"
+
+    @pytest.mark.parametrize(
+        "rtol", [-1, 0, 1.0, "abc", True, float("nan"), float("inf")],
+        ids=["negative", "zero", "one", "string", "bool", "nan", "inf"],
+    )
+    def test_solver_rtol_is_validated(self, rtol):
+        data = default_config_dict()
+        data["solver"] = {"rtol": rtol}
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(data)
+        assert err.value.pointer == "/solver/rtol"
 
     def test_medium_from_raw_sample_arrays(self):
         data = default_config_dict()
@@ -155,6 +168,41 @@ class TestCliExitCodes:
         path = small_config(tmp_path, solver={"grid_cap": 5})  # m = 9
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "MemoryBudgetError" in capsys.readouterr().err
+
+    def test_bad_rtol_exits_2_before_solving(self, tmp_path, capsys):
+        path = small_config(tmp_path, solver={"rtol": -1})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert "configuration error: /solver/rtol:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unconverged_solve_fails_the_residual_check(self, tmp_path, capsys, monkeypatch):
+        # BiCGStab stopped long before convergence: the explicit residual
+        # check is the only failure path, in the API and in `otlab solve`
+        monkeypatch.setattr(otlab.solver, "SOLVE_MAX_ITERATIONS", 2)
+        path = small_config(tmp_path)
+        config = RunConfig.from_file(path)
+        grid = config.grid()
+        op = otlab.solver.assemble(config.medium(grid), grid)
+        g = np.cos(grid.points[op.boundary_idx, 0]).astype(complex)
+        with pytest.raises(ResidualError, match=r"solve residual .* after 2 BiCGStab iterations"):
+            otlab.solver.solve_dirichlet(op, g)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure (ResidualError): solve residual" in capsys.readouterr().err
+
+    def test_solve_uses_the_config_rtol(self, tmp_path, monkeypatch):
+        seen = []
+        real = otlab.cli.solve_dirichlet
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["rtol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(otlab.cli, "solve_dirichlet", recording)
+        for solver in ({"rtol": 1e-9}, {}):
+            path = small_config(tmp_path, solver=solver)
+            assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert seen == [1e-9, otlab.solver.SOLVE_RTOL]
 
 
 class TestCliCommands:

@@ -35,3 +35,13 @@ def test_stability_sweep_prints_the_table(capsys, monkeypatch):
     assert lines[4].startswith("observed slopes: {")
     assert lines[5].startswith("predicted exponents: [1.0]")
     assert lines[6].startswith("inequality constants: {")
+
+
+def test_convergence_study_prints_second_order(capsys):
+    load_script("run_convergence_study").main(["--grids", "9", "13", "17"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("m=") for line in lines[:3])
+    errors = [float(line.rsplit("=", 1)[1]) for line in lines[:3]]
+    assert np.all(np.diff(errors) < 0)
+    assert lines[3].startswith("least-squares order: ")
+    assert abs(float(lines[3].split(": ")[1]) - 2.0) <= 0.3

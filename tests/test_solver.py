@@ -181,15 +181,19 @@ class TestOperatorStructure:
 
 
 class TestComplexFactor:
-    @pytest.mark.parametrize("annulus", [False, True])
-    def test_matches_dense_solve_with_cross_terms(self, annulus):
+    @pytest.mark.parametrize(
+        "annulus, include_reaction",
+        [(False, True), (True, True), (False, False), (True, False)],
+        ids=["False", "True", "False-no-reaction", "True-no-reaction"],
+    )
+    def test_matches_dense_solve_with_cross_terms(self, annulus, include_reaction):
         grid = GridDomain(extent=1.0, m_per_axis=9)
         B = np.array([[0.1, 0.05, -0.04], [0.05, -0.05, 0.03], [-0.04, 0.03, 0.0]])
         med = OpticalMedium.from_expressions(
             grid, apriori(), mu_a="1 + 0.1*sin(x1 + x2)", mu_s="1", B=B, supp_B_interior=False
         )
         mask = grid.annulus_interior_mask(np.zeros(3), 0.15, 0.45) if annulus else None
-        op = assemble(med, grid, interior_mask=mask)
+        op = assemble(med, grid, include_reaction=include_reaction, interior_mask=mask)
         ii, bb = op.interior_idx, op.boundary_idx
         A = op.matrix.toarray()
         assert np.count_nonzero(A[ii[len(ii) // 2]]) > 7  # cross terms present
