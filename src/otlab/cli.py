@@ -304,6 +304,13 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
     except ValueError as exc:
         raise ConfigError("/experiments/stability", str(exc)) from exc
     eps = [eps0 / 2**i for i in range(count)]
+    violations = [pspec.perturbed(e).admissibility_violations() for e in eps]
+    if all(violations):
+        raise ConfigError(
+            "/experiments/stability",
+            f"every amplitude {eps} breaks admissibility, none is left to sweep "
+            f"(at eps={eps[-1]:g}: {violations[-1][0]})",
+        )
     report = run_stability_experiment(pspec, h_order, eps, seed=config.seed)
 
     columns = report.table()

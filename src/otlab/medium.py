@@ -294,8 +294,8 @@ class ComplexTensorField:
 def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
     """Sample K, K_R, K_I and q over the whole grid.
 
-    K_R and K_I come from their closed forms; K = K_R + i K_I matches the
-    direct matrix inverse to round-off.
+    K_R and K_I come from their closed forms, one batched real inverse, and
+    K = K_R + i K_I, which matches the direct complex inverse to round-off.
     """
     a = medium.apriori
     n, k = a.n, a.k
@@ -304,10 +304,8 @@ def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
     core = np.linalg.inv(M @ M + k * k * eye[None, :, :])
     K_R = (core @ M) / n
     K_I = (k / n) * core
-    base = n * (M - 1j * k * eye[None, :, :])
-    K = np.linalg.inv(base)
     return ComplexTensorField(
-        K=K,
+        K=K_R + 1j * K_I,
         K_R=K_R,
         K_I=K_I,
         q_R=medium.mu_a.copy(),

@@ -6,9 +6,11 @@ H^{1/2} -> H^{-1/2} norm of the difference of the two D-N operators and
 compares it with boundary sup norms of the absorption difference and of its
 directional derivatives along the exterior non-tangential field.  The
 difference comes from the discrete Alessandrini identity on the
-perturbation patch P as S2 - S1 = A^T Z A (``dnmap.PatchGreen``): A, one
-factorization and one Green's block of the base medium, and the
-whitening factor R of A are built once per sweep; each amplitude then
+perturbation patch P as S2 - S1 = A^T Z A (``dnmap.PatchGreen``): A and
+the Green's block of the base medium, from the Schur complement of A_II
+on the patch (one sparse LU of the unknowns off the patch, solved for the
+patch's separator columns), and the whitening factor R of A are built once
+per sweep, and so is the base medium's sampled tensor; each amplitude then
 solves a |P|-sized system for Z and takes ||R Z R^T||_2 by power
 iteration, so no boundary-sized (Nb x Nb) matrix is formed.  The
 theory gives one-sided inequalities (Lipschitz for the boundary values,
@@ -271,11 +273,14 @@ def tensor_derivative_gap(
     """
     if smoothness is not None and smoothness < h:
         raise ValueError(f"perturbation family is below C^{h},alpha smoothness")
+    return _tensor_gap(medium1, split_real_imag(medium1).K, medium2, split_real_imag(medium2).K, h)
+
+
+def _tensor_gap(medium1, K1, medium2, K2, h: int) -> float:
+    """``tensor_derivative_gap`` for the sampled tensors K1, K2 of the media."""
     if h not in (0, 1):
         raise ValueError("tensor derivative gap implemented for h in {0, 1}")
     grid = medium1.grid
-    K1 = split_real_imag(medium1).K
-    K2 = split_real_imag(medium2).K
     b = grid.boundary_indices
     if h == 0:
         return float(np.linalg.norm((K1 - K2)[b], axis=(1, 2)).max())
@@ -336,8 +341,9 @@ def run_stability_experiment(
     observed ratios norm / gap^{delta_j}.  The largest amplitude's
     perturbation fixes the node patch of the base Green's block; a smaller
     amplitude that reaches beyond it raises ValueError, and so do amplitudes
-    of both signs, and so does a ``scale`` built on another grid.  ``seed``
-    draws the start vector of each power iteration.
+    of both signs, a ladder with no nonzero admissible amplitude and a
+    ``scale`` built on another grid.  ``seed`` draws the start vector of each
+    power iteration.  The base medium's tensor is sampled once per sweep.
     """
     base = pspec.base
     grid = base.grid
@@ -361,14 +367,16 @@ def run_stability_experiment(
             f"grid (extent {grid.extent})"
         )
 
-    nu_field = build_nu_tilde(grid)
-    scale = scale or SobolevScale.build(grid)
-    base_op = assemble(base, grid)
-
     dropped = [e for e in eps_values if e != 0.0 and not pspec.admissible_amplitude(e)]
     for e in dropped:
         warnings.warn(f"amplitude eps={e} breaks admissibility; dropped", stacklevel=2)
     eps_values = [e for e in eps_values if e != 0.0 and e not in dropped]
+    if not eps_values:
+        raise ValueError(f"no nonzero admissible amplitude is left (dropped: {dropped})")
+
+    nu_field = build_nu_tilde(grid)
+    scale = scale or SobolevScale.build(grid)
+    base_op = assemble(base, grid)
 
     profile_sup, skipped = normal_derivative_sup(
         pspec.profile, nu_field, 0, full_output=True
@@ -377,6 +385,7 @@ def run_stability_experiment(
     for j in range(1, derivative_order + 1):
         deriv_sups.append(normal_derivative_sup(pspec.profile, nu_field, j))
 
+    base_K = split_real_imag(base).K
     rows, patch = [], None
     for eps in eps_values:
         med2 = pspec.perturbed(eps)
@@ -390,7 +399,9 @@ def run_stability_experiment(
                 dn_gap=patch.operator_norm(op2, whitening, seed=seed),
                 sup_mu_boundary=abs(eps) * profile_sup,
                 sup_normal_derivatives=[abs(eps) * s for s in deriv_sups],
-                tensor_gap=tensor_derivative_gap(base, med2, min(derivative_order, 1)),
+                tensor_gap=_tensor_gap(
+                    base, base_K, med2, split_real_imag(med2).K, min(derivative_order, 1)
+                ),
             )
         )
 

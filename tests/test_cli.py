@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import otlab.cli
+import otlab.dnmap
 import otlab.solver
 from otlab.cli import main
 from otlab.config import RunConfig
@@ -153,6 +154,36 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "/experiments/stability" in err and field in err
         assert not (out / "stability_rows.csv").exists()
+
+    def test_ladder_without_admissible_amplitude_exits_2(self, tmp_path, capsys, monkeypatch):
+        # mu_a + eps * profile leaves [1/lam, lam] at eps 5 and 2.5: no
+        # amplitude is left, which is a configuration error found before
+        # the sweep starts and before any report is written
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(otlab.cli, "run_stability_experiment", no_sweep)
+        stability = {"profile_order": 0, "h": 0, "eps_start": 5.0, "eps_count": 2,
+                     "width": 0.3, "depth": 0.4}
+        path = small_config(tmp_path, **{"experiments.stability": stability})
+        out = tmp_path / "o"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: /experiments/stability:" in err
+        assert "[5.0, 2.5]" in err and "[1/lam, lam]" in err
+        assert list(out.iterdir()) == []
+
+    def test_foreign_complement_factor_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a factor of 2 A_CC in place of A_CC fails the separator solves'
+        # residual check inside the sweep
+        real = otlab.dnmap.symmetric_lu
+        monkeypatch.setattr(otlab.dnmap, "symmetric_lu", lambda A: real(2.0 * A))
+        path = small_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure (ResidualError): patch complement block 0.." in err
+        assert not (out / "stability_report.json").exists()
 
     @pytest.mark.parametrize("command", ["solve", "dn", "check"])
     @pytest.mark.parametrize("mu_a", ["1/0", "log(-1)"])

@@ -5,6 +5,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import otlab.dnmap
+import otlab.solver
+
 from otlab.dnmap import (
     DNOperator,
     PatchGreen,
@@ -81,7 +84,7 @@ class TestAssembly:
         op = assemble(medium_on(grid9), grid9)
         other = assemble(medium_on(grid9, mu_a="1.4", mu_s="0.8"), grid9)
         op._cache["lu"] = other.factorization()
-        with pytest.raises(ResidualError, match=r"D-N column block 0\.\.385"):
+        with pytest.raises(ResidualError, match=r"D-N column block 0\.\.63"):
             assemble_dn(medium_on(grid9), grid9, operator=op)
 
     def test_energy_identity(self, grid9, dn9):
@@ -431,6 +434,72 @@ class TestPatchGreen:
         smaller = PatchGreen.build(base, patch.nodes[:-1])
         with pytest.raises(ValueError, match="outside the prepared patch"):
             smaller.core(op2)
+
+
+class TestSchurComplementBuild:
+    """PatchGreen.build eliminates the unknowns off the patch first; its G_PP
+    and H1|_{P_I} must equal the blocks of the dense inverse of A_II."""
+
+    @staticmethod
+    def dense_blocks(base, interior):
+        A_II, A_IB = base._interior_blocks()
+        inverse = np.linalg.inv(A_II.toarray())
+        return inverse[np.ix_(interior, interior)], -(inverse @ A_IB.toarray())[interior]
+
+    @staticmethod
+    def relative_gap(value, reference):
+        return np.linalg.norm(value - reference) / np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("anisotropic", [False, True], ids=["isotropic", "anisotropic"])
+    def test_matches_the_dense_inverse(self, grid9, anisotropic):
+        spec = PerturbationSpec(medium_with_B(grid9, anisotropic), profile_order=0)
+        base = assemble(spec.base, grid9)
+        op2 = assemble(spec.perturbed(0.2), grid9)
+        patch = PatchGreen.build(base, perturbation_nodes(base, op2))
+        # the patch leaves unknowns off it, so the complement is factored
+        assert 0 < len(patch.interior) < base.interior_count
+        green, extension = self.dense_blocks(base, patch.interior)
+        assert self.relative_gap(patch.green, green) <= 1e-12
+        assert self.relative_gap(patch.extension, extension) <= 1e-12
+
+    def test_patch_of_every_node_has_no_complement(self, grid9, monkeypatch):
+        def no_factor(A):
+            raise AssertionError("an empty complement was factored")
+
+        monkeypatch.setattr(otlab.dnmap, "symmetric_lu", no_factor)
+        base = assemble(medium_with_B(grid9, True), grid9)
+        patch = PatchGreen.build(base, np.arange(grid9.num_points))
+        assert len(patch.interior) == base.interior_count
+        green, extension = self.dense_blocks(base, patch.interior)
+        assert self.relative_gap(patch.green, green) <= 1e-12
+        assert self.relative_gap(patch.extension, extension) <= 1e-12
+
+    def test_foreign_complement_factor_fails_the_residual_check(self, grid9, monkeypatch):
+        # an LU of another medium's A_CC solves the wrong system; the
+        # separator solves must reject it instead of returning its answer
+        spec = PerturbationSpec(medium_on(grid9), profile_order=0)
+        base = assemble(spec.base, grid9)
+        nodes = perturbation_nodes(base, assemble(spec.perturbed(0.2), grid9))
+        other = assemble(medium_on(grid9, mu_a="1.4", mu_s="0.8"), grid9)
+        comp = np.flatnonzero(~np.isin(other.interior_idx, nodes))
+        foreign = otlab.solver.symmetric_lu(other._interior_blocks()[0][comp][:, comp])
+        monkeypatch.setattr(otlab.dnmap, "symmetric_lu", lambda A: foreign)
+        with pytest.raises(ResidualError, match=r"patch complement block 0\.\.\d+: residual"):
+            PatchGreen.build(base, nodes)
+
+    def test_unchecked_separator_solve_fails_the_full_residual(self, grid9, monkeypatch):
+        # separator solves 1e-6 off, passed without their own check: S G = I
+        # still holds for the S they give, A_II X = R on the complement rows
+        # does not
+        def unchecked(lu, A, rhs, label, grid):
+            return (1.0 + 1e-6) * lu.solve(rhs)
+
+        monkeypatch.setattr(otlab.dnmap, "_solve_checked", unchecked)
+        spec = PerturbationSpec(medium_on(grid9), profile_order=0)
+        base = assemble(spec.base, grid9)
+        nodes = perturbation_nodes(base, assemble(spec.perturbed(0.2), grid9))
+        with pytest.raises(ResidualError, match="patch Green's block: residual"):
+            PatchGreen.build(base, nodes)
 
 
 class TestPatchOperatorNorm:

@@ -246,6 +246,12 @@ class TestStabilityExperiment:
         assert rep.dropped_amplitudes == [0.8]
         assert len(rep.rows) == 3
 
+    def test_ladder_without_admissible_amplitude_rejected(self):
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="no nonzero admissible"):
+            run_stability_experiment(spec, 0, [5.0, 2.5, 0.0])
+
     def test_determinism(self, small_experiment):
         grid = GridDomain(extent=1.0, m_per_axis=9)
         med = base_medium(grid)
