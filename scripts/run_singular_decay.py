@@ -21,13 +21,13 @@ from otlab.singular import (
 )
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=int, default=25)
     parser.add_argument("--orders", type=int, nargs="+", default=[0, 1])
     parser.add_argument("--alpha", type=float, default=0.25)
     parser.add_argument("--s", type=float, nargs="+", default=[4.5, 5.25])
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     apriori = AprioriData(n=3, p=5.0, lam=1.5, E=10.0, cal_e=1.2, k=0.12, alpha=args.alpha)
     grid = GridDomain(extent=1.0, m_per_axis=args.grid)

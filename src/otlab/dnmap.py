@@ -644,8 +644,9 @@ def alessandrini_residual(
     grid = medium1.grid
     if medium2.grid is not grid and medium2.grid != grid:
         raise ValueError("media must share one grid")
-    op1 = assemble(medium1, grid)
-    op2 = assemble(medium2, grid)
+    tensor1, tensor2 = split_real_imag(medium1), split_real_imag(medium2)
+    op1 = assemble(medium1, grid, tensor=tensor1)
+    op2 = assemble(medium2, grid, tensor=tensor2)
     if dn1 is None:
         dn1 = assemble_dn(medium1, grid, operator=op1)
     if dn2 is None:
@@ -659,7 +660,7 @@ def alessandrini_residual(
     v = solve_dirichlet(op2, g).values
     grad_u = grid.gradient(u)
     grad_v = grid.gradient(v)
-    dK = split_real_imag(medium1).K - split_real_imag(medium2).K
+    dK = tensor1.K - tensor2.K
     w = grid.volume_weights
     vol_grad = np.sum(w * np.einsum("pi,pij,pj->p", grad_u, dK, grad_v))
     vol_mass = np.sum(w * (medium1.mu_a - medium2.mu_a) * u * v)

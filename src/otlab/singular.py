@@ -21,7 +21,9 @@ Its kernel series in (|y|/|x|)^j P_j(x^ . y^) (the tail j > nu near the
 origin, the removed moments j <= nu further out) is therefore tabulated as
 P_j on the directions once per call, and each set of radii costs one
 small matrix product; ``truncated_laplace_kernel`` stays the direct route
-the tests compare against.
+the tests compare against.  The nodes of a shell or segment do not depend
+on the probe, so a decay fit evaluates the source once per block that its
+probes share.
 """
 
 from __future__ import annotations
@@ -471,10 +473,39 @@ def newtonian_potential_truncated(
     quadrature centred at x.  Both series are tabulated on the fixed
     quadrature directions (see ``_zonal_series``).
 
+    The quadrature points y = rad * d of a block (an inner shell or an
+    outer segment) depend only on the block's endpoints and node counts,
+    never on x; only the kernel does.  A single call evaluates f afresh on
+    every block; ``potential_decay_fit`` shares f's values on the blocks
+    its probes have in common (see there).
+
     Raises QuadratureBudgetError when the shell ladder fails to settle,
     reporting the tolerance it did achieve.
     """
-    rule = rule or PotentialRule()
+    total, info = _potential(f, nu, x, radius, rule or PotentialRule(), None)
+    return (total, info) if full_output else total
+
+
+def _block_source(f, memo, key, rad, dirs, keep):
+    """f at the block's product nodes rad x dirs, shape (len(rad) * len(dirs),).
+
+    ``memo`` (None or a dict owned by one decay fit) maps a block key
+    (node counts, lo, hi) to f's values on that block.  Equal endpoints and
+    counts give bitwise-equal nodes, so a hit returns exactly what f would;
+    the points are built only on a miss, and only blocks marked ``keep``
+    are stored.
+    """
+    if memo is not None and key in memo:
+        return memo[key]
+    values = f((rad[:, None, None] * dirs[None, :, :]).reshape(-1, 3))
+    if memo is not None and keep:
+        memo[key] = values
+    return values
+
+
+def _potential(f, nu, x, radius, rule, memo):
+    """``newtonian_potential_truncated`` with its block memo; returns
+    (value, PotentialInfo)."""
     x = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(x))
     if not 0.0 < r <= 0.75 * radius:
@@ -483,6 +514,7 @@ def newtonian_potential_truncated(
         raise ValueError("truncation order must be >= -1")
 
     sph_in, w_in = _sphere_nodes(rule.inner_theta, rule.inner_phi)
+    inner_counts = (rule.inner_radial, rule.inner_theta, rule.inner_phi)
     # every shell uses the same directions, so the tail kernel
     # -C_3/|x-y| + C_3 sum_{j<=nu} ... = -C_3/|x| sum_{j>nu} (|y|/|x|)^j P_j
     # is tabulated once for the whole ladder
@@ -501,11 +533,10 @@ def newtonian_potential_truncated(
     while shells < rule.max_inner_shells:
         lo = hi / 2.0
         rad, wr = _radial_nodes(lo, hi, rule.inner_radial)
-        pts = rad[:, None, None] * sph_in[None, :, :]
-        pts = pts.reshape(-1, 3)
         wq = (wr[:, None] * (rad**2)[:, None] * w_in[None, :]).ravel()
         kern = -tail(rad).ravel()
-        contrib = np.sum(wq * kern * f(pts))
+        fv = _block_source(f, memo, (inner_counts, lo, hi), rad, sph_in, True)
+        contrib = np.sum(wq * kern * fv)
         total += contrib
         mag = abs(contrib)
         contrib_mag_max = max(contrib_mag_max, mag)
@@ -533,21 +564,27 @@ def newtonian_potential_truncated(
     # outer region |x|/2 <= |y| <= radius with a mollified Newtonian part,
     # evaluated at full and reduced angular resolution so the difference
     # gives a conservative error estimate
-    outer_full = _outer_contribution(f, nu, x, radius, rule, rule.outer_theta, rule.outer_phi)
+    outer_full = _outer_contribution(
+        f, nu, x, radius, rule, rule.outer_theta, rule.outer_phi, memo
+    )
     outer_low = _outer_contribution(
-        f, nu, x, radius, rule, max(rule.outer_theta - 8, 8), max(rule.outer_phi - 16, 16)
+        f, nu, x, radius, rule, max(rule.outer_theta - 8, 8), max(rule.outer_phi - 16, 16), memo
     )
     total += outer_full
     err += abs(outer_full - outer_low)
 
     err += 1e-12 * abs(total)
-    if full_output:
-        return total, PotentialInfo(value=total, tolerance_estimate=err, inner_shells=shells)
-    return total
+    return total, PotentialInfo(value=total, tolerance_estimate=err, inner_shells=shells)
 
 
-def _outer_contribution(f, nu, x, radius, rule, n_theta, n_phi):
-    """Mollified outer integral plus the exact-minus-mollified ball patch."""
+def _outer_contribution(f, nu, x, radius, rule, n_theta, n_phi, memo):
+    """Mollified outer integral plus the exact-minus-mollified ball patch.
+
+    Segments from r + delta outwards are kept in ``memo``: a probe at half
+    the radius has the same doubling segments and the same last one.  The
+    near field [|x|/2, r + delta] and the delta-ball patch belong to this
+    probe alone.
+    """
     r = float(np.linalg.norm(x))
     cn = _sphere_constant(3)
     a = r / 2.0
@@ -562,17 +599,18 @@ def _outer_contribution(f, nu, x, radius, rule, n_theta, n_phi):
         c *= 2.0
         breakpoints.append(c)
     breakpoints.append(radius)
+    counts = (rule.outer_radial, n_theta, n_phi)
     total = 0.0 + 0.0j
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         if hi <= lo:
             continue
         rad, wr = _radial_nodes(lo, hi, rule.outer_radial)
-        pts = (rad[:, None, None] * sph_out[None, :, :]).reshape(-1, 3)
         wq = (wr[:, None] * (rad**2)[:, None] * w_out[None, :]).ravel()
         # |y - x| component by component: cheaper than a norm over rows of 3
         rho = np.sqrt(sum((rad[:, None] * sph_out[:, k] - x[k]) ** 2 for k in range(3))).ravel()
         kern = -cn * _mollified_inverse_distance(rho, delta) + moments(rad).ravel()
-        total += np.sum(wq * kern * f(pts))
+        fv = _block_source(f, memo, (counts, lo, hi), rad, sph_out, lo >= r + delta)
+        total += np.sum(wq * kern * fv)
 
     # patch: add back (exact - mollified) Newtonian part on the delta-ball
     sph_p, w_p = _sphere_nodes(rule.patch_theta, rule.patch_phi)
@@ -630,10 +668,33 @@ def potential_decay_fit(
     When ``verify_source`` is set, the dyadic-shell growth of f is measured
     and a warning is issued if it is incompatible with the truncation order
     (the order must satisfy nu = floor(s) - 3 for sources of rate s).
+
+    The probes share f's values on the quadrature blocks they have in
+    common; each value equals a separate ``newtonian_potential_truncated``
+    call bit for bit.  A block's nodes depend only on its endpoints and
+    node counts, and halving a probe radius halves every endpoint exactly,
+    so on dyadic radii the probe at r/2 meets again the inner shells
+    [r/2^(i+1), r/2^i] of the probe at r, its outer doubling segments
+    [1.25 r 2^k, 1.25 r 2^(k+1)] and its last segment, at both angular
+    resolutions.  Those blocks are kept for the length of the fit; the
+    near field of each probe and its delta-ball patch are not.  Non-dyadic
+    radii simply miss.
+
+    Raises ValueError unless there are at least two distinct, finite,
+    positive radii and the direction is a finite nonzero 3-vector.
     """
     direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    length = float(np.linalg.norm(direction)) if direction.shape == (3,) else 0.0
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"direction must be a finite nonzero 3-vector, got {direction.tolist()}")
+    direction = direction / length
     radii = np.asarray(sorted(radii, reverse=True), dtype=float)
+    if not np.all(np.isfinite(radii) & (radii > 0.0)):
+        raise ValueError(f"probe radii must be finite and positive, got {radii.tolist()}")
+    if len(radii) < 2:
+        raise ValueError(f"a decay fit needs at least two probe radii, got {radii.tolist()}")
+    if np.any(radii[1:] == radii[:-1]):
+        raise ValueError(f"probe radii must be distinct, got {radii.tolist()}")
     source_exponent = None
     if verify_source:
         source_exponent = shell_source_exponent(f, radius)
@@ -643,9 +704,9 @@ def potential_decay_fit(
                 f"({3 + nu}, {4 + nu}) matched by truncation order {nu}",
                 stacklevel=2,
             )
-    values = np.array(
-        [newtonian_potential_truncated(f, nu, r * direction, radius, rule=rule) for r in radii]
-    )
+    rule = rule or PotentialRule()
+    memo = {}
+    values = np.array([_potential(f, nu, r * direction, radius, rule, memo)[0] for r in radii])
     logs = np.log(np.abs(values))
     coeffs, res = np.polyfit(np.log(radii), logs, 1, full=True)[:2]
     rms = float(np.sqrt(res[0] / len(radii))) if len(res) else 0.0

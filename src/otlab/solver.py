@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EllipticityError, FactorizationError, MemoryBudgetError, ResidualError
 from .grid import GridDomain
-from .medium import OpticalMedium, split_real_imag, verify_ellipticity
+from .medium import ComplexTensorField, OpticalMedium, split_real_imag, verify_ellipticity
 
 MAX_POINTS_PER_AXIS = 49
 SOLVE_RTOL = 1e-10
@@ -127,18 +127,21 @@ def assemble(
     include_reaction: bool = True,
     interior_mask: np.ndarray | None = None,
     grid_cap: int = MAX_POINTS_PER_AXIS,
+    tensor: ComplexTensorField | None = None,
 ) -> DiscreteOperator:
     """Assemble the discrete operator for a sampled medium.
 
     ``interior_mask`` selects the unknown set; by default it is the strict
     cube interior, but any subset of it works (annulus problems pass a
-    radial mask).  Raises when the medium violates its ellipticity bounds
-    or the grid exceeds the configured cap.
+    radial mask).  ``tensor`` is ``split_real_imag(medium)`` when the
+    caller has already sampled it; it is sampled here otherwise.  Raises
+    when the medium violates its ellipticity bounds or the grid exceeds the
+    configured cap.
     """
     grid = grid or medium.grid
     if grid.m_per_axis > grid_cap:
         raise MemoryBudgetError(f"m_per_axis={grid.m_per_axis} exceeds the cap {grid_cap}")
-    tensor = split_real_imag(medium)
+    tensor = tensor if tensor is not None else split_real_imag(medium)
     report = verify_ellipticity(tensor, medium.apriori)
     if not report.admissible:
         raise EllipticityError(

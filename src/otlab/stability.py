@@ -324,6 +324,13 @@ def tensor_derivative_gap_direct(medium1: OpticalMedium, medium2: OpticalMedium,
     return float(np.sqrt(np.sum(np.abs(parts[b]) ** 2, axis=(1, 2, 3))).max())
 
 
+def _assemble_sampled(medium: OpticalMedium, grid: GridDomain):
+    """(assemble(medium), K) from one sampling of the medium's tensor; only K
+    outlives the call, for the tensor gap."""
+    tensor = split_real_imag(medium)
+    return assemble(medium, grid, tensor=tensor), tensor.K
+
+
 def run_stability_experiment(
     pspec: PerturbationSpec,
     derivative_order: int,
@@ -343,7 +350,7 @@ def run_stability_experiment(
     amplitude that reaches beyond it raises ValueError, and so do amplitudes
     of both signs, a ladder with no nonzero admissible amplitude and a
     ``scale`` built on another grid.  ``seed`` draws the start vector of each
-    power iteration.  The base medium's tensor is sampled once per sweep.
+    power iteration.  Each medium's tensor is sampled once per sweep.
     """
     base = pspec.base
     grid = base.grid
@@ -376,7 +383,7 @@ def run_stability_experiment(
 
     nu_field = build_nu_tilde(grid)
     scale = scale or SobolevScale.build(grid)
-    base_op = assemble(base, grid)
+    base_op, base_K = _assemble_sampled(base, grid)
 
     profile_sup, skipped = normal_derivative_sup(
         pspec.profile, nu_field, 0, full_output=True
@@ -385,11 +392,10 @@ def run_stability_experiment(
     for j in range(1, derivative_order + 1):
         deriv_sups.append(normal_derivative_sup(pspec.profile, nu_field, j))
 
-    base_K = split_real_imag(base).K
     rows, patch = [], None
     for eps in eps_values:
         med2 = pspec.perturbed(eps)
-        op2 = assemble(med2, grid)
+        op2, K2 = _assemble_sampled(med2, grid)
         if patch is None:
             patch = PatchGreen.build(base_op, perturbation_nodes(base_op, op2))
             whitening = patch.whitening(scale)
@@ -400,7 +406,7 @@ def run_stability_experiment(
                 sup_mu_boundary=abs(eps) * profile_sup,
                 sup_normal_derivatives=[abs(eps) * s for s in deriv_sups],
                 tensor_gap=_tensor_gap(
-                    base, base_K, med2, split_real_imag(med2).K, min(derivative_order, 1)
+                    base, base_K, med2, K2, min(derivative_order, 1)
                 ),
             )
         )

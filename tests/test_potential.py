@@ -194,8 +194,93 @@ class TestTabulatedKernels:
         assert _sphere_nodes(self.RULE.inner_theta, self.RULE.inner_phi)[0] is dirs
 
 
+class TestSharedSourceBlocks:
+    """A decay fit evaluates f once per quadrature block its probes share."""
+
+    DIRECTION = np.array([0.36, 0.48, 0.8])
+    DYADIC = [2.0**-j for j in range(5, 11)]
+
+    @staticmethod
+    def _counting(f):
+        seen = []
+
+        def counted(pts):
+            seen.append(len(pts))
+            return f(pts)
+
+        return counted, seen
+
+    @staticmethod
+    def _mixed_source(pts):
+        # unlike Y_1 alone, the cubic part is not orthogonal to the inner
+        # tail terms, so every inner shell adds more than rounding noise
+        r = np.linalg.norm(pts, axis=1)
+        return r**-4.5 * (pts[:, 2] / r + 0.5 * (pts[:, 0] / r) ** 3)
+
+    @pytest.mark.parametrize("radii", [DYADIC, [0.03, 0.017, 0.009]], ids=["dyadic", "non-dyadic"])
+    def test_fit_values_equal_separate_calls(self, radii):
+        f = self._mixed_source
+        fit = potential_decay_fit(f, 1, radii, 1.0, direction=self.DIRECTION, verify_source=False)
+        x_hat = self.DIRECTION / np.linalg.norm(self.DIRECTION)
+        separate = [
+            newtonian_potential_truncated(f, 1, r * x_hat, 1.0) for r in sorted(radii, reverse=True)
+        ]
+        assert fit.values.tolist() == separate
+
+    def test_fit_passes_f_under_half_the_points(self):
+        f, fit_points = self._counting(harmonic_source(4.5))
+        potential_decay_fit(f, 1, self.DYADIC, 1.0, direction=self.DIRECTION, verify_source=False)
+        f, separate_points = self._counting(harmonic_source(4.5))
+        x_hat = self.DIRECTION / np.linalg.norm(self.DIRECTION)
+        for r in self.DYADIC:
+            newtonian_potential_truncated(f, 1, r * x_hat, 1.0)
+        assert sum(fit_points) <= 0.45 * sum(separate_points)
+
+    def test_memo_stays_under_ten_megabytes(self, monkeypatch):
+        import otlab.singular
+
+        real = otlab.singular._block_source
+        held = [0]
+
+        def recording(f, memo, key, rad, dirs, keep):
+            values = real(f, memo, key, rad, dirs, keep)
+            held[0] = max(held[0], sum(v.nbytes for v in memo.values()))
+            return values
+
+        monkeypatch.setattr(otlab.singular, "_block_source", recording)
+        potential_decay_fit(
+            harmonic_source(5.25), 2, self.DYADIC, 1.0, direction=self.DIRECTION,
+            verify_source=False,
+        )
+        assert 0 < held[0] <= 10 * 2**20
+
+
+class TestDecayFitValidation:
+    f = staticmethod(harmonic_source(4.5))
+
+    def test_single_radius_rejected(self):
+        with pytest.raises(ValueError, match="at least two probe radii"):
+            potential_decay_fit(self.f, 1, [2.0**-6], 1.0)
+
+    def test_repeated_radius_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            potential_decay_fit(self.f, 1, [2.0**-6, 2.0**-7, 2.0**-6], 1.0)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="finite and positive"):
+            potential_decay_fit(self.f, 1, [2.0**-6, -(2.0**-7)], 1.0)
+
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction must be a finite nonzero"):
+            potential_decay_fit(self.f, 1, [2.0**-6, 2.0**-7], 1.0, direction=(0.0, 0.0, 0.0))
+
+    def test_nan_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction must be a finite nonzero"):
+            potential_decay_fit(self.f, 1, [2.0**-6, 2.0**-7], 1.0, direction=(0.0, np.nan, 1.0))
+
+
 class TestLaplacianConsistency:
-    W6 = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
+    W6 =np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
 
     def _fd_laplacian(self, f, nu, x, h):
         lap = 0.0 + 0.0j

@@ -316,3 +316,25 @@ class TestStabilityExperiment:
         rep = run_stability_experiment(spec, 0, [0.2, 0.1, 0.05], scale=scale)
         assert all(r.dn_gap > 0.0 for r in rep.rows)
         assert "eigenvectors" not in vars(scale)
+
+    def test_each_medium_is_sampled_once(self, monkeypatch):
+        # one split_real_imag per medium: the base and each amplitude, shared
+        # by the assembly and the tensor gap
+        import otlab.solver
+        import otlab.stability
+
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        sampled = []
+
+        def counting(medium):
+            sampled.append(medium)
+            return split_real_imag(medium)
+
+        monkeypatch.setattr(otlab.stability, "split_real_imag", counting)
+        monkeypatch.setattr(otlab.solver, "split_real_imag", counting)
+        rep = run_stability_experiment(spec, 0, [0.2, 0.1, 0.05])
+        assert len(sampled) == 4
+        assert len({id(m) for m in sampled}) == 4
+        for row in rep.rows:
+            assert row.tensor_gap == tensor_derivative_gap(spec.base, spec.perturbed(row.eps), 0)
