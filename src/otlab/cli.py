@@ -174,7 +174,7 @@ def cmd_dn(config: RunConfig, out: Path, args) -> int:
         if args.save:
             dn.save(args.save, metadata=_stamp(config))
     sym = float(np.abs(dn.matrix - dn.matrix.T).max())
-    norm = sobolev_operator_norm(dn.matrix, SobolevScale.build(grid), seed=config.seed)
+    norm = sobolev_operator_norm(dn.matrix, SobolevScale.build(grid))
     payload = {
         **_stamp(config),
         "source": src,

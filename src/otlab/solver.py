@@ -8,16 +8,14 @@ ellipticity makes its real part Re A positive definite on the unknowns.
 The interior system A_II u = rhs is solved one of two ways, chosen by the
 number of right-hand sides:
 
-- Block solves factor a complex symmetric block once as it stands, in
-  complex arithmetic, and reuse the LU for every column (``symmetric_lu``):
-  A_II for the D-N columns, and A_CC, the unknowns off a perturbation
-  patch, for the patch Green's block (``dnmap.PatchGreen.build``).  SuperLU
-  orders the block with minimum degree on A^T + A and takes the pivots
-  from the diagonal without row interchanges.  Such an LU exists under
-  every symmetric permutation, with bounded growth, because the Hermitian
-  part of A_II is Re A_II (Golub & Van Loan 1979, "Unsymmetric positive
-  definite linear systems"); the Hermitian part of A_CC is Re A_CC, a
-  principal submatrix of Re A_II and so positive definite too.
+- Block solves factor A_II once as it stands, in complex arithmetic, and
+  reuse the LU for every right-hand side (``DiscreteOperator.factorization``):
+  the D-N columns of ``dnmap.assemble_dn`` and the extension solves of
+  ``dnmap.difference_norm``.  SuperLU orders A_II with minimum degree on
+  A^T + A and takes the pivots from the diagonal without row interchanges.
+  Such an LU exists under every symmetric permutation, with bounded growth,
+  because the Hermitian part of A_II is Re A_II (Golub & Van Loan 1979,
+  "Unsymmetric positive definite linear systems").
 - A single right-hand side (``solve_dirichlet``) is solved by BiCGStab
   (van der Vorst 1992) with a Jacobi preconditioner, which needs no fill:
   at m=25 the LU stores 3.3 M entries and its factorization is most of
@@ -95,26 +93,20 @@ class DiscreteOperator:
         return sp.bmat([[re, -im], [im, re]], format="csc")
 
     def factorization(self):
-        """``symmetric_lu`` of A_II, cached, for the D-N column solves of
-        ``assemble_dn``.  Single right-hand sides do not use it."""
+        """Sparse LU of A_II, cached, for block solves: minimum degree on
+        A^T + A, diagonal pivots (see the module docstring for why they
+        suffice).  Single right-hand sides do not use it."""
         if "lu" not in self._cache:
-            self._cache["lu"] = symmetric_lu(self._interior_blocks()[0])
+            try:
+                self._cache["lu"] = spla.splu(
+                    self._interior_blocks()[0],
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError as exc:
+                raise FactorizationError(f"sparse LU failed: {exc}") from exc
         return self._cache["lu"]
-
-
-def symmetric_lu(A: sp.spmatrix):
-    """Sparse LU of A_II or of a principal submatrix of it, for block
-    solves: minimum degree on A^T + A, diagonal pivots (see the module
-    docstring for why they suffice)."""
-    try:
-        return spla.splu(
-            A.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise FactorizationError(f"sparse LU failed: {exc}") from exc
 
 
 def _axis_index(grid: GridDomain, axis: int) -> np.ndarray:

@@ -5,14 +5,11 @@ of amplitudes; for each amplitude the experiment measures the
 H^{1/2} -> H^{-1/2} norm of the difference of the two D-N operators and
 compares it with boundary sup norms of the absorption difference and of its
 directional derivatives along the exterior non-tangential field.  The
-difference comes from the discrete Alessandrini identity on the
-perturbation patch P as S2 - S1 = A^T Z A (``dnmap.PatchGreen``): A and
-the Green's block of the base medium, from the Schur complement of A_II
-on the patch (one sparse LU of the unknowns off the patch, solved for the
-patch's separator columns), and the whitening factor R of A are built once
-per sweep, and so is the base medium's sampled tensor; each amplitude then
-solves a |P|-sized system for Z and takes ||R Z R^T||_2 by power
-iteration, so no boundary-sized (Nb x Nb) matrix is formed.  The
+difference comes from the discrete Alessandrini identity S2 - S1 = H1^T E H2
+(``dnmap.difference_norm``), applied to vectors inside a power iteration:
+the base medium's interior LU, its sampled tensor and the boundary
+eigenbasis are built once per sweep, each amplitude factors its own
+interior block, and no boundary-sized (Nb x Nb) matrix is formed.  The
 theory gives one-sided inequalities (Lipschitz for the boundary values,
 Hoelder with exponent delta_h for h-th derivatives), so the report records
 inequality constants and observed slopes rather than asserting exact
@@ -27,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dnmap import PatchGreen, SobolevScale, perturbation_nodes
+from .dnmap import SobolevScale, difference_norm
 from .errors import InadmissibleWaveNumberError
 from .grid import GridDomain
 from .medium import OpticalMedium, is_wave_number_admissible, split_real_imag
@@ -345,11 +342,9 @@ def run_stability_experiment(
     sup of the absorption difference, its directional-derivative sups up to
     ``derivative_order`` and the boundary tensor gap.  Fits are slopes of
     log(norm) against log(D-N gap); the inequality constants are the largest
-    observed ratios norm / gap^{delta_j}.  The largest amplitude's
-    perturbation fixes the node patch of the base Green's block; a smaller
-    amplitude that reaches beyond it raises ValueError, and so do amplitudes
-    of both signs, a ladder with no nonzero admissible amplitude and a
-    ``scale`` built on another grid.  ``seed`` draws the start vector of each
+    observed ratios norm / gap^{delta_j}.  Amplitudes of both signs, a
+    ladder with no nonzero admissible amplitude and a ``scale`` built on
+    another grid raise ValueError.  ``seed`` draws the start vector of each
     power iteration.  Each medium's tensor is sampled once per sweep.
     """
     base = pspec.base
@@ -392,17 +387,14 @@ def run_stability_experiment(
     for j in range(1, derivative_order + 1):
         deriv_sups.append(normal_derivative_sup(pspec.profile, nu_field, j))
 
-    rows, patch = [], None
+    rows = []
     for eps in eps_values:
         med2 = pspec.perturbed(eps)
         op2, K2 = _assemble_sampled(med2, grid)
-        if patch is None:
-            patch = PatchGreen.build(base_op, perturbation_nodes(base_op, op2))
-            whitening = patch.whitening(scale)
         rows.append(
             StabilityRow(
                 eps=eps,
-                dn_gap=patch.operator_norm(op2, whitening, seed=seed),
+                dn_gap=difference_norm(base_op, op2, scale, seed=seed),
                 sup_mu_boundary=abs(eps) * profile_sup,
                 sup_normal_derivatives=[abs(eps) * s for s in deriv_sups],
                 tensor_gap=_tensor_gap(

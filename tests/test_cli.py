@@ -1,4 +1,4 @@
-import inspect
+import dataclasses
 import json
 from importlib import resources
 
@@ -173,16 +173,20 @@ class TestCliExitCodes:
         assert "[5.0, 2.5]" in err and "[1/lam, lam]" in err
         assert list(out.iterdir()) == []
 
-    def test_foreign_complement_factor_exits_3(self, tmp_path, capsys, monkeypatch):
-        # a factor of 2 A_CC in place of A_CC fails the separator solves'
+    def test_foreign_interior_factor_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a factor of 2 A_II in place of A_II fails the extension solves'
         # residual check inside the sweep
-        real = otlab.dnmap.symmetric_lu
-        monkeypatch.setattr(otlab.dnmap, "symmetric_lu", lambda A: real(2.0 * A))
+        real = otlab.solver.DiscreteOperator.factorization
+
+        def doubled(op):
+            return real(dataclasses.replace(op, matrix=2.0 * op.matrix, _cache={}))
+
+        monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", doubled)
         path = small_config(tmp_path)
         out = tmp_path / "o"
         assert main(["stability", "--config", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "numerical failure (ResidualError): patch complement block 0.." in err
+        assert "numerical failure (ResidualError): perturbed extension solve: residual" in err
         assert not (out / "stability_report.json").exists()
 
     @pytest.mark.parametrize("command", ["solve", "dn", "check"])
@@ -299,14 +303,10 @@ class TestCliCommands:
         assert any(line.startswith("eps,") for line in rows)
 
     def test_seed_draws_the_power_iteration_start(self, tmp_path, monkeypatch):
-        # the seed changes only the start vector: gaps agree to the power
-        # iteration's tolerance, and one seed reproduces its reports bytewise
-        # both routes, the patch norm of `stability` and the dense norm of
-        # `dn`, reach the one power-iteration helper
-        import otlab.dnmap
-
+        # the seed changes only the start vector of the sweep's power
+        # iterations: gaps agree to the iteration's tolerance, and one seed
+        # reproduces its reports bytewise; the norm of `dn` is exact
         real = otlab.dnmap._largest_singular_value
-        rtol = inspect.signature(otlab.dnmap.sobolev_operator_norm).parameters["rtol"].default
         seen = []
 
         def recording(*args, **kwargs):
@@ -323,8 +323,6 @@ class TestCliCommands:
             argv = ["stability", "--config", str(path), "--out", str(runs[name])]
             assert main(argv + ["--seed", str(seed)]) == 0
         assert seen == [3] * 6 + [4] * 3
-        assert main(["dn", "--config", str(path), "--out", str(tmp_path / "d"), "--seed", "5"]) == 0
-        assert seen[-1] == 5
         for report in ("stability_report.json", "stability_rows.csv"):
             assert (runs["a"] / report).read_bytes() == (runs["b"] / report).read_bytes()
 
@@ -334,7 +332,30 @@ class TestCliCommands:
             col = lines[0].split(",").index("dn_gap")
             return np.array([float(l.split(",")[col]) for l in lines[1:]])
 
+        rtol = otlab.dnmap.POWER_RTOL
         np.testing.assert_allclose(gaps(runs["c"]), gaps(runs["a"]), rtol=rtol, atol=0)
+
+        norms = []
+        for seed in (5, 6):
+            out = tmp_path / f"d{seed}"
+            assert main(["dn", "--config", str(path), "--out", str(out), "--seed", str(seed)]) == 0
+            norms.append(json.loads((out / "dn_report.json").read_text())["operator_norm"])
+        assert norms[0] == norms[1]
+
+    def test_dn_norm_is_the_largest_singular_value(self, tmp_path):
+        # at m=13 the whitened D-N matrix has a near-degenerate top singular
+        # value, where a power iteration took 18 159 steps; the dense SVD
+        # has no step cap
+        path = small_config(tmp_path, **{"grid.m_per_axis": 13})
+        out = tmp_path / "o"
+        assert main(["dn", "--config", str(path), "--out", str(out)]) == 0
+        config = RunConfig.from_file(path)
+        grid = config.grid()
+        dn = otlab.dnmap.assemble_dn(config.medium(grid), grid)
+        whitened = otlab.dnmap._whitened(dn.matrix, otlab.dnmap.SobolevScale.build(grid))
+        dense = np.linalg.svd(whitened, compute_uv=False)[0]
+        norm = json.loads((out / "dn_report.json").read_text())["operator_norm"]
+        assert norm == pytest.approx(dense, rel=1e-12)
 
     def test_gegenbauer_table(self, tmp_path):
         out = tmp_path / "out"

@@ -5,18 +5,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-import otlab.dnmap
 import otlab.solver
 
 from otlab.dnmap import (
     DNOperator,
-    PatchGreen,
     SobolevScale,
     SymmetryBlock,
     _whitened,
     alessandrini_residual,
     assemble_dn,
-    perturbation_nodes,
+    difference_norm,
     sobolev_operator_norm,
     sobolev_pairing,
     symmetry_bases,
@@ -373,10 +371,20 @@ def interior_anisotropic_B(grid):
     return B0[None] * taper[:, None, None]
 
 
-def patch_rows(patch):
-    """A = [H1|_{P_I}; J] of S2 - S1 = A^T Z A, formed from the patch blocks."""
-    nb = patch.extension.shape[1]
-    return np.concatenate([patch.extension, np.eye(nb)[patch.boundary]])
+def dense_difference(base, op2):
+    """H1^T E H2 = S2 - S1 from dense solves with the two interior blocks."""
+    def extension(op):
+        A_II, A_IB = op._interior_blocks()
+        return np.vstack([-np.linalg.solve(A_II.toarray(), A_IB.toarray()),
+                          np.eye(A_IB.shape[1])])
+
+    order = np.concatenate([base.interior_idx, base.boundary_idx])
+    E = (op2.matrix - base.matrix)[order][:, order].toarray()
+    return extension(base).T @ E @ extension(op2)
+
+
+def largest_singular_value(delta, scale):
+    return np.linalg.svd(_whitened(delta, scale), compute_uv=False)[0]
 
 
 def medium_with_B(grid, anisotropic):
@@ -384,180 +392,71 @@ def medium_with_B(grid, anisotropic):
     return OpticalMedium.from_expressions(grid, apriori(), mu_a="1", mu_s="1", B=B)
 
 
-class TestPatchGreen:
-    """The discrete Alessandrini identity S2 - S1 = H1^T E H2 on the patch."""
-
-    @pytest.fixture(scope="class")
-    def sweep9(self, grid9):
-        spec = PerturbationSpec(medium_on(grid9), profile_order=0)
-        base = assemble(spec.base, grid9)
-        op2 = assemble(spec.perturbed(0.2), grid9)
-        return spec, base, op2, PatchGreen.build(base, perturbation_nodes(base, op2))
-
-    @pytest.mark.parametrize("anisotropic", [False, True])
-    def test_matches_subtraction_of_assembled_maps(self, grid9, anisotropic):
-        med = medium_with_B(grid9, anisotropic)
-        assert med.admissibility_violations() == []
-        spec = PerturbationSpec(med, profile_order=0)
-        med2 = spec.perturbed(0.2)
-        base, op2 = assemble(med, grid9), assemble(med2, grid9)
-        E = (op2.matrix - base.matrix).toarray()
-        # the cross terms widen E's rows beyond the 7-point stencil
-        assert (np.count_nonzero(E, axis=1).max() > 7) == anisotropic
-        patch = PatchGreen.build(base, perturbation_nodes(base, op2))
-        A = patch_rows(patch)
-        delta = A.T @ patch.core(op2) @ A
-        reference = assemble_dn(med2, grid9).matrix - assemble_dn(med, grid9).matrix
-        gap = np.linalg.norm(delta - reference) / np.linalg.norm(reference)
-        assert gap <= 1e-12
-
-    def test_foreign_green_block_fails_the_residual_check(self, grid9, sweep9):
-        spec, base, op2, patch = sweep9
-        other = assemble(medium_on(grid9, mu_a="1.4", mu_s="0.8"), grid9)
-        foreign = PatchGreen.build(other, patch.nodes)
-        swapped = PatchGreen(base, patch.nodes, patch.interior, patch.boundary,
-                             foreign.green, patch.extension)
-        with pytest.raises(ResidualError, match="patch harmonic extension"):
-            swapped.core(op2)
-
-    def test_corrupted_green_block_fails_the_residual_check(self, sweep9):
-        spec, base, op2, patch = sweep9
-        rng = np.random.default_rng(3)
-        noise = 1e-6 * np.abs(patch.green).max() * rng.normal(size=patch.green.shape)
-        corrupted = PatchGreen(base, patch.nodes, patch.interior, patch.boundary,
-                               patch.green + noise, patch.extension)
-        with pytest.raises(ResidualError, match="patch harmonic extension"):
-            corrupted.core(op2)
-
-    def test_perturbation_outside_the_patch_is_rejected(self, sweep9):
-        spec, base, op2, patch = sweep9
-        smaller = PatchGreen.build(base, patch.nodes[:-1])
-        with pytest.raises(ValueError, match="outside the prepared patch"):
-            smaller.core(op2)
-
-
-class TestSchurComplementBuild:
-    """PatchGreen.build eliminates the unknowns off the patch first; its G_PP
-    and H1|_{P_I} must equal the blocks of the dense inverse of A_II."""
-
-    @staticmethod
-    def dense_blocks(base, interior):
-        A_II, A_IB = base._interior_blocks()
-        inverse = np.linalg.inv(A_II.toarray())
-        return inverse[np.ix_(interior, interior)], -(inverse @ A_IB.toarray())[interior]
-
-    @staticmethod
-    def relative_gap(value, reference):
-        return np.linalg.norm(value - reference) / np.linalg.norm(reference)
-
-    @pytest.mark.parametrize("anisotropic", [False, True], ids=["isotropic", "anisotropic"])
-    def test_matches_the_dense_inverse(self, grid9, anisotropic):
-        spec = PerturbationSpec(medium_with_B(grid9, anisotropic), profile_order=0)
-        base = assemble(spec.base, grid9)
-        op2 = assemble(spec.perturbed(0.2), grid9)
-        patch = PatchGreen.build(base, perturbation_nodes(base, op2))
-        # the patch leaves unknowns off it, so the complement is factored
-        assert 0 < len(patch.interior) < base.interior_count
-        green, extension = self.dense_blocks(base, patch.interior)
-        assert self.relative_gap(patch.green, green) <= 1e-12
-        assert self.relative_gap(patch.extension, extension) <= 1e-12
-
-    def test_patch_of_every_node_has_no_complement(self, grid9, monkeypatch):
-        def no_factor(A):
-            raise AssertionError("an empty complement was factored")
-
-        monkeypatch.setattr(otlab.dnmap, "symmetric_lu", no_factor)
-        base = assemble(medium_with_B(grid9, True), grid9)
-        patch = PatchGreen.build(base, np.arange(grid9.num_points))
-        assert len(patch.interior) == base.interior_count
-        green, extension = self.dense_blocks(base, patch.interior)
-        assert self.relative_gap(patch.green, green) <= 1e-12
-        assert self.relative_gap(patch.extension, extension) <= 1e-12
-
-    def test_foreign_complement_factor_fails_the_residual_check(self, grid9, monkeypatch):
-        # an LU of another medium's A_CC solves the wrong system; the
-        # separator solves must reject it instead of returning its answer
-        spec = PerturbationSpec(medium_on(grid9), profile_order=0)
-        base = assemble(spec.base, grid9)
-        nodes = perturbation_nodes(base, assemble(spec.perturbed(0.2), grid9))
-        other = assemble(medium_on(grid9, mu_a="1.4", mu_s="0.8"), grid9)
-        comp = np.flatnonzero(~np.isin(other.interior_idx, nodes))
-        foreign = otlab.solver.symmetric_lu(other._interior_blocks()[0][comp][:, comp])
-        monkeypatch.setattr(otlab.dnmap, "symmetric_lu", lambda A: foreign)
-        with pytest.raises(ResidualError, match=r"patch complement block 0\.\.\d+: residual"):
-            PatchGreen.build(base, nodes)
-
-    def test_unchecked_separator_solve_fails_the_full_residual(self, grid9, monkeypatch):
-        # separator solves 1e-6 off, passed without their own check: S G = I
-        # still holds for the S they give, A_II X = R on the complement rows
-        # does not
-        def unchecked(lu, A, rhs, label, grid):
-            return (1.0 + 1e-6) * lu.solve(rhs)
-
-        monkeypatch.setattr(otlab.dnmap, "_solve_checked", unchecked)
-        spec = PerturbationSpec(medium_on(grid9), profile_order=0)
-        base = assemble(spec.base, grid9)
-        nodes = perturbation_nodes(base, assemble(spec.perturbed(0.2), grid9))
-        with pytest.raises(ResidualError, match="patch Green's block: residual"):
-            PatchGreen.build(base, nodes)
-
-
 class TestPatchOperatorNorm:
-    """||R Z R^T||_2 against dense SVDs of the whitened Nb x Nb difference."""
+    """difference_norm of a boundary patch perturbation against dense SVDs of
+    the whitened Nb x Nb difference."""
 
     @pytest.fixture(scope="class", params=[False, True], ids=["isotropic", "anisotropic"])
-    def route9(self, request, grid9, scale9):
+    def route9(self, request, grid9):
         spec = PerturbationSpec(medium_with_B(grid9, request.param), profile_order=0)
-        base = assemble(spec.base, grid9)
-        op2 = assemble(spec.perturbed(0.2), grid9)
-        patch = PatchGreen.build(base, perturbation_nodes(base, op2))
-        return spec, patch, patch.whitening(scale9)
+        return spec, assemble(spec.base, grid9)
 
     def test_matches_dense_svd_of_subtracted_maps(self, grid9, scale9, route9):
-        spec, patch, R = route9
+        spec, base = route9
         med2 = spec.perturbed(0.2)
-        gap = patch.operator_norm(assemble(med2, grid9), R)
+        op2 = assemble(med2, grid9)
+        # the cross terms widen E's rows beyond the 7-point stencil
+        E = op2.matrix - base.matrix
+        anisotropic = np.abs(spec.base.B).max() > 0
+        assert (E.getnnz(axis=1).max() > 7) == anisotropic
         delta = assemble_dn(med2, grid9).matrix - assemble_dn(spec.base, grid9).matrix
-        dense = np.linalg.svd(_whitened(delta, scale9), compute_uv=False)[0]
-        assert gap == pytest.approx(dense, rel=1e-12)
+        dense = largest_singular_value(delta, scale9)
+        assert difference_norm(base, op2, scale9) == pytest.approx(dense, rel=1e-12)
 
     def test_small_amplitude_matches_dense_svd_of_the_factors(self, grid9, scale9, route9):
         # at eps = 2e-8 subtracting two assembled maps leaves ~1e-8 relative
-        # accuracy, so the reference whitens A^T Z A from the route's factors
-        spec, patch, R = route9
+        # accuracy, so the reference whitens H1^T E H2 from dense solves
+        spec, base = route9
         op2 = assemble(spec.perturbed(2e-8), grid9)
-        A = patch_rows(patch)
-        delta = A.T @ patch.core(op2) @ A
-        dense = np.linalg.svd(_whitened(delta, scale9), compute_uv=False)[0]
-        assert patch.operator_norm(op2, R) == pytest.approx(dense, rel=1e-12)
-
-    def test_whitening_gram_matches_the_dense_basis(self, grid9, scale9, route9):
-        # R^H R = conj(A) K_s A^T for K_s = V (I+D)^{-1/2} V^T of the dense
-        # generalized eigenpairs, whatever the row order of (A V W)^T
-        spec, patch, R = route9
-        lam, V = scipy.linalg.eigh(scale9.stiffness.toarray(), np.diag(scale9.mass))
-        A = patch_rows(patch)
-        reference = A.conj() @ ((V * (1.0 + np.maximum(lam, 0.0)) ** -0.5) @ V.T) @ A.T
-        gap = np.abs(R.conj().T @ R - reference).max() / np.abs(reference).max()
-        assert gap <= 1e-12
+        dense = largest_singular_value(dense_difference(base, op2), scale9)
+        assert difference_norm(base, op2, scale9) == pytest.approx(dense, rel=1e-12)
 
     def test_patch_larger_than_the_boundary(self, grid9, scale9):
-        # a patch through the whole cube has |P| > Nb: R gets zero rows up to
-        # a square, as the triangular products need
+        # a perturbation through the whole cube touches more nodes than the
+        # boundary holds; the product form does not depend on its support
         spec = PerturbationSpec(medium_with_B(grid9, False), profile_order=0,
                                 width=0.45, depth=1.0)
         base = assemble(spec.base, grid9)
         op2 = assemble(spec.perturbed(0.1), grid9)
-        patch = PatchGreen.build(base, perturbation_nodes(base, op2))
-        R = patch.whitening(scale9)
-        assert len(patch.nodes) > len(scale9.boundary_idx)
-        assert R.shape == (len(patch.nodes), len(patch.nodes))
-        A = patch_rows(patch)
-        dense = np.linalg.svd(_whitened(A.T @ patch.core(op2) @ A, scale9), compute_uv=False)[0]
-        assert patch.operator_norm(op2, R) == pytest.approx(dense, rel=1e-12)
+        rows, cols = (op2.matrix - base.matrix).nonzero()
+        assert len(np.union1d(rows, cols)) > len(scale9.boundary_idx)
+        dense = largest_singular_value(dense_difference(base, op2), scale9)
+        assert difference_norm(base, op2, scale9) == pytest.approx(dense, rel=1e-12)
 
-    def test_power_iteration_matches_dense_svd(self, grid9, route9):
-        spec, patch, R = route9
+    def test_power_iteration_matches_dense_svd(self, grid9, scale9, route9):
+        spec, base = route9
         op2 = assemble(spec.perturbed(0.1), grid9)
-        dense = np.linalg.svd(R @ patch.core(op2) @ R.T, compute_uv=False)[0]
-        assert patch.operator_norm(op2, R) == pytest.approx(dense, rel=1e-12)
+        dense = largest_singular_value(dense_difference(base, op2), scale9)
+        assert difference_norm(base, op2, scale9) == pytest.approx(dense, rel=1e-12)
+
+    def test_equal_operators_factor_nothing(self, grid9, scale9, monkeypatch):
+        def no_factor(self):
+            raise AssertionError("an operator was factored")
+
+        monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", no_factor)
+        med = medium_on(grid9)
+        assert difference_norm(assemble(med, grid9), assemble(med, grid9), scale9) == 0.0
+
+    @pytest.mark.parametrize("which", ["base", "perturbed"])
+    @pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6], ids=["doubled", "corrupted"])
+    def test_foreign_factor_fails_the_residual_check(self, grid9, scale9, which, factor):
+        # an LU of c A_II in place of A_II solves the wrong system; the
+        # extension solves must reject it instead of returning its answer
+        spec = PerturbationSpec(medium_on(grid9), profile_order=0)
+        ops = {"base": assemble(spec.base, grid9),
+               "perturbed": assemble(spec.perturbed(0.2), grid9)}
+        op = ops[which]
+        scaled = dataclasses.replace(op, matrix=factor * op.matrix, _cache={})
+        op._cache["lu"] = scaled.factorization()
+        with pytest.raises(ResidualError, match=f"{which} extension solve: residual"):
+            difference_norm(ops["base"], ops["perturbed"], scale9)

@@ -338,3 +338,24 @@ class TestStabilityExperiment:
         assert len({id(m) for m in sampled}) == 4
         for row in rep.rows:
             assert row.tensor_gap == tensor_derivative_gap(spec.base, spec.perturbed(row.eps), 0)
+
+    def test_base_interior_is_factored_once(self, monkeypatch):
+        # the base LU is cached on the base operator for the whole sweep;
+        # each amplitude factors its own interior block once
+        import otlab.solver
+
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        real = otlab.solver.DiscreteOperator.factorization
+        built = []
+
+        def recording(op):
+            if "lu" not in op._cache:
+                built.append(op.medium_fingerprint)
+            return real(op)
+
+        monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", recording)
+        run_stability_experiment(spec, 0, [0.2, 0.1, 0.05])
+        assert len(built) == 4
+        assert built[0] == spec.base.fingerprint()
+        assert len(set(built)) == 4
