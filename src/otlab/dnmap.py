@@ -349,21 +349,15 @@ def _real_times(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (U @ v.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-def difference_norm(
-    base: DiscreteOperator, op: DiscreteOperator, scale: SobolevScale, seed: int = 0
-) -> float:
-    """H^{1/2} -> H^{-1/2} norm of S(op) - S(base): the largest singular value
-    of the whitened T = W V^T H1^T E H2 V W, applied as a product (module
-    docstring), by the power iteration of ``_largest_singular_value`` from a
-    start vector drawn with ``seed``.
+def _whitened_product(
+    base: DiscreteOperator, op: DiscreteOperator, E: sp.csr_matrix, scale: SobolevScale
+):
+    """x -> T x for the whitened T = W V^T H1^T E H2 V W of S(op) - S(base),
+    E = op.matrix - base.matrix (module docstring).
 
     Both interior blocks are factored through ``DiscreteOperator.factorization``,
     so a base operator shared by a sweep is factored once, and every solve is
-    residual-checked.  Returns 0.0 without factoring when the two matrices are
-    equal."""
-    E = _difference(base, op)
-    if E.nnz == 0:
-        return 0.0
+    residual-checked."""
     grid = base.grid
     i_idx, b_idx = base.interior_idx, base.boundary_idx
     A1_II, A1_IB = base._interior_blocks()
@@ -391,9 +385,23 @@ def difference_norm(
             out[block.positions] = _real_times(block.vectors.T, Bt @ z)
         return w * out
 
+    return apply
+
+
+def difference_norm(
+    base: DiscreteOperator, op: DiscreteOperator, scale: SobolevScale, seed: int = 0
+) -> float:
+    """H^{1/2} -> H^{-1/2} norm of S(op) - S(base): the largest singular value
+    of the whitened T of ``_whitened_product``, by the power iteration of
+    ``_largest_singular_value`` from a start vector drawn with ``seed``.
+    Returns 0.0 without factoring when the two matrices are equal."""
+    E = _difference(base, op)
+    if E.nnz == 0:
+        return 0.0
+    apply = _whitened_product(base, op, E, scale)
     return _largest_singular_value(
         lambda v: np.conj(apply(np.conj(apply(v)))),
-        len(w),
+        len(scale.eigenvalues),
         rtol=POWER_RTOL,
         max_iterations=POWER_MAX_ITERATIONS,
         seed=seed,
