@@ -25,7 +25,7 @@ def main(argv=None):
     parser.add_argument("--eps-start", type=float, default=0.2)
     parser.add_argument("--eps-count", type=int, default=6)
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed of the power-iteration start vectors"
+        "--seed", type=int, default=0, help="seed of the Lanczos start vectors"
     )
     args = parser.parse_args(argv)
 

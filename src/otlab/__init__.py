@@ -18,7 +18,6 @@ from .errors import (
     InadmissibleWaveNumberError,
     MemoryBudgetError,
     SingularityError,
-    PowerIterationError,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "InadmissibleWaveNumberError",
     "MemoryBudgetError",
     "SingularityError",
-    "PowerIterationError",
 ]

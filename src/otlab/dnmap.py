@@ -38,8 +38,8 @@ and H1^T A2 H2 = H1^T [0; S2] = S2, hence
     S2 - S1 = H1^T E H2.
 
 The norm is the spectral norm of the whitened T = W V^T (S2 - S1) V W,
-W = (I + D)^{-1/4}, in the M_b-orthonormal eigenbasis V, D, and a power
-iteration needs T only as a product.  For a vector x:
+W = (I + D)^{-1/4}, in the M_b-orthonormal eigenbasis V, D, and a Lanczos
+iteration on T^H T needs T only as a product.  For a vector x:
 
     f = V W x                       (sum over chi of B_chi U_chi (W x)_chi)
     u_I = -A2_II^{-1} A2_IB f       (H2 f = [u_I; f])
@@ -52,7 +52,8 @@ with B_chi = M_b^{-1/2} Q_chi, so the dense V is never formed.
 One product costs one solve with A2_II and one with A1_II and forms no
 boundary-sized matrix, and the difference comes without the cancellation of
 subtracting two O(1) matrices.  T is complex symmetric, so
-T^H v = conj(T conj(v)), and a power step T^H T v costs four solves.
+T^H v = conj(T conj(v)), and a Lanczos step, one product T^H T v, costs four
+solves.
 """
 
 from __future__ import annotations
@@ -64,15 +65,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import FactorizationError, PowerIterationError, ResidualError
+from .errors import FactorizationError, ResidualError
 from .grid import GridDomain
 from .medium import OpticalMedium, split_real_imag
 from .solver import SOLVE_RTOL, DiscreteOperator, assemble, solve_dirichlet
 
 DN_CHUNK = 64
-# power iteration for operator norms: relative eigenvalue tolerance, step cap
+# Lanczos operator norms: Ritz residual relative to the Ritz value
 POWER_RTOL = 1e-8
-POWER_MAX_ITERATIONS = 50_000
 
 
 def symmetry_bases(grid: GridDomain) -> list[sp.csr_matrix]:
@@ -392,9 +392,9 @@ def difference_norm(
     base: DiscreteOperator, op: DiscreteOperator, scale: SobolevScale, seed: int = 0
 ) -> float:
     """H^{1/2} -> H^{-1/2} norm of S(op) - S(base): the largest singular value
-    of the whitened T of ``_whitened_product``, by the power iteration of
-    ``_largest_singular_value`` from a start vector drawn with ``seed``.
-    Returns 0.0 without factoring when the two matrices are equal."""
+    of the whitened T of ``_whitened_product``, by the Lanczos iteration of
+    ``_largest_singular_value`` on T^H T from a start vector drawn with
+    ``seed``.  Returns 0.0 without factoring when the two matrices are equal."""
     E = _difference(base, op)
     if E.nnz == 0:
         return 0.0
@@ -403,7 +403,6 @@ def difference_norm(
         lambda v: np.conj(apply(np.conj(apply(v)))),
         len(scale.eigenvalues),
         rtol=POWER_RTOL,
-        max_iterations=POWER_MAX_ITERATIONS,
         seed=seed,
     )
 
@@ -413,39 +412,51 @@ def _whitened(delta: np.ndarray, scale: SobolevScale) -> np.ndarray:
     realizes the H^{1/2} -> H^{-1/2} operator norm.
 
     V is real, so the congruence is taken part by part: two real GEMMs cost
-    less than one complex GEMM with V promoted to complex."""
+    less than one complex GEMM with V promoted to complex.  The result is
+    filled and weighted in place, in Fortran order, so LAPACK takes it
+    without a copy."""
     w = (1.0 + scale.eigenvalues) ** -0.25
     V = scale.eigenvectors
-    core = V.T @ delta.real @ V + 1j * (V.T @ delta.imag @ V)
-    return (w[:, None] * core) * w[None, :]
+    core = np.empty(delta.shape, dtype=complex, order="F")
+    core.real = V.T @ delta.real @ V
+    core.imag = V.T @ delta.imag @ V
+    core *= w[:, None]
+    core *= w[None, :]
+    return core
 
 
-def _largest_singular_value(
-    gram, n: int, rtol: float, max_iterations: int, seed: int
-) -> float:
-    """Largest singular value of T by power iteration on T* T, given as the
-    product ``gram``: v -> T* T v on vectors of length ``n``, from a random
-    start vector drawn with ``seed``; stops at relative eigenvalue residual
-    ``rtol`` and raises PowerIterationError after ``max_iterations`` steps."""
+def _largest_singular_value(gram, n: int, rtol: float, seed: int) -> float:
+    """Largest singular value of T by Lanczos on the Hermitian G = T* T, given
+    as the product ``gram``: v -> G v on vectors of length ``n``, from a
+    random start vector drawn with ``seed``.
+
+    The basis grows by one vector per step and is fully reorthogonalised,
+    two classical Gram-Schmidt passes per step.  The top Ritz pair (theta, s)
+    of the k x k tridiagonal has the residual ||G y - theta y|| = beta_k |s_k|
+    for its Ritz vector y, which bounds |theta - sigma_max^2| as G is
+    Hermitian; the loop stops when that is at most ``rtol`` theta, at an
+    exact breakdown (beta_k = 0), or at k = n, where the Ritz value is exact.
+    A zero operator breaks down at the first step and returns 0.0."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
-    history = []
-    for _ in range(max_iterations):
+    basis, alpha, beta = [v], [], []
+    while True:
         w = gram(v)
-        theta = float(np.real(np.vdot(v, w)))
-        if theta == 0.0:
-            return 0.0
-        # Hermitian eigenvalue residual bound: |theta - sigma_max^2| <= ||w - theta v||
-        residual = np.linalg.norm(w - theta * v)
-        history.append(theta)
-        if residual <= rtol * theta:
+        alpha.append(float(np.real(np.vdot(v, w))))
+        Q = np.array(basis)
+        for _ in range(2):
+            w -= Q.T @ (Q.conj() @ w)
+        b = float(np.linalg.norm(w))
+        k = len(alpha)
+        (theta,), s = scipy.linalg.eigh_tridiagonal(
+            alpha, beta, select="i", select_range=(k - 1, k - 1)
+        )
+        if b * abs(s[-1, 0]) <= rtol * theta or k == n:
             return float(np.sqrt(theta))
-        v = w / np.linalg.norm(w)
-    raise PowerIterationError(
-        f"operator-norm power iteration did not converge in {max_iterations} steps",
-        history=history[-20:],
-    )
+        beta.append(b)
+        v = w / b
+        basis.append(v)
 
 
 def sobolev_operator_norm(delta: np.ndarray, scale: SobolevScale) -> float:

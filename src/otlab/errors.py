@@ -48,13 +48,3 @@ class MemoryBudgetError(OtlabError):
 class SingularityError(OtlabError):
     """Evaluation requested exactly at an excluded singular point."""
 
-
-class PowerIterationError(OtlabError):
-    """Operator-norm power iteration ran out of its iteration budget.
-
-    ``history`` carries the trailing Rayleigh-quotient values.
-    """
-
-    def __init__(self, message: str, history=None):
-        self.history = list(history or [])
-        super().__init__(message)

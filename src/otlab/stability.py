@@ -6,7 +6,7 @@ H^{1/2} -> H^{-1/2} norm of the difference of the two D-N operators and
 compares it with boundary sup norms of the absorption difference and of its
 directional derivatives along the exterior non-tangential field.  The
 difference comes from the discrete Alessandrini identity S2 - S1 = H1^T E H2
-(``dnmap.difference_norm``), applied to vectors inside a power iteration:
+(``dnmap.difference_norm``), applied to vectors inside a Lanczos iteration:
 the base medium's interior LU, its sampled tensor and the boundary
 eigenbasis are built once per sweep, each amplitude factors its own
 interior block, and no boundary-sized (Nb x Nb) matrix is formed.  The
@@ -345,7 +345,7 @@ def run_stability_experiment(
     observed ratios norm / gap^{delta_j}.  Amplitudes of both signs, a
     ladder with no nonzero admissible amplitude and a ``scale`` built on
     another grid raise ValueError.  ``seed`` draws the start vector of each
-    power iteration.  Each medium's tensor is sampled once per sweep.
+    Lanczos iteration.  Each medium's tensor is sampled once per sweep.
     """
     base = pspec.base
     grid = base.grid

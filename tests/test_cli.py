@@ -302,9 +302,9 @@ class TestCliCommands:
         rows = (out / "stability_rows.csv").read_text().splitlines()
         assert any(line.startswith("eps,") for line in rows)
 
-    def test_seed_draws_the_power_iteration_start(self, tmp_path, monkeypatch):
-        # the seed changes only the start vector of the sweep's power
-        # iterations: gaps agree to the iteration's tolerance, and one seed
+    def test_seed_draws_the_lanczos_start(self, tmp_path, monkeypatch):
+        # the seed changes only the start vector of the sweep's Lanczos
+        # iterations: gaps agree to the Ritz-residual tolerance, and one seed
         # reproduces its reports bytewise; the norm of `dn` is exact
         real = otlab.dnmap._largest_singular_value
         seen = []

@@ -11,7 +11,9 @@ from otlab.dnmap import (
     DNOperator,
     SobolevScale,
     SymmetryBlock,
+    POWER_RTOL,
     _difference,
+    _largest_singular_value,
     _whitened,
     _whitened_product,
     alessandrini_residual,
@@ -340,6 +342,63 @@ class TestOperatorNorm:
         assert slope == pytest.approx(1.0, abs=0.1)
 
 
+def gram_of(singular_values, seed=0):
+    """G = T^H T for a complex T = U diag(sigma) W^H with random unitary U, W,
+    and a counter of its products."""
+    rng = np.random.default_rng(seed)
+    n = len(singular_values)
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q
+
+    T = unitary() @ np.diag(singular_values) @ unitary().conj().T
+    G = T.conj().T @ T
+    calls = []
+
+    def gram(v):
+        calls.append(len(calls))
+        return G @ v
+
+    return T, gram, calls
+
+
+class TestLargestSingularValue:
+    """Lanczos on T^H T against dense SVDs of small T of known spectrum."""
+
+    def test_near_degenerate_top_pair(self):
+        sigma = np.concatenate([[1.0, 0.999], np.linspace(0.9, 0.01, 58)])
+        T, gram, _ = gram_of(sigma)
+        value = _largest_singular_value(gram, len(sigma), rtol=POWER_RTOL, seed=0)
+        dense = np.linalg.svd(T, compute_uv=False)[0]
+        assert value == pytest.approx(dense, rel=1e-12)
+
+    def test_repeated_top_singular_value_terminates(self):
+        sigma = np.concatenate([[2.0, 2.0, 2.0], np.linspace(1.9, 0.1, 37)])
+        T, gram, calls = gram_of(sigma, seed=1)
+        value = _largest_singular_value(gram, len(sigma), rtol=POWER_RTOL, seed=3)
+        assert value == pytest.approx(2.0, rel=1e-12)
+        assert len(calls) <= len(sigma)
+
+    def test_rank_one(self):
+        sigma = np.zeros(30)
+        sigma[0] = 0.7
+        _, gram, calls = gram_of(sigma, seed=2)
+        value = _largest_singular_value(gram, len(sigma), rtol=POWER_RTOL, seed=4)
+        assert value == pytest.approx(0.7, rel=1e-12)
+        assert len(calls) <= 3
+
+    def test_zero_operator(self):
+        calls = []
+
+        def gram(v):
+            calls.append(len(calls))
+            return np.zeros_like(v)
+
+        assert _largest_singular_value(gram, 12, rtol=POWER_RTOL, seed=0) == 0.0
+        assert len(calls) == 1
+
+
 class TestAlessandrini:
     def test_identical_media_residual_vanishes(self, grid9):
         med = medium_on(grid9)
@@ -454,7 +513,7 @@ class TestPatchOperatorNorm:
         dense = largest_singular_value(dense_difference(base, op2), scale9)
         assert difference_norm(base, op2, scale9) == pytest.approx(dense, rel=1e-12)
 
-    def test_power_iteration_matches_dense_svd(self, grid9, scale9, route9):
+    def test_lanczos_matches_dense_svd(self, grid9, scale9, route9):
         spec, base = route9
         op2 = assemble(spec.perturbed(0.1), grid9)
         dense = largest_singular_value(dense_difference(base, op2), scale9)
