@@ -286,6 +286,12 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
         )
     if count < 1:
         raise ConfigError("/experiments/stability", f"eps_count must be at least 1, got {count}")
+    if not 0 <= h_order <= PerturbationSpec.smoothness:
+        raise ConfigError(
+            "/experiments/stability",
+            f"h must lie in 0..{PerturbationSpec.smoothness} (the smoothness of the "
+            f"perturbation family), got {h_order}",
+        )
     overrides = {}
     if args.alpha is not None:
         overrides["alpha"] = args.alpha

@@ -67,12 +67,12 @@ import scipy.sparse as sp
 
 from .errors import FactorizationError, ResidualError
 from .grid import GridDomain
-from .medium import OpticalMedium, split_real_imag
-from .solver import SOLVE_RTOL, DiscreteOperator, assemble, solve_dirichlet
+from .medium import OpticalMedium
+from .solver import SOLVE_RTOL, DiscreteOperator, assemble
 
 DN_CHUNK = 64
 # Lanczos operator norms: Ritz residual relative to the Ritz value
-POWER_RTOL = 1e-8
+LANCZOS_RTOL = 1e-8
 
 
 def symmetry_bases(grid: GridDomain) -> list[sp.csr_matrix]:
@@ -212,29 +212,6 @@ class SobolevScale:
             V[:, block.positions] = block.basis @ block.vectors
         return V
 
-    def coefficients(self, f: np.ndarray) -> np.ndarray:
-        """Expansion coefficients of boundary data in the M_b-orthonormal basis."""
-        return self.eigenvectors.T @ (self.mass * np.asarray(f))
-
-    def norm(self, f: np.ndarray, order: float) -> float:
-        c = self.coefficients(f)
-        return float(np.sqrt(np.sum((1.0 + self.eigenvalues) ** order * np.abs(c) ** 2)))
-
-    def fractional_weight(self, f: np.ndarray, order: float) -> np.ndarray:
-        """Apply (I + Delta_b)^order to boundary data."""
-        c = self.coefficients(f)
-        return self.eigenvectors @ ((1.0 + self.eigenvalues) ** order * c)
-
-    def duality_pairing(self, phi: np.ndarray, f: np.ndarray) -> complex:
-        """Discrete L^2(boundary) pairing sum(M phi conj(f))."""
-        return complex(np.sum(self.mass * np.asarray(phi) * np.conj(np.asarray(f))))
-
-
-def sobolev_pairing(f, g, scale: SobolevScale, order: float) -> complex:
-    """H^{order} inner product of boundary data (order = +1/2 or -1/2)."""
-    cf, cg = scale.coefficients(f), scale.coefficients(g)
-    return complex(np.sum((1.0 + scale.eigenvalues) ** (2 * order) * cf * np.conj(cg)))
-
 
 @dataclass
 class DNOperator:
@@ -244,10 +221,6 @@ class DNOperator:
     boundary_idx: np.ndarray
     medium_fingerprint: str
     grid_fingerprint: str
-
-    def pairing(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """<Lambda f, conj(g)> = g^T (S f); bilinear in both arguments."""
-        return complex(np.asarray(g) @ (self.matrix @ np.asarray(f)))
 
     def save(self, path, metadata: dict | None = None):
         extra = {key: np.array(str(value)) for key, value in (metadata or {}).items()}
@@ -295,32 +268,24 @@ def assemble_dn(
     medium: OpticalMedium,
     grid: GridDomain | None = None,
     operator: DiscreteOperator | None = None,
-    boundary_order: np.ndarray | None = None,
 ) -> DNOperator:
-    """Dirichlet-to-Neumann matrix on the nodal boundary basis.
+    """Dirichlet-to-Neumann matrix on the nodal boundary basis, boundary
+    nodes in ascending flat order.
 
-    One factorization is shared across all columns.  ``boundary_order``
-    optionally reindexes the boundary degrees of freedom (a permutation of
-    0..Nb-1); the default is ascending flat node order.
+    One factorization is shared across all columns.
     """
     grid = grid or medium.grid
     op = operator if operator is not None else assemble(medium, grid, include_reaction=True)
     A = op.matrix
     A_II, A_IB = op._interior_blocks()
     i_idx, b_idx = op.interior_idx, op.boundary_idx
-    if boundary_order is not None:
-        boundary_order = np.asarray(boundary_order)
-        if sorted(boundary_order.tolist()) != list(range(len(b_idx))):
-            raise ValueError("boundary_order must be a permutation of the boundary set")
-        b_idx = b_idx[boundary_order]
-        A_IB = A_IB[:, boundary_order]
 
     A_BI = A[b_idx][:, i_idx].tocsr()
-    A_BB = A[b_idx][:, b_idx].toarray()
     lu = op.factorization()
     nb = len(b_idx)
 
-    S = np.array(A_BB, dtype=complex)
+    # the dense A_BB block is a fresh complex array; the columns accumulate in it
+    S = A[b_idx][:, b_idx].toarray()
     for start in range(0, nb, DN_CHUNK):
         sel = slice(start, min(start + DN_CHUNK, nb))
         rhs = -A_IB[:, sel].toarray()
@@ -402,7 +367,7 @@ def difference_norm(
     return _largest_singular_value(
         lambda v: np.conj(apply(np.conj(apply(v)))),
         len(scale.eigenvalues),
-        rtol=POWER_RTOL,
+        rtol=LANCZOS_RTOL,
         seed=seed,
     )
 
@@ -465,48 +430,3 @@ def sobolev_operator_norm(delta: np.ndarray, scale: SobolevScale) -> float:
     SVD."""
     T = _whitened(np.asarray(delta, dtype=complex), scale)
     return float(scipy.linalg.svdvals(T, overwrite_a=True)[0])
-
-
-def alessandrini_residual(
-    medium1: OpticalMedium,
-    medium2: OpticalMedium,
-    f,
-    g,
-    dn1: DNOperator | None = None,
-    dn2: DNOperator | None = None,
-) -> float:
-    """Relative defect of the boundary-volume identity
-
-        <(L1 - L2) f, conj(g)> = int (K1 - K2) grad u . grad v
-                                 + int (mu1 - mu2) u v
-
-    where u solves with medium1 and data f, v with medium2 and data g.
-    Volume integrals use trapezoid quadrature and discrete gradients, so the
-    defect is pure discretization error and shrinks under refinement.
-    """
-    grid = medium1.grid
-    if medium2.grid is not grid and medium2.grid != grid:
-        raise ValueError("media must share one grid")
-    tensor1, tensor2 = split_real_imag(medium1), split_real_imag(medium2)
-    op1 = assemble(medium1, grid, tensor=tensor1)
-    op2 = assemble(medium2, grid, tensor=tensor2)
-    if dn1 is None:
-        dn1 = assemble_dn(medium1, grid, operator=op1)
-    if dn2 is None:
-        dn2 = assemble_dn(medium2, grid, operator=op2)
-
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    lhs = dn1.pairing(f, g) - dn2.pairing(f, g)
-
-    u = solve_dirichlet(op1, f).values
-    v = solve_dirichlet(op2, g).values
-    grad_u = grid.gradient(u)
-    grad_v = grid.gradient(v)
-    dK = tensor1.K - tensor2.K
-    w = grid.volume_weights
-    vol_grad = np.sum(w * np.einsum("pi,pij,pj->p", grad_u, dK, grad_v))
-    vol_mass = np.sum(w * (medium1.mu_a - medium2.mu_a) * u * v)
-
-    scale = max(abs(lhs), abs(vol_grad) + abs(vol_mass), 1e-300)
-    return float(abs(lhs - vol_grad - vol_mass) / scale)

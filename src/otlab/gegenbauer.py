@@ -14,9 +14,11 @@ finite sum
 
     C_m(z) = sum_{j=0}^{floor(m/2)} (-1)^j (alpha)_{m-j} / (j! (m-2j)!) (2z)^{m-2j}
 
-is retained as an independent oracle; its coefficients are exact because
-the Gamma-function ratio reduces to the rising factorial (alpha)_{m-j},
-a rational number for every integer dimension.
+gives the coefficient tables; its coefficients are exact because the
+Gamma-function ratio reduces to the rising factorial (alpha)_{m-j}, a
+rational number for every integer dimension.  The tests evaluate the sum
+in exact rational arithmetic as the oracle for the recurrence, next to the
+derivatives and ODE residuals they check, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -83,85 +85,6 @@ def sum_coefficients(m: int, dimension: int) -> list[tuple[int, Fraction]]:
 def gegenbauer_eval(spec: GegenbauerSpec, z):
     """Value of C_m^{(n-2)/2} at the (possibly complex) argument z."""
     return _recurrence(spec.m, float(spec.order), z)
-
-
-def _sum_eval_exact(m: int, dimension: int, z: complex) -> complex:
-    # exact rational complex arithmetic: float inputs convert to Fractions
-    # without loss, so the only rounding is the final cast back to complex
-    zr, zi = Fraction(float(np.real(z))) * 2, Fraction(float(np.imag(z))) * 2
-    powers = [(Fraction(1), Fraction(0))]
-    for _ in range(m):
-        pr, pi = powers[-1]
-        powers.append((pr * zr - pi * zi, pr * zi + pi * zr))
-    total_r, total_i = Fraction(0), Fraction(0)
-    for power, coeff in sum_coefficients(m, dimension):
-        pr, pi = powers[power]
-        total_r += coeff * pr
-        total_i += coeff * pi
-    return complex(float(total_r), float(total_i))
-
-
-def gegenbauer_sum_eval(spec: GegenbauerSpec, z):
-    """Direct evaluation of the finite sum with exact rational arithmetic.
-
-    This is the cancellation-free oracle the recurrence is validated
-    against; it is scalar-looped and therefore slower than
-    ``gegenbauer_eval``.
-    """
-    arr = np.asarray(z)
-    if arr.ndim == 0:
-        out = _sum_eval_exact(spec.m, spec.dimension, complex(arr))
-        return out.real if np.isrealobj(arr) else out
-    flat = np.array([_sum_eval_exact(spec.m, spec.dimension, complex(v)) for v in arr.ravel()])
-    out = flat.reshape(arr.shape)
-    return out.real if np.isrealobj(arr) else out
-
-
-def gegenbauer_derivative(spec: GegenbauerSpec, z):
-    """d/dz C_m^{(n-2)/2}(z) via the order-raising identity 2*alpha*C_{m-1}^{alpha+1}."""
-    if spec.m == 0:
-        return np.zeros_like(np.asarray(z))
-    alpha = float(spec.order)
-    return 2.0 * alpha * _recurrence(spec.m - 1, alpha + 1.0, z)
-
-
-def gegenbauer_second_derivative(spec: GegenbauerSpec, z):
-    if spec.m <= 1:
-        return np.zeros_like(np.asarray(z))
-    alpha = float(spec.order)
-    return 4.0 * alpha * (alpha + 1.0) * _recurrence(spec.m - 2, alpha + 2.0, z)
-
-
-@dataclass(frozen=True)
-class OdeResiduals:
-    """Residuals of the two candidate second-order ODEs at one argument.
-
-    ``standard`` is (1-t^2) y'' - (n-1) t y' + m (m+n-2) y, the equation the
-    order-(n-2)/2 polynomials satisfy.  ``variant`` is the alternative form
-    (t^2-1) y'' + 2 t (n-1) y' - m (m+n-2) y, reported side by side; the two
-    differ by a factor of 2 on the first-order coefficient and only one of
-    them can vanish on the polynomial family.  ``scale`` is the sum of the
-    term magnitudes of the standard form, for relative comparisons.
-    """
-
-    standard: float
-    variant: float
-    scale: float
-
-
-def ode_residual(spec: GegenbauerSpec, t: float) -> OdeResiduals:
-    """Evaluate both candidate ODE residuals at a real argument |t| <= 1."""
-    if abs(t) > 1.0 + 1e-12:
-        raise ValueError(f"argument must satisfy |t| <= 1, got {t}")
-    n, m = spec.dimension, spec.m
-    y = float(gegenbauer_eval(spec, t))
-    dy = float(gegenbauer_derivative(spec, t))
-    d2y = float(gegenbauer_second_derivative(spec, t))
-    lam = m * (m + n - 2)
-    standard = (1.0 - t * t) * d2y - (n - 1.0) * t * dy + lam * y
-    variant = (t * t - 1.0) * d2y + 2.0 * t * (n - 1.0) * dy - lam * y
-    scale = abs((1.0 - t * t) * d2y) + abs((n - 1.0) * t * dy) + abs(lam * y)
-    return OdeResiduals(standard=standard, variant=variant, scale=scale)
 
 
 def endpoint_values(spec: GegenbauerSpec) -> tuple[float, float]:

@@ -4,10 +4,21 @@ The forward operator is L = -div(K grad .) + q with
 
     K = (1/n) ((mu_a - i k) I + (I - B) mu_s)^{-1},      q = mu_a - i k.
 
-All pointwise algebra lives here: the closed forms for Re K and Im K, the
+All pointwise algebra lives here: the one formula for the real part
+
+    M = mu_a I + (I - B) mu_s,      K^{-1} = n (M - i k I),
+
+(``base_matrix``), the closed forms for Re K and Im K built on it, the
 two-sided ellipticity bounds they satisfy under the a-priori assumptions,
-the equivalent real 2n x 2n block coefficient, and the admissible
-wave-number intervals of the boundary-stability theory.
+and the admissible wave-number intervals of the boundary-stability theory.
+
+Writing u = u_R + i u_I turns the complex equation into a real system for
+(u_R, u_I) with the 2n x 2n block coefficient [[K_R, -K_I], [K_I, K_R]]
+and the reaction block [[mu_a, k], [-k, mu_a]].  Their quadratic forms see
+only K_R and mu_a, which is why ``verify_ellipticity`` audits the spectrum
+of K_R alone; no code path builds the blocks.  The pointwise tensor K and
+its sensitivity dK/dmu_a = -n K^2 are checked in the tests by inverting
+n (M - ik I) directly.
 """
 
 from __future__ import annotations
@@ -18,7 +29,6 @@ import math
 
 import numpy as np
 
-from .errors import EllipticityError
 from .expressions import Expression
 from .grid import GridDomain
 
@@ -92,67 +102,19 @@ def is_wave_number_admissible(k: float, lam: float, cal_e: float, n: int) -> boo
     return (0.0 < k <= k0) or (k >= k0_tilde)
 
 
-def _base_matrix(mu_a, mu_s, B, k, n):
-    """n ((mu_a - ik) I + (I - B) mu_s), the inverse of the diffusion tensor."""
-    eye = np.eye(n)
-    B = np.zeros((n, n)) if B is None else np.asarray(B, dtype=float)
-    return n * ((mu_a - 1j * k) * eye + (eye - B) * mu_s)
+def base_matrix(mu_a, mu_s, B) -> np.ndarray:
+    """M = mu_a I + (I - B) mu_s, the real part of K^{-1} / n, over any leading axes.
 
-
-def diffusion_tensor(mu_a: float, mu_s: float, B, k: float, n: int) -> np.ndarray:
-    """K = (1/n) ((mu_a - ik) I + (I - B) mu_s)^{-1}, complex symmetric n x n.
-
-    k = 0 is accepted here for unit testing the pure algebra; the experiment
-    pipeline rejects it.
+    ``mu_a`` and ``mu_s`` broadcast against the leading axes of ``B``
+    (..., n, n).  This is the only place M is written out:
+    ``split_real_imag`` samples K from it,
+    ``SingularityPoint.from_coefficients`` freezes K^{-1} = n (M - ik I)
+    and ``stability.tensor_derivative_gap`` differentiates it.
     """
-    M = _base_matrix(mu_a, mu_s, B, k, n)
-    try:
-        K = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise EllipticityError(
-            f"diffusion tensor undefined: singular base matrix at mu_a={mu_a}, "
-            f"mu_s={mu_s}, k={k}"
-        ) from exc
-    return K
-
-
-def diffusion_tensor_sensitivity(mu_a: float, mu_s: float, B, k: float, n: int) -> np.ndarray:
-    """Derivative of K with respect to mu_a: -n K^2."""
-    K = diffusion_tensor(mu_a, mu_s, B, k, n)
-    return -n * (K @ K)
-
-
-def tensor_real_imag_parts(mu_a, mu_s, B, k, n):
-    """(K_R, K_I) from the closed forms
-
-        K_R = (1/n) (M^2 + k^2 I)^{-1} M,    K_I = (k/n) (M^2 + k^2 I)^{-1},
-
-    with M = mu_a I + (I - B) mu_s.  Both are real symmetric.
-    """
-    eye = np.eye(n)
-    B = np.zeros((n, n)) if B is None else np.asarray(B, dtype=float)
-    M = mu_a * eye + (eye - B) * mu_s
-    core = np.linalg.inv(M @ M + k * k * eye)
-    return (core @ M) / n, k * core / n
-
-
-def reaction_block(mu_a: float, k: float) -> np.ndarray:
-    """Real 2x2 reaction coefficient [[mu_a, k], [-k, mu_a]].
-
-    Its symmetric part is mu_a I, so the quadratic form equals mu_a |xi|^2.
-    """
-    return np.array([[mu_a, k], [-k, mu_a]])
-
-
-def real_block_matrix(K_R: np.ndarray, K_I: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n block coefficient [[K_R, -K_I], [K_I, K_R]].
-
-    Works pointwise ((n, n) inputs) or on stacked fields ((N, n, n))."""
-    K_R = np.asarray(K_R, dtype=float)
-    K_I = np.asarray(K_I, dtype=float)
-    top = np.concatenate([K_R, -K_I], axis=-1)
-    bottom = np.concatenate([K_I, K_R], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+    eye = np.eye(B.shape[-1])
+    mu_a = np.asarray(mu_a)[..., None, None]
+    mu_s = np.asarray(mu_s)[..., None, None]
+    return mu_a * eye + (eye - B) * mu_s
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +256,17 @@ class ComplexTensorField:
 def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
     """Sample K, K_R, K_I and q over the whole grid.
 
-    K_R and K_I come from their closed forms, one batched real inverse, and
-    K = K_R + i K_I, which matches the direct complex inverse to round-off.
+    K_R and K_I come from their closed forms
+
+        K_R = (1/n) (M^2 + k^2 I)^{-1} M,    K_I = (k/n) (M^2 + k^2 I)^{-1},
+
+    M = ``base_matrix``, one batched real inverse, and K = K_R + i K_I,
+    which matches the direct complex inverse to round-off.
     """
     a = medium.apriori
     n, k = a.n, a.k
     eye = np.eye(n)
-    M = medium.mu_a[:, None, None] * eye + (eye[None, :, :] - medium.B) * medium.mu_s[:, None, None]
+    M = base_matrix(medium.mu_a, medium.mu_s, medium.B)
     core = np.linalg.inv(M @ M + k * k * eye[None, :, :])
     K_R = (core @ M) / n
     K_I = (k / n) * core

@@ -1,29 +1,30 @@
 """Singular solutions with an isolated singularity of arbitrary order.
 
-For a frozen complex tensor K^{-1}(z) the leading terms are
+For a frozen complex tensor K^{-1}(z) = n (M(z) - ik I), M from
+``medium.base_matrix``, the leading terms are
 
     u_m(x) = (K^{-1}(z) v . v)^{(2-n-m)/2} m! (K^{-1}_{nn}(z))^{m/2}
              C_m^{(n-2)/2}( K^{-1}_{(n)}(z) v / (K^{-1}_{nn}(z) K^{-1}(z) v . v)^{1/2} ),
 
 v = x - z, with complex powers on the principal branch.  They are the
-y_n-derivatives of the anisotropic fundamental solution at the pole, and an
-independent double-sum evaluation of that derivative (the induction route)
-is kept as an oracle against transcription errors in the closed form.
+y_n-derivatives of the anisotropic fundamental solution at the pole, which
+is u_0.  The independent routes the closed form is checked against (the
+induction double sum, the isotropic simplification, the analytic gradient
+and the gradient lower bracket) live with the tests, in ``tests/oracles.py``.
 
-The module also houses the truncated Laplace kernel, the truncated
-Newtonian potential (the decay workhorse behind the remainder estimates),
-the discrete annulus correction solve, and the gradient lower-bound
-bracket (2-n-m)^2 C^2 + (C')^2 (1 - t^2).
+The module also houses the truncated Newtonian potential (the decay
+workhorse behind the remainder estimates) and the discrete annulus
+correction solve.
 
 The potential quadrature is a product rule: cached, read-only Gauss
 nodes on fixed unit directions times radial nodes per shell or segment.
 Its kernel series in (|y|/|x|)^j P_j(x^ . y^) (the tail j > nu near the
 origin, the removed moments j <= nu further out) is therefore tabulated as
 P_j on the directions once per call, and each set of radii costs one
-small matrix product; ``truncated_laplace_kernel`` stays the direct route
-the tests compare against.  The nodes of a shell or segment do not depend
-on the probe, so a decay fit evaluates the source once per block that its
-probes share.
+small matrix product; the direct truncated Laplace kernel the tests
+compare it with is in ``tests/oracles.py``.  The nodes of a shell or
+segment do not depend on the probe, so a decay fit evaluates the source
+once per block that its probes share.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureBudgetError, SingularityError
-from .gegenbauer import GegenbauerSpec, gegenbauer_derivative, gegenbauer_eval
-from .medium import OpticalMedium
+from .gegenbauer import GegenbauerSpec, gegenbauer_eval
+from .medium import OpticalMedium, base_matrix
 from .solver import ComplexField, assemble, solve_dirichlet
 
 
@@ -81,10 +82,9 @@ class SingularityPoint:
 
     @classmethod
     def from_coefficients(cls, z, mu_a: float, mu_s: float, B, k: float, n: int):
-        """Freeze K^{-1}(z) = n((mu_a - ik) I + (I - B) mu_s) at the pole."""
-        eye = np.eye(n)
+        """Freeze K^{-1}(z) = n (M - ik I), M = ``medium.base_matrix``, at the pole."""
         B = np.zeros((n, n)) if B is None else np.asarray(B, dtype=float)
-        K_inv = n * ((mu_a - 1j * k) * eye + (eye - B) * mu_s)
+        K_inv = n * (base_matrix(mu_a, mu_s, B) - 1j * k * np.eye(n))
         return cls(np.asarray(z, dtype=float), K_inv)
 
     @property
@@ -123,15 +123,6 @@ def _scalarize(values: np.ndarray, x) -> np.ndarray | complex:
     return complex(values[0]) if np.asarray(x).ndim == 1 else values
 
 
-def fundamental_solution(at: SingularityPoint, x):
-    """(K^{-1}(z)(x-z).(x-z))^{(2-n)/2}: kills the frozen principal part."""
-    v = _displacement(at, x)
-    n = at.dimension
-    Q = np.einsum("pi,ij,pj->p", v, at.K_inv, v)
-    vals = principal_branch_power(Q, (2.0 - n) / 2.0)
-    return _scalarize(np.atleast_1d(vals), x)
-
-
 def leading_term(spec: SingularSolutionSpec, x):
     """Order-m leading term u_m; homogeneous of degree 2 - n - m in x - z."""
     at, m = spec.at, spec.m
@@ -154,119 +145,6 @@ def leading_term(spec: SingularSolutionSpec, x):
     return _scalarize(np.atleast_1d(vals), x)
 
 
-def leading_term_gradient(spec: SingularSolutionSpec, x):
-    """Analytic gradient of the leading term, shape (..., n)."""
-    at, m = spec.at, spec.m
-    n = at.dimension
-    v = _displacement(at, x)
-    Q = np.einsum("pi,ij,pj->p", v, at.K_inv, v)
-    dQ = 2.0 * v @ at.K_inv
-    gamma = (2.0 - n - m) / 2.0
-    Qg = principal_branch_power(Q, gamma)
-    if m == 0:
-        grad = (gamma * Qg / Q)[:, None] * dQ
-        return grad[0] if np.asarray(x).ndim == 1 else grad
-    b = at.last_entry
-    a = v @ at.last_row
-    sigma = principal_branch_power(b * Q, 0.5)
-    zeta = a / sigma
-    spec_poly = GegenbauerSpec(m, n)
-    c = gegenbauer_eval(spec_poly, zeta)
-    dc = gegenbauer_derivative(spec_poly, zeta)
-    # zeta = a / sigma with sigma^2 = b Q:  d zeta = da/sigma - a b dQ / (2 sigma^3)
-    dzeta = at.last_row[None, :] / sigma[:, None] - (a * b / (2.0 * sigma**3))[:, None] * dQ
-    const = math.factorial(m) * principal_branch_power(b, m / 2.0)
-    grad = const * ((gamma * Qg / Q * c)[:, None] * dQ + Qg[:, None] * dc[:, None] * dzeta)
-    return grad[0] if np.asarray(x).ndim == 1 else grad
-
-
-def leading_term_isotropic(spec: SingularSolutionSpec, x):
-    """Simplified leading term when B(z) = 0:
-
-        m! (mu_a(z) + mu_s(z) - ik)^{(2-n)/2} |x-z|^{2-n-m} C_m((x-z)_n / |x-z|).
-
-    Its constant convention differs from the anisotropic closed form by a
-    fixed power of the dimension; the ratio of the two is checked to be
-    constant, not equal to one.
-    """
-    at, m = spec.at, spec.m
-    n = at.dimension
-    off = at.K_inv - np.diag(np.diag(at.K_inv))
-    if np.abs(off).max() > 1e-10 * np.abs(at.K_inv).max() or np.abs(
-        np.diag(at.K_inv) - at.last_entry
-    ).max() > 1e-10 * abs(at.last_entry):
-        raise ValueError("isotropic form requires a scalar frozen tensor (B(z) = 0)")
-    c = at.last_entry / n  # mu_a + mu_s - ik
-    v = _displacement(at, x)
-    r = np.linalg.norm(v, axis=1)
-    poly = gegenbauer_eval(GegenbauerSpec(m, n), v[:, -1] / r)
-    vals = (
-        math.factorial(m)
-        * principal_branch_power(c, (2.0 - n) / 2.0)
-        * r ** (2.0 - n - m)
-        * poly
-    )
-    return _scalarize(np.atleast_1d(vals), x)
-
-
-def um_via_induction(spec: SingularSolutionSpec, x):
-    """Direct double-sum evaluation of the m-th pole derivative of the
-    fundamental solution (independent oracle for the closed form).
-
-    Partitioning the m-fold derivative of (Q0 - 2 a s + b s^2)^{(2-n)/2}
-    into j second-order and m-2j first-order blocks gives
-
-        sum_j m!/(j! 2^j (m-2j)!) prod_{k<m-j}((2-n)/2 - k)
-              Q^{(2-n)/2-m+j} (-2a)^{m-2j} (2b)^j.
-    """
-    at, m = spec.at, spec.m
-    if m > 8:
-        raise ValueError("induction-formula evaluation capped at order 8 (cost)")
-    n = at.dimension
-    v = _displacement(at, x)
-    Q = np.einsum("pi,ij,pj->p", v, at.K_inv, v)
-    a = v @ at.last_row
-    b = at.last_entry
-    gamma0 = (2.0 - n) / 2.0
-    total = np.zeros(len(v), dtype=complex)
-    for j in range(m // 2 + 1):
-        falling = 1.0
-        for k in range(m - j):
-            falling *= gamma0 - k
-        comb = math.factorial(m) / (math.factorial(j) * 2**j * math.factorial(m - 2 * j))
-        total += (
-            comb
-            * falling
-            * principal_branch_power(Q, gamma0 - m + j)
-            * (-2.0 * a) ** (m - 2 * j)
-            * (2.0 * b) ** j
-        )
-    return _scalarize(total, x)
-
-
-def gradient_lower_bracket(m: int, n: int, t):
-    """(2-n-m)^2 C_m(t)^2 + C_m'(t)^2 (1 - t^2) for real |t| <= 1.
-
-    The square of |x-z|^{n+m-1} |grad u_m| in the isotropic normalization;
-    strictly positive because the polynomial and its derivative never
-    vanish together on [-1, 1].
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-12):
-        raise ValueError("bracket argument must satisfy |t| <= 1")
-    spec = GegenbauerSpec(m, n)
-    c = np.asarray(gegenbauer_eval(spec, t), dtype=float)
-    dc = np.asarray(gegenbauer_derivative(spec, t), dtype=float)
-    out = (2.0 - n - m) ** 2 * c**2 + dc**2 * (1.0 - t * t)
-    return float(out) if out.ndim == 0 else out
-
-
-def bracket_grid_minimum(m: int, n: int, num: int = 10_001) -> float:
-    """Minimum of the gradient bracket over a uniform grid of [-1, 1]."""
-    t = np.linspace(-1.0, 1.0, num)
-    return float(np.min(gradient_lower_bracket(m, n, t)))
-
-
 # ---------------------------------------------------------------------------
 # truncated Laplace kernel and Newtonian potential
 
@@ -275,57 +153,6 @@ def _sphere_constant(n: int) -> float:
     """C_n = ((n-2) omega_{n-1})^{-1}, so the kernel integrates to a delta."""
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     return 1.0 / ((n - 2) * omega)
-
-
-def truncated_laplace_kernel(x, y, nu: int, n: int = 3):
-    """Gamma_nu(x, y): the Laplace fundamental solution with its first
-    nu + 1 exterior-harmonic moments removed,
-
-        Gamma_nu = -C_n |x-y|^{2-n} + C_n sum_{j<=nu} |y|^j / |x|^{j+n-2}
-                                            C_j^{(n-2)/2}(x^ . y^).
-
-    nu = -1 returns the plain fundamental solution.  Harmonic in x away
-    from the origin; decays like (|y|/|x|)^{nu+1} |x|^{2-n} for |y| < |x|.
-    """
-    if nu < -1:
-        raise ValueError("truncation order must be >= -1")
-    x = np.asarray(x, dtype=float)
-    y_was_vector = np.asarray(y).ndim == 1
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    diff = x[None, :] - y
-    dist = np.linalg.norm(diff, axis=1)
-    if np.any(dist == 0.0):
-        raise SingularityError("kernel evaluation at x = y")
-    cn = _sphere_constant(n)
-    out = -cn * dist ** (2.0 - n)
-    if nu >= 0:
-        rx = np.linalg.norm(x)
-        if rx == 0.0:
-            raise SingularityError("truncated kernel needs |x| > 0")
-        ry = np.linalg.norm(y, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosg = np.where(ry > 0.0, (y @ x) / (np.maximum(ry, 1e-300) * rx), 0.0)
-        t = ry / rx
-        acc = np.zeros_like(dist)
-        prev = np.ones_like(dist)
-        cur = None
-        spec_alpha = (n - 2) / 2.0
-        tpow = np.ones_like(dist)
-        for j in range(nu + 1):
-            if j == 0:
-                cj = prev
-            elif j == 1:
-                cur = 2.0 * spec_alpha * cosg
-                cj = cur
-            else:
-                prev, cur = cur, (
-                    2.0 * cosg * (j + spec_alpha - 1.0) * cur - (j + 2.0 * spec_alpha - 2.0) * prev
-                ) / j
-                cj = cur
-            acc += tpow * cj
-            tpow = tpow * t
-        out = out + cn * rx ** (2.0 - n) * acc
-    return float(out[0]) if y_was_vector else out
 
 
 @dataclass(frozen=True)
@@ -454,38 +281,6 @@ def _mollified_inverse_distance(rho: np.ndarray, delta: float) -> np.ndarray:
     return out
 
 
-def newtonian_potential_truncated(
-    f,
-    nu: int,
-    x,
-    radius: float,
-    rule: PotentialRule | None = None,
-    full_output: bool = False,
-):
-    """u(x) = int_{B_radius} Gamma_nu(x, y) f(y) dy for n = 3.
-
-    ``f`` is a callable taking points of shape (k, 3).  The integral is
-    split at |y| = |x|/2: inside, the kernel is summed through its stable
-    tail series over a geometric shell ladder (this is what makes strongly
-    singular f integrable); outside, the Newtonian part is mollified on a
-    ball around x, the removed moments are added as their series, and the
-    exact-minus-mollified difference is added back by a spherical patch
-    quadrature centred at x.  Both series are tabulated on the fixed
-    quadrature directions (see ``_zonal_series``).
-
-    The quadrature points y = rad * d of a block (an inner shell or an
-    outer segment) depend only on the block's endpoints and node counts,
-    never on x; only the kernel does.  A single call evaluates f afresh on
-    every block; ``potential_decay_fit`` shares f's values on the blocks
-    its probes have in common (see there).
-
-    Raises QuadratureBudgetError when the shell ladder fails to settle,
-    reporting the tolerance it did achieve.
-    """
-    total, info = _potential(f, nu, x, radius, rule or PotentialRule(), None)
-    return (total, info) if full_output else total
-
-
 def _block_source(f, memo, key, rad, dirs, keep):
     """f at the block's product nodes rad x dirs, shape (len(rad) * len(dirs),).
 
@@ -504,8 +299,29 @@ def _block_source(f, memo, key, rad, dirs, keep):
 
 
 def _potential(f, nu, x, radius, rule, memo):
-    """``newtonian_potential_truncated`` with its block memo; returns
-    (value, PotentialInfo)."""
+    """u(x) = int_{B_radius} Gamma_nu(x, y) f(y) dy for n = 3.
+
+    ``f`` is a callable taking points of shape (k, 3).  The integral is
+    split at |y| = |x|/2: inside, the kernel is summed through its stable
+    tail series over a geometric shell ladder (this is what makes strongly
+    singular f integrable); outside, the Newtonian part is mollified on a
+    ball around x, the removed moments are added as their series, and the
+    exact-minus-mollified difference is added back by a spherical patch
+    quadrature centred at x.  Both series are tabulated on the fixed
+    quadrature directions (see ``_zonal_series``).
+
+    The quadrature points y = rad * d of a block (an inner shell or an
+    outer segment) depend only on the block's endpoints and node counts,
+    never on x; only the kernel does.  ``memo`` is None or the dict of one
+    ``potential_decay_fit`` (see ``_block_source``): with None, f is
+    evaluated afresh on every block; a fit shares f's values on the blocks
+    its probes have in common (see there).
+
+    Returns (value, PotentialInfo).
+
+    Raises QuadratureBudgetError when the shell ladder fails to settle,
+    reporting the tolerance it did achieve.
+    """
     x = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(x))
     if not 0.0 < r <= 0.75 * radius:
@@ -670,8 +486,8 @@ def potential_decay_fit(
     (the order must satisfy nu = floor(s) - 3 for sources of rate s).
 
     The probes share f's values on the quadrature blocks they have in
-    common; each value equals a separate ``newtonian_potential_truncated``
-    call bit for bit.  A block's nodes depend only on its endpoints and
+    common; each value equals a ``_potential`` call without the memo bit
+    for bit.  A block's nodes depend only on its endpoints and
     node counts, and halving a probe radius halves every endpoint exactly,
     so on dyadic radii the probe at r/2 meets again the inner shells
     [r/2^(i+1), r/2^i] of the probe at r, its outer doubling segments

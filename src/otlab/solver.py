@@ -83,15 +83,6 @@ class DiscreteOperator:
             self._cache["blocks"] = (A_II, A_IB)
         return self._cache["blocks"]
 
-    @property
-    def real_block_matrix(self) -> sp.csc_matrix:
-        """The real block form [[Re A_II, -Im A_II], [Im A_II, Re A_II]] of the
-        interior system, shape (2 Ni, 2 Ni).  Built on each call; no solve
-        uses it, it exposes the real 2n x 2n energy form for inspection."""
-        A_II = self._interior_blocks()[0]
-        re, im = A_II.real, A_II.imag
-        return sp.bmat([[re, -im], [im, re]], format="csc")
-
     def factorization(self):
         """Sparse LU of A_II, cached, for block solves: minimum degree on
         A^T + A, diagonal pivots (see the module docstring for why they
@@ -107,10 +98,6 @@ class DiscreteOperator:
             except RuntimeError as exc:
                 raise FactorizationError(f"sparse LU failed: {exc}") from exc
         return self._cache["lu"]
-
-
-def _axis_index(grid: GridDomain, axis: int) -> np.ndarray:
-    return grid.multi_index()[:, axis]
 
 
 def assemble(
@@ -304,42 +291,3 @@ def apply_operator(op: DiscreteOperator, u) -> np.ndarray:
     if u.shape != (op.grid.num_points,):
         raise ValueError("field shape does not match the grid")
     return (op.matrix @ u)[op.interior_idx] / op.grid.h**3
-
-
-def schauder_ratios(op: DiscreteOperator, field: ComplexField, radii, center=(0.0, 0.0, 0.0), p=4.0):
-    """Interior-regularity monitor over annuli around ``center``.
-
-    For each radius r, returns the ratio of the discrete W^{2,p} seminorm on
-    {r < |x - center| < 2r} to ||Lu||_p + r^{-2} ||u||_p on the enclosing
-    annulus {r/2 < |x - center| < 4r}.  Interior elliptic regularity keeps
-    this bounded; it is a diagnostic, no specific constant is asserted.
-    """
-    grid = op.grid
-    m = grid.m_per_axis
-    u = field.values
-    cube = u.reshape(m, m, m)
-    grads = np.gradient(cube, grid.h, edge_order=2)
-    hess_sq = np.zeros(grid.num_points)
-    for gcomp in grads:
-        for second in np.gradient(gcomp, grid.h, edge_order=2):
-            hess_sq += np.abs(second.ravel()) ** 2
-    hess = np.sqrt(hess_sq)
-
-    lu = np.zeros(grid.num_points)
-    lu[op.interior_idx] = np.abs(apply_operator(op, u))
-    dist = np.linalg.norm(grid.points - np.asarray(center, dtype=float), axis=1)
-    w = grid.volume_weights
-    interior = grid.interior_mask
-
-    out = []
-    for r in radii:
-        inner = interior & (dist > r) & (dist < 2 * r)
-        outer = interior & (dist > r / 2) & (dist < 4 * r)
-        if not inner.any() or not outer.any():
-            out.append(np.nan)
-            continue
-        semi = (np.sum(w[inner] * hess[inner] ** p)) ** (1.0 / p)
-        source = (np.sum(w[outer] * lu[outer] ** p)) ** (1.0 / p)
-        mass = (np.sum(w[outer] * np.abs(u[outer]) ** p)) ** (1.0 / p)
-        out.append(semi / (source + mass / r**2 + 1e-300))
-    return np.asarray(out)

@@ -13,21 +13,27 @@ import numpy as np
 import pytest
 
 from otlab import dnmap
-from otlab.dnmap import SobolevScale, _whitened, alessandrini_residual, assemble_dn, difference_norm
-from otlab.gegenbauer import GegenbauerSpec, endpoint_values, gegenbauer_derivative, gegenbauer_eval, ode_residual
+from otlab.dnmap import SobolevScale, _whitened, assemble_dn, difference_norm
+from otlab.gegenbauer import GegenbauerSpec, endpoint_values, gegenbauer_eval
 from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium, k_admissible_ranges
 from otlab.singular import (
     SingularityPoint,
     SingularSolutionSpec,
-    bracket_grid_minimum,
     correction_w,
     leading_term,
     potential_decay_fit,
-    um_via_induction,
 )
 from otlab.solver import apply_operator, assemble, solve_dirichlet
 from otlab.stability import PerturbationSpec, run_stability_experiment
+
+from oracles import (
+    alessandrini_residual,
+    bracket_grid_minimum,
+    gegenbauer_derivative,
+    ode_residual,
+    um_via_induction,
+)
 
 
 def report(number: int, description: str, passed: bool, detail: str = ""):

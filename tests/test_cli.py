@@ -155,6 +155,27 @@ class TestCliExitCodes:
         assert "/experiments/stability" in err and field in err
         assert not (out / "stability_rows.csv").exists()
 
+    @pytest.mark.parametrize("h", [-1, 4])
+    def test_derivative_order_outside_the_smoothness_exits_2(
+        self, tmp_path, capsys, monkeypatch, h
+    ):
+        # h runs from 0 to the smoothness (3) of the perturbation family; any
+        # other order is a configuration error found before the medium is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("the stability command started working")
+
+        monkeypatch.setattr(RunConfig, "medium", no_work)
+        monkeypatch.setattr(otlab.cli, "run_stability_experiment", no_work)
+        stability = {"profile_order": 0, "h": h, "eps_start": 0.2, "eps_count": 3,
+                     "width": 0.3, "depth": 0.4}
+        path = small_config(tmp_path, **{"experiments.stability": stability})
+        out = tmp_path / "o"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: /experiments/stability:" in err
+        assert "h must lie in 0..3" in err and f"got {h}" in err
+        assert list(out.iterdir()) == []
+
     def test_ladder_without_admissible_amplitude_exits_2(self, tmp_path, capsys, monkeypatch):
         # mu_a + eps * profile leaves [1/lam, lam] at eps 5 and 2.5: no
         # amplitude is left, which is a configuration error found before
@@ -332,7 +353,7 @@ class TestCliCommands:
             col = lines[0].split(",").index("dn_gap")
             return np.array([float(l.split(",")[col]) for l in lines[1:]])
 
-        rtol = otlab.dnmap.POWER_RTOL
+        rtol = otlab.dnmap.LANCZOS_RTOL
         np.testing.assert_allclose(gaps(runs["c"]), gaps(runs["a"]), rtol=rtol, atol=0)
 
         norms = []

@@ -11,16 +11,14 @@ from otlab.dnmap import (
     DNOperator,
     SobolevScale,
     SymmetryBlock,
-    POWER_RTOL,
+    LANCZOS_RTOL,
     _difference,
     _largest_singular_value,
     _whitened,
     _whitened_product,
-    alessandrini_residual,
     assemble_dn,
     difference_norm,
     sobolev_operator_norm,
-    sobolev_pairing,
     symmetry_bases,
 )
 from otlab.errors import ResidualError
@@ -28,6 +26,8 @@ from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium
 from otlab.solver import assemble
 from otlab.stability import PerturbationSpec
+
+from oracles import alessandrini_residual
 
 
 def apriori(**kw):
@@ -38,6 +38,13 @@ def apriori(**kw):
 
 def medium_on(grid, mu_a="1", mu_s="1"):
     return OpticalMedium.from_expressions(grid, apriori(), mu_a=mu_a, mu_s=mu_s)
+
+
+def sobolev_norm(scale, f, order):
+    """H^{order} norm of boundary data from its coefficients c in the
+    M_b-orthonormal eigenbasis: sqrt(sum (1 + lambda)^order |c|^2)."""
+    c = scale.eigenvectors.T @ (scale.mass * np.asarray(f))
+    return float(np.sqrt(np.sum((1.0 + scale.eigenvalues) ** order * np.abs(c) ** 2)))
 
 
 @pytest.fixture(scope="module")
@@ -64,14 +71,6 @@ class TestAssembly:
     def test_bilinear_symmetry(self, dn9):
         gap = np.abs(dn9.matrix - dn9.matrix.T).max()
         assert gap <= 1e-9 * np.abs(dn9.matrix).max()
-
-    def test_permutation_equivariance(self, grid9, dn9):
-        rng = np.random.default_rng(42)
-        perm = rng.permutation(len(dn9.boundary_idx))
-        permuted = assemble_dn(medium_on(grid9), grid9, boundary_order=perm)
-        np.testing.assert_allclose(
-            permuted.matrix, dn9.matrix[np.ix_(perm, perm)], rtol=0, atol=1e-12
-        )
 
     def test_save_load_roundtrip(self, dn9, tmp_path):
         path = tmp_path / "dn.npz"
@@ -156,7 +155,7 @@ class TestAssembly:
             dn = assemble_dn(med, grid, operator=op)
             f = 1.0 / np.linalg.norm(grid.points[dn.boundary_idx] - z, axis=1)
             g = grid.points[dn.boundary_idx, 0]
-            errors.append(abs(dn.pairing(f.astype(complex), g.astype(complex)) - exact))
+            errors.append(abs(g.astype(complex) @ (dn.matrix @ f.astype(complex)) - exact))
         order = np.log(errors[0] / errors[1]) / np.log((13 - 1) / (9 - 1))
         assert order >= 1.5
 
@@ -174,7 +173,7 @@ class TestSobolevScale:
         c = 2.5 - 1.0j
         f = np.full(len(scale9.boundary_idx), c)
         expected = scale9.mass.sum() * abs(c) ** 2
-        assert scale9.norm(f, 0.5) ** 2 == pytest.approx(expected, rel=1e-10)
+        assert sobolev_norm(scale9, f, 0.5) ** 2 == pytest.approx(expected, rel=1e-10)
 
     def test_cauchy_schwarz_sandwich(self, scale9):
         rng = np.random.default_rng(3)
@@ -182,14 +181,9 @@ class TestSobolevScale:
         for _ in range(100):
             phi = rng.normal(size=nb)
             f = rng.normal(size=nb)
-            lhs = abs(scale9.duality_pairing(phi, f))
-            assert lhs <= scale9.norm(phi, -0.5) * scale9.norm(f, 0.5) * (1 + 1e-12)
-
-    def test_fractional_weights_compose_to_identity(self, scale9):
-        rng = np.random.default_rng(4)
-        f = rng.normal(size=len(scale9.boundary_idx))
-        back = scale9.fractional_weight(scale9.fractional_weight(f, 0.5), -0.5)
-        np.testing.assert_allclose(back, f, atol=1e-10)
+            lhs = abs(np.sum(scale9.mass * phi * np.conj(f)))  # the L^2 duality pairing
+            bound = sobolev_norm(scale9, phi, -0.5) * sobolev_norm(scale9, f, 0.5)
+            assert lhs <= bound * (1 + 1e-12)
 
     def test_matches_the_generalized_eigenproblem(self, grid9, scale9, dn9):
         # the basis comes from the symmetric M^{-1/2} S M^{-1/2}; the
@@ -208,14 +202,6 @@ class TestSobolevScale:
         delta = other.matrix - dn9.matrix
         assert sobolev_operator_norm(delta, scale9) == pytest.approx(
             sobolev_operator_norm(delta, reference), rel=1e-12
-        )
-
-    def test_pairing_reduces_to_l2_at_order_zero(self, scale9):
-        rng = np.random.default_rng(5)
-        nb = len(scale9.boundary_idx)
-        f, g = rng.normal(size=nb), rng.normal(size=nb)
-        assert sobolev_pairing(f, g, scale9, 0.0) == pytest.approx(
-            np.sum(scale9.mass * f * g), rel=1e-11
         )
 
 
@@ -369,14 +355,14 @@ class TestLargestSingularValue:
     def test_near_degenerate_top_pair(self):
         sigma = np.concatenate([[1.0, 0.999], np.linspace(0.9, 0.01, 58)])
         T, gram, _ = gram_of(sigma)
-        value = _largest_singular_value(gram, len(sigma), rtol=POWER_RTOL, seed=0)
+        value = _largest_singular_value(gram, len(sigma), rtol=LANCZOS_RTOL, seed=0)
         dense = np.linalg.svd(T, compute_uv=False)[0]
         assert value == pytest.approx(dense, rel=1e-12)
 
     def test_repeated_top_singular_value_terminates(self):
         sigma = np.concatenate([[2.0, 2.0, 2.0], np.linspace(1.9, 0.1, 37)])
         T, gram, calls = gram_of(sigma, seed=1)
-        value = _largest_singular_value(gram, len(sigma), rtol=POWER_RTOL, seed=3)
+        value = _largest_singular_value(gram, len(sigma), rtol=LANCZOS_RTOL, seed=3)
         assert value == pytest.approx(2.0, rel=1e-12)
         assert len(calls) <= len(sigma)
 
@@ -384,7 +370,7 @@ class TestLargestSingularValue:
         sigma = np.zeros(30)
         sigma[0] = 0.7
         _, gram, calls = gram_of(sigma, seed=2)
-        value = _largest_singular_value(gram, len(sigma), rtol=POWER_RTOL, seed=4)
+        value = _largest_singular_value(gram, len(sigma), rtol=LANCZOS_RTOL, seed=4)
         assert value == pytest.approx(0.7, rel=1e-12)
         assert len(calls) <= 3
 
@@ -395,7 +381,7 @@ class TestLargestSingularValue:
             calls.append(len(calls))
             return np.zeros_like(v)
 
-        assert _largest_singular_value(gram, 12, rtol=POWER_RTOL, seed=0) == 0.0
+        assert _largest_singular_value(gram, 12, rtol=LANCZOS_RTOL, seed=0) == 0.0
         assert len(calls) == 1
 
 

@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otlab.gegenbauer import (
-    GegenbauerSpec,
-    coefficient_table,
-    endpoint_values,
-    gegenbauer_derivative,
-    gegenbauer_eval,
-    gegenbauer_sum_eval,
-    ode_residual,
-)
+from otlab.gegenbauer import GegenbauerSpec, coefficient_table, endpoint_values, gegenbauer_eval
+
+from oracles import gegenbauer_derivative, gegenbauer_sum_eval, ode_residual
 
 
 def test_degree_zero_is_one():

@@ -8,16 +8,14 @@ from otlab.grid import GridDomain
 from otlab.medium import (
     AprioriData,
     OpticalMedium,
-    diffusion_tensor,
-    diffusion_tensor_sensitivity,
+    base_matrix,
     is_wave_number_admissible,
     k_admissible_ranges,
-    real_block_matrix,
-    reaction_block,
     split_real_imag,
-    tensor_real_imag_parts,
     verify_ellipticity,
 )
+from otlab.singular import SingularityPoint
+from otlab.solver import assemble
 
 # frozen from a 40-digit evaluation of the closed forms (k0 = 4 - 2 sqrt(3)
 # and k0_tilde = 4 + 2 sqrt(3) exactly for lam = cal_e = 1, n = 3)
@@ -35,6 +33,36 @@ def default_apriori(**kw):
     base = dict(n=3, p=4.0, lam=1.5, E=10.0, cal_e=1.2, k=0.12, alpha=0.2)
     base.update(kw)
     return AprioriData(**base)
+
+
+def diffusion_tensor(mu_a, mu_s, B, k, n=3):
+    """K = (1/n) ((mu_a - ik) I + (I - B) mu_s)^{-1} by a direct complex inverse."""
+    B = np.zeros((n, n)) if B is None else np.asarray(B, dtype=float)
+    return np.linalg.inv(n * (base_matrix(mu_a, mu_s, B) - 1j * k * np.eye(n)))
+
+
+def sampled_point(mu_a, mu_s, B, k):
+    """(K_R, K_I) of split_real_imag for a medium holding one sample at every node."""
+    med = OpticalMedium.from_expressions(
+        small_grid(),
+        default_apriori(k=k),
+        mu_a=mu_a,
+        mu_s=mu_s,
+        B=np.zeros((3, 3)) if B is None else B,
+        supp_B_interior=False,
+    )
+    field = split_real_imag(med)
+    return field.K_R[0], field.K_I[0]
+
+
+def real_block(K_R, K_I):
+    """The real 2n x 2n block coefficient [[K_R, -K_I], [K_I, K_R]]."""
+    return np.block([[K_R, -K_I], [K_I, K_R]])
+
+
+def reaction_block(mu_a, k):
+    """The real 2 x 2 reaction coefficient [[mu_a, k], [-k, mu_a]]."""
+    return np.array([[mu_a, k], [-k, mu_a]])
 
 
 class TestWaveNumberRanges:
@@ -73,35 +101,39 @@ class TestWaveNumberRanges:
 
 class TestDiffusionTensor:
     def test_isotropic_unit_point(self):
-        K = diffusion_tensor(1.0, 1.0, None, 1.0, 3)
+        K = diffusion_tensor(1.0, 1.0, None, 1.0)
         expected = (2.0 + 1.0j) / 15.0 * np.eye(3)
         np.testing.assert_allclose(K, expected, atol=1e-15)
 
     def test_static_case_allowed_for_algebra(self):
-        K = diffusion_tensor(1.0, 1.0, None, 0.0, 3)
+        K = diffusion_tensor(1.0, 1.0, None, 0.0)
         np.testing.assert_allclose(K, np.eye(3) / 6.0, atol=1e-15)
 
     def test_anisotropic_static_point(self):
         B = np.diag([0.5, 0.0, 0.0])
-        K = diffusion_tensor(1.0, 2.0, B, 0.0, 3)
+        K = diffusion_tensor(1.0, 2.0, B, 0.0)
         np.testing.assert_allclose(K, np.diag([1 / 6, 1 / 9, 1 / 9]), atol=1e-15)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         W = rng.normal(size=(3, 3))
         B = 0.05 * (W + W.T)
-        K = diffusion_tensor(1.2, 0.9, B, 2.0, 3)
+        K = diffusion_tensor(1.2, 0.9, B, 2.0)
         np.testing.assert_allclose(K, K.T, atol=1e-15)
 
     def test_singular_base_matrix_reported(self):
-        # mu_a = -mu_s with B = 0, k = 0 makes the base matrix vanish
-        with pytest.raises(EllipticityError):
-            diffusion_tensor(-1.0, 1.0, None, 0.0, 3)
+        # mu_a = -mu_s with B = 0 makes M vanish, so K_R = 0 at every node;
+        # assembly reports the degenerate tensor instead of solving with it
+        grid = small_grid()
+        med = OpticalMedium.from_expressions(grid, default_apriori(), mu_a="-1", mu_s="1")
+        assert not base_matrix(med.mu_a, med.mu_s, med.B).any()
+        with pytest.raises(EllipticityError, match="K_R lower bound"):
+            assemble(med, grid)
 
 
 class TestRealImagSplit:
     def test_isotropic_point_closed_forms(self):
-        K_R, K_I = tensor_real_imag_parts(1.0, 1.0, None, 1.0, 3)
+        K_R, K_I = sampled_point(1.0, 1.0, None, 1.0)
         np.testing.assert_allclose(K_R, 2.0 / 15.0 * np.eye(3), atol=1e-15)
         np.testing.assert_allclose(K_I, 1.0 / 15.0 * np.eye(3), atol=1e-15)
 
@@ -109,7 +141,7 @@ class TestRealImagSplit:
         # K_I * n / k equals (M^2 + k^2 I)^{-1} identically
         mu_a, mu_s, k, n = 0.8, 1.3, 50.0, 3
         B = np.diag([0.2, -0.1, 0.0])
-        _, K_I = tensor_real_imag_parts(mu_a, mu_s, B, k, n)
+        _, K_I = sampled_point(mu_a, mu_s, B, k)
         M = mu_a * np.eye(n) + (np.eye(n) - B) * mu_s
         expected = np.linalg.inv(M @ M + k * k * np.eye(n))
         np.testing.assert_allclose(K_I * n / k, expected, rtol=1e-13)
@@ -139,6 +171,49 @@ class TestRealImagSplit:
         np.testing.assert_allclose(
             K_inv.imag, -a.n * a.k * np.broadcast_to(eye, K_inv.shape), rtol=1e-12, atol=1e-12
         )
+
+
+class TestOneFormula:
+    """split_real_imag (assembly) and SingularityPoint.from_coefficients
+    (``otlab singular``) both start from base_matrix; their tensors must be
+    inverse to each other at every node."""
+
+    @pytest.fixture(scope="class")
+    def anisotropic(self):
+        grid = small_grid()
+        B = [
+            ["0.1*x1", "0.05*x2*x3", "0.02"],
+            ["0.05*x2*x3", "-0.08*cos(x2)", "0.03*x1"],
+            ["0.02", "0.03*x1", "0.06*sin(2*x3)"],
+        ]
+        return OpticalMedium.from_expressions(
+            grid,
+            default_apriori(),
+            mu_a="1 + 0.2*sin(3*x1)*cos(x2)",
+            mu_s="1 + 0.1*x3",
+            B=B,
+            supp_B_interior=False,
+        )
+
+    def test_frozen_inverse_inverts_the_sampled_tensor(self, anisotropic):
+        med = anisotropic
+        a = med.apriori
+        K = split_real_imag(med).K
+        assert np.abs(med.B[:, 0, 1]).max() > 0
+        worst = 0.0
+        for i in range(med.grid.num_points):
+            at = SingularityPoint.from_coefficients(
+                med.grid.points[i], float(med.mu_a[i]), float(med.mu_s[i]), med.B[i], a.k, a.n
+            )
+            worst = max(worst, np.abs(at.K_inv @ K[i] - np.eye(a.n)).max())
+        assert worst <= 1e-13
+
+    def test_one_sample_equals_the_batched_row(self, anisotropic):
+        med = anisotropic
+        batched = base_matrix(med.mu_a, med.mu_s, med.B)
+        for i in range(med.grid.num_points):
+            one = base_matrix(float(med.mu_a[i]), float(med.mu_s[i]), med.B[i])
+            assert one.tobytes() == batched[i].tobytes()
 
 
 class TestEllipticity:
@@ -180,8 +255,8 @@ class TestEllipticity:
 
 class TestRealBlock:
     def test_isotropic_block_pattern(self):
-        K_R, K_I = tensor_real_imag_parts(1.0, 1.0, None, 1.0, 3)
-        C = real_block_matrix(K_R, K_I)
+        K_R, K_I = sampled_point(1.0, 1.0, None, 1.0)
+        C = real_block(K_R, K_I)
         assert C.shape == (6, 6)
         np.testing.assert_allclose(C[:3, :3], 2 / 15 * np.eye(3), atol=1e-15)
         np.testing.assert_allclose(C[:3, 3:], -1 / 15 * np.eye(3), atol=1e-15)
@@ -191,8 +266,8 @@ class TestRealBlock:
         rng = np.random.default_rng(3)
         W = rng.normal(size=(3, 3))
         B = 0.08 * (W + W.T)
-        K_R, K_I = tensor_real_imag_parts(0.9, 1.1, B, 0.7, 3)
-        C = real_block_matrix(K_R, K_I)
+        K_R, K_I = sampled_point(0.9, 1.1, B, 0.7)
+        C = real_block(K_R, K_I)
         e1 = np.zeros(6)
         e1[0] = 1.0
         assert e1 @ C @ e1 == pytest.approx(K_R[0, 0], rel=1e-14)
@@ -226,19 +301,22 @@ class TestReactionBlock:
 
 class TestSensitivity:
     def test_isotropic_closed_form(self):
-        S = diffusion_tensor_sensitivity(1.0, 1.0, None, 1.0, 3)
+        K = diffusion_tensor(1.0, 1.0, None, 1.0)
+        S = -3 * (K @ K)
         np.testing.assert_allclose(S, -(3.0 + 4.0j) / 75.0 * np.eye(3), atol=1e-15)
 
     def test_matches_central_differences(self):
         delta = 1e-5
-        S = diffusion_tensor_sensitivity(1.1, 0.9, None, 2.0, 3)
-        Kp = diffusion_tensor(1.1 + delta, 0.9, None, 2.0, 3)
-        Km = diffusion_tensor(1.1 - delta, 0.9, None, 2.0, 3)
+        K = diffusion_tensor(1.1, 0.9, None, 2.0)
+        S = -3 * (K @ K)
+        Kp = diffusion_tensor(1.1 + delta, 0.9, None, 2.0)
+        Km = diffusion_tensor(1.1 - delta, 0.9, None, 2.0)
         fd = (Kp - Km) / (2 * delta)
         np.testing.assert_allclose(S, fd, rtol=1e-8)
 
     def test_static_isotropic_real(self):
-        S = diffusion_tensor_sensitivity(1.0, 2.0, None, 0.0, 3)
+        K = diffusion_tensor(1.0, 2.0, None, 0.0)
+        S = -3 * (K @ K)
         np.testing.assert_allclose(S, -3.0 / (3.0 * 3.0) ** 2 * np.eye(3), atol=1e-15)
         assert np.max(np.abs(S.imag)) == 0.0
 
@@ -251,10 +329,11 @@ class TestSensitivity:
             k = rng.uniform(0.1, 5.0)
             W = rng.normal(size=(3, 3))
             B = 0.1 * (W + W.T)
-            S = diffusion_tensor_sensitivity(mu_a, mu_s, B, k, 3)
+            K = diffusion_tensor(mu_a, mu_s, B, k)
+            S = -3 * (K @ K)
             fd = (
-                diffusion_tensor(mu_a + delta, mu_s, B, k, 3)
-                - diffusion_tensor(mu_a - delta, mu_s, B, k, 3)
+                diffusion_tensor(mu_a + delta, mu_s, B, k)
+                - diffusion_tensor(mu_a - delta, mu_s, B, k)
             ) / (2 * delta)
             assert np.max(np.abs(S - fd)) <= 1e-6 * max(np.max(np.abs(fd)), 1e-30)
 

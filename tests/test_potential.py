@@ -17,13 +17,22 @@ from otlab.singular import (
     _sphere_constant,
     _sphere_nodes,
     _zonal_series,
+    _potential,
     correction_w,
-    newtonian_potential_truncated,
     potential_decay_fit,
-    truncated_laplace_kernel,
 )
 
+from oracles import truncated_laplace_kernel
+
 CHEAP = PotentialRule(outer_theta=24, outer_phi=48, inner_theta=12, inner_phi=24)
+
+
+def newtonian_potential_truncated(f, nu, x, radius, rule=None, full_output=False):
+    """One probe u(x) = int_{B_radius} Gamma_nu(x, y) f(y) dy of the quadrature
+    behind ``potential_decay_fit``, without a fit's block memo; (u, PotentialInfo)
+    with ``full_output``."""
+    total, info = _potential(f, nu, x, radius, rule or PotentialRule(), None)
+    return (total, info) if full_output else total
 
 
 def harmonic_source(s):

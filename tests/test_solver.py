@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from otlab.errors import EllipticityError, MemoryBudgetError
 from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium
-from otlab.solver import ComplexField, apply_operator, assemble, schauder_ratios, solve_dirichlet
+from otlab.solver import ComplexField, apply_operator, assemble, solve_dirichlet
 
 
 def apriori(**kw):
@@ -16,6 +17,14 @@ def apriori(**kw):
 def constant_medium(grid, k=1.0):
     a = AprioriData(n=3, p=4.0, lam=1.0, E=10.0, cal_e=1.0, k=k, alpha=0.2)
     return OpticalMedium.from_expressions(grid, a, mu_a="1", mu_s="1")
+
+
+def real_block(op):
+    """The real block form [[Re A_II, -Im A_II], [Im A_II, Re A_II]] of the
+    interior system, shape (2 Ni, 2 Ni): the 2n x 2n energy form of u_R, u_I."""
+    A_II = op._interior_blocks()[0]
+    re, im = A_II.real, A_II.imag
+    return sp.bmat([[re, -im], [im, re]], format="csc")
 
 
 def manufactured(points):
@@ -109,7 +118,7 @@ class TestOperatorStructure:
         grid = GridDomain(extent=1.0, m_per_axis=9)
         op = assemble(constant_medium(grid), grid)
         ni = op.interior_count
-        block = op.real_block_matrix.toarray()
+        block = real_block(op).toarray()
         P, Q = block[:ni, :ni], block[ni:, :ni]
         np.testing.assert_allclose(P, P.T, atol=1e-15)
         np.testing.assert_allclose(Q, Q.T, atol=1e-15)
@@ -125,7 +134,7 @@ class TestOperatorStructure:
     def test_quadratic_form_positivity_with_reaction(self):
         grid = GridDomain(extent=1.0, m_per_axis=9)
         op = assemble(constant_medium(grid), grid)
-        block = op.real_block_matrix
+        block = real_block(op)
         rng = np.random.default_rng(2)
         for _ in range(100):
             v = rng.normal(size=block.shape[0])
@@ -159,8 +168,6 @@ class TestOperatorStructure:
             ref_rows += [p, q, p, q]
             ref_cols += [p, q, q, p]
             ref_vals += [np.full(len(p), h), np.full(len(p), h), -np.full(len(p), h), -np.full(len(p), h)]
-        import scipy.sparse as sp
-
         ref = sp.coo_matrix(
             (np.concatenate(ref_vals), (np.concatenate(ref_rows), np.concatenate(ref_cols))),
             shape=(grid.num_points, grid.num_points),
@@ -169,7 +176,7 @@ class TestOperatorStructure:
 
         rng = np.random.default_rng(4)
         ii = op.interior_idx
-        block = op.real_block_matrix
+        block = real_block(op)
         ref_ii = ref[ii][:, ii]
         for _ in range(100):
             v1 = rng.normal(size=len(ii))
@@ -256,19 +263,3 @@ class TestGuards:
         bad[0] = np.nan
         with pytest.raises(ValueError):
             ComplexField(grid, bad)
-
-
-class TestSchauderMonitor:
-    def test_interior_regularity_ratio_stays_bounded(self):
-        ratios_by_grid = []
-        for m in (13, 17):
-            grid = GridDomain(extent=1.0, m_per_axis=m)
-            med = constant_medium(grid)
-            op = assemble(med, grid)
-            g = np.cos(2 * grid.points[:, 0]) * np.exp(grid.points[:, 1])
-            sol = solve_dirichlet(op, g.astype(complex))
-            ratios = schauder_ratios(op, sol, radii=(0.12, 0.24))
-            assert np.all(np.isfinite(ratios))
-            ratios_by_grid.append(max(ratios))
-        # bounded diagnostic: refinement does not blow the ratio up
-        assert ratios_by_grid[1] <= 3.0 * ratios_by_grid[0] + 1.0
