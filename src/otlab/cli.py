@@ -310,7 +310,7 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
     except ValueError as exc:
         raise ConfigError("/experiments/stability", str(exc)) from exc
     eps = [eps0 / 2**i for i in range(count)]
-    violations = [pspec.perturbed(e).admissibility_violations() for e in eps]
+    violations = [pspec.violations(e) for e in eps]
     if all(violations):
         raise ConfigError(
             "/experiments/stability",
@@ -325,6 +325,7 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
         **_stamp(config),
         "alpha": report.alpha,
         "derivative_order": report.derivative_order,
+        "tensor_gap_order": report.tensor_gap_order,
         "predicted_exponents": report.predicted_exponents,
         "observed_slopes": report.observed_slopes,
         "inequality_constants": report.inequality_constants,

@@ -53,7 +53,10 @@ One product costs one solve with A2_II and one with A1_II and forms no
 boundary-sized matrix, and the difference comes without the cancellation of
 subtracting two O(1) matrices.  T is complex symmetric, so
 T^H v = conj(T conj(v)), and a Lanczos step, one product T^H T v, costs four
-solves.
+solves.  Along a sweep's amplitude ladder T(eps) is nearly eps T', so its top
+singular vector barely moves: each amplitude's iteration starts from the
+previous amplitude's top Ritz vector plus a small seeded random part, and
+needs about half the steps of a random start.
 """
 
 from __future__ import annotations
@@ -354,21 +357,31 @@ def _whitened_product(
 
 
 def difference_norm(
-    base: DiscreteOperator, op: DiscreteOperator, scale: SobolevScale, seed: int = 0
-) -> float:
+    base: DiscreteOperator,
+    op: DiscreteOperator,
+    scale: SobolevScale,
+    seed: int = 0,
+    guess: np.ndarray | None = None,
+) -> tuple[float, np.ndarray | None]:
     """H^{1/2} -> H^{-1/2} norm of S(op) - S(base): the largest singular value
     of the whitened T of ``_whitened_product``, by the Lanczos iteration of
-    ``_largest_singular_value`` on T^H T from a start vector drawn with
-    ``seed``.  Returns 0.0 without factoring when the two matrices are equal."""
+    ``_largest_singular_value`` on T^H T, with its top Ritz vector.
+
+    The iteration starts from ``guess`` (a top Ritz vector of a nearby
+    difference, such as the previous amplitude of a sweep) plus a small
+    random part drawn with ``seed``, or from the random vector alone when
+    ``guess`` is None.  Returns (0.0, guess) without factoring when the two
+    matrices are equal."""
     E = _difference(base, op)
     if E.nnz == 0:
-        return 0.0
+        return 0.0, guess
     apply = _whitened_product(base, op, E, scale)
     return _largest_singular_value(
         lambda v: np.conj(apply(np.conj(apply(v)))),
         len(scale.eigenvalues),
         rtol=LANCZOS_RTOL,
         seed=seed,
+        guess=guess,
     )
 
 
@@ -390,21 +403,33 @@ def _whitened(delta: np.ndarray, scale: SobolevScale) -> np.ndarray:
     return core
 
 
-def _largest_singular_value(gram, n: int, rtol: float, seed: int) -> float:
-    """Largest singular value of T by Lanczos on the Hermitian G = T* T, given
-    as the product ``gram``: v -> G v on vectors of length ``n``, from a
-    random start vector drawn with ``seed``.
+def _largest_singular_value(
+    gram, n: int, rtol: float, seed: int, guess: np.ndarray | None = None
+) -> tuple[float, np.ndarray | None]:
+    """Largest singular value of T and its right singular vector, by Lanczos
+    on the Hermitian G = T* T, given as the product ``gram``: v -> G v on
+    vectors of length ``n``.
+
+    The start vector is a random unit vector drawn with ``seed`` or, given a
+    unit ``guess``, guess + sqrt(rtol) times that vector, normalised.  The
+    random part keeps every eigenvector of G in the start: from a guess
+    orthogonal to the top eigenvector alone the iteration could break down
+    on a smaller eigenvalue and return it.
 
     The basis grows by one vector per step and is fully reorthogonalised,
     two classical Gram-Schmidt passes per step.  The top Ritz pair (theta, s)
     of the k x k tridiagonal has the residual ||G y - theta y|| = beta_k |s_k|
-    for its Ritz vector y, which bounds |theta - sigma_max^2| as G is
+    for its Ritz vector y = Q^T s, which bounds |theta - sigma_max^2| as G is
     Hermitian; the loop stops when that is at most ``rtol`` theta, at an
-    exact breakdown (beta_k = 0), or at k = n, where the Ritz value is exact.
-    A zero operator breaks down at the first step and returns 0.0."""
+    exact breakdown (beta_k = 0), or at k = n, where the Ritz value is exact,
+    and returns (sqrt(theta), y / ||y||).  A zero operator breaks down at the
+    first step and returns (0.0, guess)."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
+    if guess is not None:
+        v = guess + np.sqrt(rtol) * v
+        v /= np.linalg.norm(v)
     basis, alpha, beta = [v], [], []
     while True:
         w = gram(v)
@@ -418,7 +443,10 @@ def _largest_singular_value(gram, n: int, rtol: float, seed: int) -> float:
             alpha, beta, select="i", select_range=(k - 1, k - 1)
         )
         if b * abs(s[-1, 0]) <= rtol * theta or k == n:
-            return float(np.sqrt(theta))
+            if theta == 0.0:
+                return 0.0, guess
+            y = Q.T @ s[:, 0]
+            return float(np.sqrt(theta)), y / np.linalg.norm(y)
         beta.append(b)
         v = w / b
         basis.append(v)

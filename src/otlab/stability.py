@@ -10,6 +10,8 @@ difference comes from the discrete Alessandrini identity S2 - S1 = H1^T E H2
 the base medium's interior LU, its sampled tensor and the boundary
 eigenbasis are built once per sweep, each amplitude factors its own
 interior block, and no boundary-sized (Nb x Nb) matrix is formed.  The
+amplitudes run from the largest down, and each amplitude's Lanczos
+iteration starts near the previous amplitude's top Ritz vector.  The
 theory gives one-sided inequalities (Lipschitz for the boundary values,
 Hoelder with exponent delta_h for h-th derivatives), so the report records
 inequality constants and observed slopes rather than asserting exact
@@ -162,6 +164,10 @@ class PerturbationSpec:
     from the cube edges where the exterior field is blended).  ``holder_e``
     records the C^{h,alpha} bound E_h of the family; the bump polynomial is
     C^3 at its rims, so orders up to 3 are meaningful.
+
+    Each amplitude's medium is built once and audited once, on first use, and
+    kept: the command line's check of the ladder, the sweep's and its rows
+    share them.
     """
 
     base: OpticalMedium
@@ -172,6 +178,8 @@ class PerturbationSpec:
     depth: float = 0.4
     holder_e: float = 10.0
     smoothness: int = 3
+    _media: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _audits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.profile_order < 0:
@@ -207,12 +215,20 @@ class PerturbationSpec:
         return bump * ramp
 
     def perturbed(self, eps: float) -> OpticalMedium:
-        delta = eps * self.profile(self.base.grid.points)
-        return self.base.with_absorption(self.base.mu_a + delta)
+        """The base medium with absorption mu_a + eps * profile."""
+        if eps not in self._media:
+            delta = eps * self.profile(self.base.grid.points)
+            self._media[eps] = self.base.with_absorption(self.base.mu_a + delta)
+        return self._media[eps]
+
+    def violations(self, eps: float) -> list[str]:
+        """``admissibility_violations`` of the medium at amplitude eps."""
+        if eps not in self._audits:
+            self._audits[eps] = self.perturbed(eps).admissibility_violations()
+        return self._audits[eps]
 
     def admissible_amplitude(self, eps: float) -> bool:
-        med = self.perturbed(eps)
-        return not med.admissibility_violations()
+        return not self.violations(eps)
 
 
 @dataclass
@@ -231,6 +247,7 @@ class StabilityReport:
 
     rows: list
     derivative_order: int
+    tensor_gap_order: int
     alpha: float
     predicted_exponents: list
     observed_slopes: dict
@@ -316,10 +333,18 @@ def run_stability_experiment(
     sup of the absorption difference, its directional-derivative sups up to
     ``derivative_order`` and the boundary tensor gap.  Fits are slopes of
     log(norm) against log(D-N gap); the inequality constants are the largest
-    observed ratios norm / gap^{delta_j}.  Amplitudes of both signs, a
-    ladder with no nonzero admissible amplitude and a ``scale`` built on
-    another grid raise ValueError.  ``seed`` draws the start vector of each
-    Lanczos iteration.  Each medium's tensor is sampled once per sweep.
+    observed ratios norm / gap^{delta_j}.  The tensor gap is taken at order
+    min(derivative_order, 1), the highest ``tensor_derivative_gap`` has, and
+    the report records that order.  Amplitudes of both signs, a ladder with
+    no nonzero admissible amplitude and a ``scale`` built on another grid
+    raise ValueError.
+
+    The amplitudes run from the largest |eps| down, and each amplitude's
+    Lanczos iteration starts from the previous amplitude's top Ritz vector
+    plus a random part drawn with ``seed``; the first amplitude starts from
+    the random vector alone.  An amplitude with a zero gap yields no vector,
+    and the next one starts from the last vector there was.  Each medium's
+    tensor is sampled once per sweep.
     """
     base = pspec.base
     grid = base.grid
@@ -353,6 +378,7 @@ def run_stability_experiment(
     nu_field = build_nu_tilde(grid)
     scale = scale or SobolevScale.build(grid)
     base_op, base_K = _assemble_sampled(base, grid)
+    tensor_gap_order = min(derivative_order, 1)
 
     profile_sup, skipped = normal_derivative_sup(
         pspec.profile, nu_field, 0, full_output=True
@@ -361,19 +387,18 @@ def run_stability_experiment(
     for j in range(1, derivative_order + 1):
         deriv_sups.append(normal_derivative_sup(pspec.profile, nu_field, j))
 
-    rows = []
+    rows, guess = [], None
     for eps in eps_values:
         med2 = pspec.perturbed(eps)
         op2, K2 = _assemble_sampled(med2, grid)
+        dn_gap, guess = difference_norm(base_op, op2, scale, seed=seed, guess=guess)
         rows.append(
             StabilityRow(
                 eps=eps,
-                dn_gap=difference_norm(base_op, op2, scale, seed=seed),
+                dn_gap=dn_gap,
                 sup_mu_boundary=abs(eps) * profile_sup,
                 sup_normal_derivatives=[abs(eps) * s for s in deriv_sups],
-                tensor_gap=tensor_derivative_gap(
-                    base, base_K, med2, K2, min(derivative_order, 1)
-                ),
+                tensor_gap=tensor_derivative_gap(base, base_K, med2, K2, tensor_gap_order),
             )
         )
 
@@ -421,6 +446,7 @@ def run_stability_experiment(
     return StabilityReport(
         rows=rows,
         derivative_order=derivative_order,
+        tensor_gap_order=tensor_gap_order,
         alpha=a.alpha,
         predicted_exponents=predicted,
         observed_slopes=slopes,

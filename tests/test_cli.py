@@ -8,6 +8,7 @@ import pytest
 import otlab.cli
 import otlab.dnmap
 import otlab.solver
+import otlab.stability
 from otlab.cli import main
 from otlab.config import RunConfig
 from otlab.errors import ConfigError, ResidualError
@@ -323,10 +324,46 @@ class TestCliCommands:
         rows = (out / "stability_rows.csv").read_text().splitlines()
         assert any(line.startswith("eps,") for line in rows)
 
+    @pytest.mark.parametrize("h, order", [(0, 0), (3, 1)])
+    def test_stability_report_names_the_tensor_gap_order(self, tmp_path, h, order):
+        # tensor_derivative_gap stops at first derivatives, so h = 3 sweeps
+        # report a first-derivative tensor gap and say so
+        path = small_config(tmp_path, **{"experiments.stability": {
+            "profile_order": 0, "h": h, "eps_start": 0.2, "eps_count": 2,
+            "width": 0.3, "depth": 0.4}})
+        out = tmp_path / "out"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "stability_report.json").read_text())
+        assert report["derivative_order"] == h
+        assert report["tensor_gap_order"] == order
+
+    def test_stability_builds_and_audits_each_amplitude_once(self, tmp_path, monkeypatch):
+        medium_cls = otlab.stability.OpticalMedium
+        build, audit = medium_cls.with_absorption, medium_cls.admissibility_violations
+        built, audited = [], []
+
+        def building(medium, mu_a):
+            built.append(build(medium, mu_a))
+            return built[-1]
+
+        def auditing(medium):
+            audited.append(medium)
+            return audit(medium)
+
+        monkeypatch.setattr(medium_cls, "with_absorption", building)
+        monkeypatch.setattr(medium_cls, "admissibility_violations", auditing)
+        path = small_config(tmp_path, **{"experiments.stability": {
+            "profile_order": 0, "h": 0, "eps_start": 0.2, "eps_count": 3,
+            "width": 0.3, "depth": 0.4}})
+        assert main(["stability", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 3
+        assert [id(m) for m in audited] == [id(m) for m in built]
+
     def test_seed_draws_the_lanczos_start(self, tmp_path, monkeypatch):
-        # the seed changes only the start vector of the sweep's Lanczos
-        # iterations: gaps agree to the Ritz-residual tolerance, and one seed
-        # reproduces its reports bytewise; the norm of `dn` is exact
+        # the seed draws the first amplitude's Lanczos start and the random
+        # part of every later amplitude's warm start: gaps agree to the
+        # Ritz-residual tolerance, and one seed reproduces its reports
+        # bytewise; the norm of `dn` is exact
         real = otlab.dnmap._largest_singular_value
         seen = []
 

@@ -355,14 +355,14 @@ class TestLargestSingularValue:
     def test_near_degenerate_top_pair(self):
         sigma = np.concatenate([[1.0, 0.999], np.linspace(0.9, 0.01, 58)])
         T, gram, _ = gram_of(sigma)
-        value = _largest_singular_value(gram, len(sigma), rtol=LANCZOS_RTOL, seed=0)
+        value, _ = _largest_singular_value(gram, len(sigma), rtol=LANCZOS_RTOL, seed=0)
         dense = np.linalg.svd(T, compute_uv=False)[0]
         assert value == pytest.approx(dense, rel=1e-12)
 
     def test_repeated_top_singular_value_terminates(self):
         sigma = np.concatenate([[2.0, 2.0, 2.0], np.linspace(1.9, 0.1, 37)])
         T, gram, calls = gram_of(sigma, seed=1)
-        value = _largest_singular_value(gram, len(sigma), rtol=LANCZOS_RTOL, seed=3)
+        value, _ = _largest_singular_value(gram, len(sigma), rtol=LANCZOS_RTOL, seed=3)
         assert value == pytest.approx(2.0, rel=1e-12)
         assert len(calls) <= len(sigma)
 
@@ -370,7 +370,7 @@ class TestLargestSingularValue:
         sigma = np.zeros(30)
         sigma[0] = 0.7
         _, gram, calls = gram_of(sigma, seed=2)
-        value = _largest_singular_value(gram, len(sigma), rtol=LANCZOS_RTOL, seed=4)
+        value, _ = _largest_singular_value(gram, len(sigma), rtol=LANCZOS_RTOL, seed=4)
         assert value == pytest.approx(0.7, rel=1e-12)
         assert len(calls) <= 3
 
@@ -381,8 +381,30 @@ class TestLargestSingularValue:
             calls.append(len(calls))
             return np.zeros_like(v)
 
-        assert _largest_singular_value(gram, 12, rtol=LANCZOS_RTOL, seed=0) == 0.0
+        assert _largest_singular_value(gram, 12, rtol=LANCZOS_RTOL, seed=0) == (0.0, None)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("second", [0.999, 0.9, 0.5])
+    def test_guess_on_the_second_singular_vector(self, second):
+        # a start on the second eigenvector of T^H T alone breaks down at the
+        # first step and returns sigma_2; the seeded part of the start keeps
+        # the top eigenvector in the Krylov space
+        sigma = np.concatenate([[1.0, second], np.linspace(0.9 * second, 0.01, 58)])
+        T, gram, _ = gram_of(sigma, seed=5)
+        _, _, vh = np.linalg.svd(T)
+        value, y = _largest_singular_value(
+            gram, len(sigma), rtol=LANCZOS_RTOL, seed=0, guess=vh[1].conj()
+        )
+        assert value == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-12)
+        assert abs(np.vdot(vh[0].conj(), y)) == pytest.approx(1.0, abs=1e-8)
+
+    def test_zero_operator_returns_the_guess(self):
+        guess = np.full(12, 12**-0.5, dtype=complex)
+        value, y = _largest_singular_value(
+            lambda v: np.zeros_like(v), 12, rtol=LANCZOS_RTOL, seed=0, guess=guess
+        )
+        assert value == 0.0 and y is guess
 
 
 class TestAlessandrini:
@@ -477,7 +499,7 @@ class TestPatchOperatorNorm:
         op2 = assemble(med2, grid9)
         delta = assemble_dn(med2, grid9).matrix - assemble_dn(spec.base, grid9).matrix
         dense = largest_singular_value(delta, scale9)
-        assert difference_norm(base, op2, scale9) == pytest.approx(dense, rel=1e-12)
+        assert difference_norm(base, op2, scale9)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_small_amplitude_matches_dense_svd_of_the_factors(self, grid9, scale9, route9):
         # at eps = 2e-8 subtracting two assembled maps leaves ~1e-8 relative
@@ -485,7 +507,7 @@ class TestPatchOperatorNorm:
         spec, base = route9
         op2 = assemble(spec.perturbed(2e-8), grid9)
         dense = largest_singular_value(dense_difference(base, op2), scale9)
-        assert difference_norm(base, op2, scale9) == pytest.approx(dense, rel=1e-12)
+        assert difference_norm(base, op2, scale9)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_patch_larger_than_the_boundary(self, grid9, scale9):
         # a perturbation through the whole cube touches more nodes than the
@@ -497,13 +519,13 @@ class TestPatchOperatorNorm:
         rows, cols = (op2.matrix - base.matrix).nonzero()
         assert len(np.union1d(rows, cols)) > len(scale9.boundary_idx)
         dense = largest_singular_value(dense_difference(base, op2), scale9)
-        assert difference_norm(base, op2, scale9) == pytest.approx(dense, rel=1e-12)
+        assert difference_norm(base, op2, scale9)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_lanczos_matches_dense_svd(self, grid9, scale9, route9):
         spec, base = route9
         op2 = assemble(spec.perturbed(0.1), grid9)
         dense = largest_singular_value(dense_difference(base, op2), scale9)
-        assert difference_norm(base, op2, scale9) == pytest.approx(dense, rel=1e-12)
+        assert difference_norm(base, op2, scale9)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_equal_operators_factor_nothing(self, grid9, scale9, monkeypatch):
         def no_factor(self):
@@ -511,7 +533,10 @@ class TestPatchOperatorNorm:
 
         monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", no_factor)
         med = medium_on(grid9)
-        assert difference_norm(assemble(med, grid9), assemble(med, grid9), scale9) == 0.0
+        assert difference_norm(assemble(med, grid9), assemble(med, grid9), scale9) == (0.0, None)
+        guess = np.ones(len(scale9.boundary_idx), dtype=complex)
+        same = difference_norm(assemble(med, grid9), assemble(med, grid9), scale9, guess=guess)
+        assert same[0] == 0.0 and same[1] is guess
 
     @pytest.mark.parametrize("which", ["base", "perturbed"])
     @pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6], ids=["doubled", "corrupted"])

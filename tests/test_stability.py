@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from otlab.dnmap import SobolevScale
+import otlab.dnmap
+from otlab.dnmap import SobolevScale, difference_norm
 from otlab.errors import InadmissibleWaveNumberError
 from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium, split_real_imag
+from otlab.solver import assemble
 from otlab.stability import (
     PerturbationSpec,
     build_nu_tilde,
@@ -366,6 +368,34 @@ class TestStabilityExperiment:
         assert len({id(m) for m in sampled}) == 4
         for row in rep.rows:
             assert row.tensor_gap == sampled_gap(spec.base, spec.perturbed(row.eps), 0)
+
+    def test_ladder_starts_each_amplitude_from_the_last_ritz_vector(self, monkeypatch):
+        # the top singular vector of T(eps) ~ eps T' barely moves along the
+        # ladder, so warm starts take fewer Gram products than a random start
+        # per amplitude and give the gaps of cold starts
+        lanczos = otlab.dnmap._largest_singular_value
+        products = []
+
+        def counted(gram, *args, **kwargs):
+            products.append(0)
+
+            def step(v):
+                products[-1] += 1
+                return gram(v)
+
+            return lanczos(step, *args, **kwargs)
+
+        monkeypatch.setattr(otlab.dnmap, "_largest_singular_value", counted)
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        scale = SobolevScale.build(grid)
+        rep = run_stability_experiment(spec, 0, [0.2 / 2**i for i in range(4)], scale=scale)
+        assert len(products) == 4
+        assert sum(products) < 0.8 * 4 * products[0]
+        base = assemble(spec.base, grid)
+        for row in rep.rows:
+            cold, _ = difference_norm(base, assemble(spec.perturbed(row.eps), grid), scale)
+            assert row.dn_gap == pytest.approx(cold, rel=1e-12)
 
     def test_base_interior_is_factored_once(self, monkeypatch):
         # the base LU is cached on the base operator for the whole sweep;
