@@ -21,8 +21,9 @@ nodes on fixed unit directions times radial nodes per shell or segment.
 Its kernel series in (|y|/|x|)^j P_j(x^ . y^) (the tail j > nu near the
 origin, the removed moments j <= nu further out) is therefore tabulated as
 P_j on the directions once per call, and each set of radii costs one
-small matrix product; the direct truncated Laplace kernel the tests
-compare it with is in ``tests/oracles.py``.  The nodes of a shell or
+small matrix product; the outer distances |y - x| come from the same
+cosines by the law of cosines.  The direct truncated Laplace kernel the
+tests compare it with is in ``tests/oracles.py``.  The nodes of a shell or
 segment do not depend on the probe, so a decay fit evaluates the source
 once per block that its probes share.
 """
@@ -149,6 +150,9 @@ def leading_term(spec: SingularSolutionSpec, x):
 # truncated Laplace kernel and Newtonian potential
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _sphere_constant(n: int) -> float:
     """C_n = ((n-2) omega_{n-1})^{-1}, so the kernel integrates to a delta."""
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -162,6 +166,14 @@ class PotentialRule:
     The outer angular orders dominate the accuracy (the mollified kernel
     has angular feature scale ~ 1/4 radian around the probe); the defaults
     give ~1e-9 relative error on the spherical-harmonic reference family.
+
+    The inner shell ladder stops after two settled shells in a row, at most
+    ``max_inner_shells`` in all.  A shell is settled when its |value| is at
+    most ``shell_rtol`` times the larger of |running total| and the largest
+    shell so far, or at most the rounding floor sqrt(N) eps sum |w k f| of
+    its own N-term sum (a source orthogonal to every tail term, such as
+    |y|^-s Y_1 for nu >= 1, leaves only that floor); the floor comes from
+    machine epsilon and has no field here.
     """
 
     inner_radial: int = 10
@@ -222,17 +234,16 @@ def _radial_nodes(lo: float, hi: float, count: int):
     return mid + half * xg, half * wg
 
 
-def _zonal_series(x: np.ndarray, dirs: np.ndarray, orders: range):
-    """rad -> C_3/|x| sum_{j in orders} (rad/|x|)^j P_j(x^ . d), shape
-    (len(rad), len(dirs)), for points rad * d on fixed unit directions d.
+def _zonal_series(rx: float, cosg: np.ndarray, orders: range):
+    """rad -> C_3/rx sum_{j in orders} (rad/rx)^j P_j(cosg), shape
+    (len(rad), len(cosg)), for points rad * d on fixed unit directions d,
+    with rx = |x| and cosg = x^ . d.
 
     P_j(x^ . d) depends on the directions alone, so it is tabulated once;
     each set of radii then costs one (radii x orders) @ (orders x
     directions) product.  With rad < |x| these are the terms of the
     expansion C_3/|x - y| = C_3/|x| sum_j (|y|/|x|)^j P_j(x^ . y^).
     """
-    rx = float(np.linalg.norm(x))
-    cosg = dirs @ (x / rx)
     rows = []
     prev, cur = np.zeros_like(cosg), np.ones_like(cosg)  # P_{-1} = 0, P_0
     for j in range(orders.stop):
@@ -298,6 +309,21 @@ def _block_source(f, memo, key, rad, dirs, keep):
     return values
 
 
+def _rounding_floor(terms: np.ndarray) -> float:
+    """sqrt(N) eps sum |t| for a sum of N terms t: the size its rounding
+    reaches when the errors of the products and the additions add like a
+    random walk.  A sum no larger than this cannot be told from zero."""
+    return math.sqrt(terms.size) * _EPS * float(np.sum(np.abs(terms)))
+
+
+def _relative_level(last_level, total) -> float:
+    """The last shell's level relative to the running total, or 1.0 when
+    either is missing: what a failed ladder has achieved."""
+    if not last_level or total == 0:
+        return 1.0
+    return last_level / abs(total)
+
+
 def _potential(f, nu, x, radius, rule, memo):
     """u(x) = int_{B_radius} Gamma_nu(x, y) f(y) dy for n = 3.
 
@@ -307,8 +333,9 @@ def _potential(f, nu, x, radius, rule, memo):
     singular f integrable); outside, the Newtonian part is mollified on a
     ball around x, the removed moments are added as their series, and the
     exact-minus-mollified difference is added back by a spherical patch
-    quadrature centred at x.  Both series are tabulated on the fixed
-    quadrature directions (see ``_zonal_series``).
+    quadrature centred at x.  Both series, and the outer distances
+    |y - x|^2 = rad^2 + |x|^2 - 2 |x| rad x^ . d, come from the cosines
+    x^ . d on the fixed quadrature directions (see ``_zonal_series``).
 
     The quadrature points y = rad * d of a block (an inner shell or an
     outer segment) depend only on the block's endpoints and node counts,
@@ -317,10 +344,19 @@ def _potential(f, nu, x, radius, rule, memo):
     evaluated afresh on every block; a fit shares f's values on the blocks
     its probes have in common (see there).
 
+    The shell ladder stops by the rule in ``PotentialRule``.  The tolerance
+    estimate adds the skipped shells, continued geometrically from the last
+    two shell levels (a shell's level is the larger of its |value| and its
+    rounding floor, so a ladder stopped at the floor still bounds what it
+    skipped), the truncation of the tail series, the difference between
+    the full- and low-resolution outer passes and 1e-12 |u|.
+
     Returns (value, PotentialInfo).
 
-    Raises QuadratureBudgetError when the shell ladder fails to settle,
-    reporting the tolerance it did achieve.
+    Raises QuadratureBudgetError, reporting the finite relative level the
+    ladder reached, when the ladder fails to settle in its budget or above
+    |y| = 1e-280, and at the first shell whose sum is not finite (a source
+    that overflows on deep shells), naming that shell.
     """
     x = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(x))
@@ -334,45 +370,55 @@ def _potential(f, nu, x, radius, rule, memo):
     # every shell uses the same directions, so the tail kernel
     # -C_3/|x-y| + C_3 sum_{j<=nu} ... = -C_3/|x| sum_{j>nu} (|y|/|x|)^j P_j
     # is tabulated once for the whole ladder
-    tail = _zonal_series(x, sph_in, range(nu + 1, nu + 1 + rule.series_terms))
+    tail = _zonal_series(r, sph_in @ (x / r), range(nu + 1, nu + 1 + rule.series_terms))
 
     total = 0.0 + 0.0j
     err = 0.0
 
     # inner ladder |y| <= |x|/2
-    a = r / 2.0
-    hi = a
+    hi = r / 2.0
     shells = 0
     trailing_small = 0
-    last_mag = None
+    last_level = None
     contrib_mag_max = 0.0
-    while shells < rule.max_inner_shells:
+    while shells < rule.max_inner_shells and hi >= 1e-280:
         lo = hi / 2.0
         rad, wr = _radial_nodes(lo, hi, rule.inner_radial)
         wq = (wr[:, None] * (rad**2)[:, None] * w_in[None, :]).ravel()
         kern = -tail(rad).ravel()
         fv = _block_source(f, memo, (inner_counts, lo, hi), rad, sph_in, True)
-        contrib = np.sum(wq * kern * fv)
+        terms = wq * kern * fv
+        contrib = np.sum(terms)
+        if not np.isfinite(contrib):
+            raise QuadratureBudgetError(
+                f"inner shell [{lo:.3e}, {hi:.3e}] has a non-finite sum "
+                f"after {shells} finite shells",
+                _relative_level(last_level, total),
+            )
         total += contrib
         mag = abs(contrib)
+        floor = _rounding_floor(terms)
+        level = max(mag, floor)
         contrib_mag_max = max(contrib_mag_max, mag)
         shells += 1
-        if last_mag is not None and mag <= rule.shell_rtol * max(abs(total), contrib_mag_max):
+        if last_level is not None and mag <= max(
+            rule.shell_rtol * max(abs(total), contrib_mag_max), floor
+        ):
             trailing_small += 1
             if trailing_small >= 2:
-                ratio = mag / last_mag if last_mag > 0 else 0.0
-                err += mag * min(ratio, 0.9) / (1.0 - min(ratio, 0.9))
+                # the skipped shells, continued geometrically from the last two
+                ratio = min(level / last_level, 0.9) if last_level > 0 else 0.0
+                err += level * ratio / (1.0 - ratio)
                 break
         else:
             trailing_small = 0
-        last_mag = mag
+        last_level = level
         hi = lo
-        if hi < 1e-280:
-            break
     else:
-        achieved = (last_mag or 0.0) / max(abs(total), 1e-300)
         raise QuadratureBudgetError(
-            f"inner shell ladder did not settle in {rule.max_inner_shells} shells", achieved
+            f"inner shell ladder did not settle in {shells} shells "
+            f"(budget {rule.max_inner_shells}, down to |y| = {hi:.3e})",
+            _relative_level(last_level, total),
         )
     # series truncation of the tail kernel
     err += abs(total) * 2.0 ** (-rule.series_terms)
@@ -406,8 +452,9 @@ def _outer_contribution(f, nu, x, radius, rule, n_theta, n_phi, memo):
     a = r / 2.0
     delta = min(r / 4.0, (radius - r) / 2.0)
     sph_out, w_out = _sphere_nodes(n_theta, n_phi)
+    cosg = sph_out @ (x / r)
     # Gamma_nu + C_3/rho: the moments j <= nu that the truncation removes
-    moments = _zonal_series(x, sph_out, range(nu + 1))
+    moments = _zonal_series(r, cosg, range(nu + 1))
 
     breakpoints = [a, r - delta, r, r + delta]
     c = r + delta
@@ -422,8 +469,8 @@ def _outer_contribution(f, nu, x, radius, rule, n_theta, n_phi, memo):
             continue
         rad, wr = _radial_nodes(lo, hi, rule.outer_radial)
         wq = (wr[:, None] * (rad**2)[:, None] * w_out[None, :]).ravel()
-        # |y - x| component by component: cheaper than a norm over rows of 3
-        rho = np.sqrt(sum((rad[:, None] * sph_out[:, k] - x[k]) ** 2 for k in range(3))).ravel()
+        # |y - x| by the law of cosines on the tabulated x^ . d
+        rho = np.sqrt((rad**2 + r * r)[:, None] - (2.0 * r * rad)[:, None] * cosg).ravel()
         kern = -cn * _mollified_inverse_distance(rho, delta) + moments(rad).ravel()
         fv = _block_source(f, memo, (counts, lo, hi), rad, sph_out, lo >= r + delta)
         total += np.sum(wq * kern * fv)
@@ -459,6 +506,10 @@ def shell_source_exponent(f, radius: float, p: float = 4.0, num_shells: int = 6)
         hi = lo
     slope = float(np.polyfit(np.log(radii), np.log(np.maximum(norms, 1e-300)), 1)[0])
     return 3.0 / p - slope
+
+
+# a decay fit needs each probe's value well above its quadrature error
+_FIT_PROBE_RTOL = 1e-3
 
 
 @dataclass
@@ -497,7 +548,10 @@ def potential_decay_fit(
     radii simply miss.
 
     Raises ValueError unless there are at least two distinct, finite,
-    positive radii and the direction is a finite nonzero 3-vector.
+    positive radii and the direction is a finite nonzero 3-vector, and
+    QuadratureBudgetError when a probe's tolerance estimate is not below
+    1e-3 |u| (a zero potential, or a ray in a nodal set of the source,
+    leaves only quadrature noise to fit).
     """
     direction = np.asarray(direction, dtype=float)
     length = float(np.linalg.norm(direction)) if direction.shape == (3,) else 0.0
@@ -522,7 +576,18 @@ def potential_decay_fit(
             )
     rule = rule or PotentialRule()
     memo = {}
-    values = np.array([_potential(f, nu, r * direction, radius, rule, memo)[0] for r in radii])
+    values = []
+    for r in radii:
+        value, info = _potential(f, nu, r * direction, radius, rule, memo)
+        if not info.tolerance_estimate < _FIT_PROBE_RTOL * abs(value):
+            raise QuadratureBudgetError(
+                f"probe at radius {r:.6g} has |u| = {abs(value):.3e} with a tolerance "
+                f"estimate of {info.tolerance_estimate:.3e}, not below {_FIT_PROBE_RTOL:g} "
+                "of it: the fit would follow quadrature noise",
+                info.tolerance_estimate / abs(value) if value else math.inf,
+            )
+        values.append(value)
+    values = np.array(values)
     logs = np.log(np.abs(values))
     coeffs, res = np.polyfit(np.log(radii), logs, 1, full=True)[:2]
     rms = float(np.sqrt(res[0] / len(radii))) if len(res) else 0.0

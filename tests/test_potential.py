@@ -1,6 +1,7 @@
 """Truncated Newtonian potential quadrature and the annulus correction solve."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,14 +36,22 @@ def newtonian_potential_truncated(f, nu, x, radius, rule=None, full_output=False
     return (total, info) if full_output else total
 
 
-def harmonic_source(s):
-    """f(y) = |y|^{-s} Y_1(y^) with Y_1 the first zonal spherical harmonic."""
+def harmonic_source(s, l=1):
+    """f(y) = |y|^{-s} P_l(y_3/|y|), the zonal spherical harmonic Y_l of degree l."""
+    legendre = np.polynomial.legendre.Legendre.basis(l)
 
     def f(pts):
         r = np.linalg.norm(pts, axis=1)
-        return r ** (-s) * pts[:, 2] / r
+        return r ** (-s) * legendre(pts[:, 2] / r)
 
     return f
+
+
+def mixed_source(pts):
+    # unlike Y_1 alone, the cubic part is not orthogonal to the inner
+    # tail terms, so every inner shell adds more than rounding noise
+    r = np.linalg.norm(pts, axis=1)
+    return r**-4.5 * (pts[:, 2] / r + 0.5 * (pts[:, 0] / r) ** 3)
 
 
 def oracle_radial_factor(r, s, l, nu, R=1.0):
@@ -85,18 +94,54 @@ class TestPotentialQuadrature:
         )
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
-    @pytest.mark.parametrize("s", [4.5, 5.25])
-    def test_matches_closed_form_oracle(self, s):
+    @pytest.mark.parametrize(
+        "s, l",
+        [
+            pytest.param(4.5, 1, id="4.5"),
+            pytest.param(5.25, 1, id="5.25"),
+            # Y_2 is not orthogonal to the j = 2 tail term, so its inner
+            # shells carry value down the whole ladder, unlike Y_1's
+            pytest.param(4.5, 2, id="4.5-Y2"),
+        ],
+    )
+    def test_matches_closed_form_oracle(self, s, l):
         nu = math.floor(s) - 3
-        f = harmonic_source(s)
+        f = harmonic_source(s, l)
         direction = np.array([0.36, 0.48, 0.8])
+        angular = np.polynomial.legendre.Legendre.basis(l)(direction[2])
         for r in (0.3, 0.05, 0.01):
             x = r * direction
             val, info = newtonian_potential_truncated(f, nu, x, 1.0, full_output=True)
-            exact = direction[2] * oracle_radial_factor(r, s, 1, nu)
+            exact = angular * oracle_radial_factor(r, s, l, nu)
             assert abs(val - exact) <= 1e-7 * abs(exact)
             # the reported tolerance must dominate the actual error
             assert info.tolerance_estimate >= abs(val - exact)
+
+    def test_ladder_stops_at_the_rounding_floor_only_on_noise(self):
+        # Y_1 with nu >= 1 is orthogonal to every tail term: its shells are
+        # rounding noise and the ladder stops at the first chance (3 shells)
+        direction = np.array([0.36, 0.48, 0.8])
+        for s in (4.5, 5.25):
+            for r in (2.0**-5, 2.0**-10, 0.3):
+                _, info = newtonian_potential_truncated(
+                    harmonic_source(s), math.floor(s) - 3, r * direction, 1.0, full_output=True
+                )
+                assert info.inner_shells <= 5
+        # sources with real tail terms keep the ladders of the shell_rtol rule
+        for f, shells in ((mixed_source, 31), (harmonic_source(4.5, l=2), 85)):
+            x = 2.0**-7 * direction
+            _, info = newtonian_potential_truncated(f, 1, x, 1.0, full_output=True)
+            assert info.inner_shells == shells
+
+    def test_non_finite_shell_names_the_shell(self):
+        # inside the band of nu = 1, but r^-4.9 overflows on shells near 1e-63
+        # before the slowly decaying Y_2 tail settles
+        f = harmonic_source(4.9, l=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureBudgetError, match=r"inner shell \[") as info:
+                newtonian_potential_truncated(f, 1, np.array([0.0, 0.0, 0.25]), 1.0)
+        assert math.isfinite(info.value.achieved) and info.value.achieved > 0
+        assert "nan" not in str(info.value)
 
     def test_decay_exponent_smoke(self):
         s = 4.5
@@ -110,11 +155,12 @@ class TestPotentialQuadrature:
         assert fit.exponent == pytest.approx(2.0 - s, abs=0.1)
 
     def test_budget_error_reports_achieved(self):
+        # a source with real tail terms off the pole axis (on it the cubic
+        # part is orthogonal to them too); Y_1 alone settles in three shells
         rule = PotentialRule(max_inner_shells=3)
+        x = 0.25 * np.array([0.36, 0.48, 0.8])
         with pytest.raises(QuadratureBudgetError) as info:
-            newtonian_potential_truncated(
-                harmonic_source(4.5), 1, np.array([0.0, 0.0, 0.25]), 1.0, rule=rule
-            )
+            newtonian_potential_truncated(mixed_source, 1, x, 1.0, rule=rule)
         assert info.value.achieved > 0
 
     def test_probe_validation(self):
@@ -171,7 +217,8 @@ class TestTabulatedKernels:
         # route to cancellation (-C_3/|x-y| against its own moments)
         x = r * self.DIRECTION
         dirs, _ = _sphere_nodes(self.RULE.inner_theta, self.RULE.inner_phi)
-        tail = _zonal_series(x, dirs, range(nu + 1, nu + 1 + self.RULE.series_terms))
+        orders = range(nu + 1, nu + 1 + self.RULE.series_terms)
+        tail = _zonal_series(r, dirs @ self.DIRECTION, orders)
         for lo, hi in ((r / 4, r / 2), (r / 8, r / 4)):
             rad, _ = _radial_nodes(lo, hi, self.RULE.inner_radial)
             direct = truncated_laplace_kernel(x, self._points(rad, dirs), nu)
@@ -184,7 +231,7 @@ class TestTabulatedKernels:
         cn = _sphere_constant(3)
         for n_theta, n_phi in ((40, 80), (32, 64)):  # full and low resolution
             dirs, _ = _sphere_nodes(n_theta, n_phi)
-            moments = _zonal_series(x, dirs, range(nu + 1))
+            moments = _zonal_series(r, dirs @ self.DIRECTION, range(nu + 1))
             # the first segments of the breakpoint ladder and the last one
             segments = [(r / 2, 0.75 * r), (0.75 * r, r), (r, 1.25 * r), (1.25 * r, 2.5 * r)]
             for lo, hi in segments + [(0.5, 1.0)]:
@@ -219,16 +266,10 @@ class TestSharedSourceBlocks:
 
         return counted, seen
 
-    @staticmethod
-    def _mixed_source(pts):
-        # unlike Y_1 alone, the cubic part is not orthogonal to the inner
-        # tail terms, so every inner shell adds more than rounding noise
-        r = np.linalg.norm(pts, axis=1)
-        return r**-4.5 * (pts[:, 2] / r + 0.5 * (pts[:, 0] / r) ** 3)
 
     @pytest.mark.parametrize("radii", [DYADIC, [0.03, 0.017, 0.009]], ids=["dyadic", "non-dyadic"])
     def test_fit_values_equal_separate_calls(self, radii):
-        f = self._mixed_source
+        f = mixed_source
         fit = potential_decay_fit(f, 1, radii, 1.0, direction=self.DIRECTION, verify_source=False)
         x_hat = self.DIRECTION / np.linalg.norm(self.DIRECTION)
         separate = [
@@ -237,9 +278,11 @@ class TestSharedSourceBlocks:
         assert fit.values.tolist() == separate
 
     def test_fit_passes_f_under_half_the_points(self):
-        f, fit_points = self._counting(harmonic_source(4.5))
+        # the mixed source walks the whole ladder, so the shared inner
+        # shells count; Y_1 settles in three shells per probe
+        f, fit_points = self._counting(mixed_source)
         potential_decay_fit(f, 1, self.DYADIC, 1.0, direction=self.DIRECTION, verify_source=False)
-        f, separate_points = self._counting(harmonic_source(4.5))
+        f, separate_points = self._counting(mixed_source)
         x_hat = self.DIRECTION / np.linalg.norm(self.DIRECTION)
         for r in self.DYADIC:
             newtonian_potential_truncated(f, 1, r * x_hat, 1.0)
@@ -286,6 +329,22 @@ class TestDecayFitValidation:
     def test_nan_direction_rejected(self):
         with pytest.raises(ValueError, match="direction must be a finite nonzero"):
             potential_decay_fit(self.f, 1, [2.0**-6, 2.0**-7], 1.0, direction=(0.0, np.nan, 1.0))
+
+    def test_nodal_ray_is_not_fitted(self):
+        # on the equator of Y_1 the potential vanishes: values of 1e-14..1e-10
+        # are quadrature noise, and their fit once read -2.625 against -2.5
+        radii = [2.0**-j for j in range(5, 11)]
+        with pytest.raises(QuadratureBudgetError, match="probe at radius 0.03125"):
+            potential_decay_fit(self.f, 1, radii, 1.0, direction=(1.0, 0.0, 0.0))
+
+    def test_zero_source_is_not_fitted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureBudgetError, match="probe at radius"):
+                potential_decay_fit(
+                    lambda pts: np.zeros(len(pts)), 1, [2.0**-6, 2.0**-7], 1.0,
+                    rule=CHEAP, verify_source=False,
+                )
 
 
 class TestLaplacianConsistency:

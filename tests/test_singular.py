@@ -365,7 +365,8 @@ class TestTruncatedKernel:
         for nu in (-1, 0, 2):
             direct = truncated_laplace_kernel(x, ys, nu)
             # radii x directions table; point i pairs radius i with direction i
-            tail = _zonal_series(x, ys / ry[:, None], range(nu + 1, nu + 201))
+            rx = np.linalg.norm(x)
+            tail = _zonal_series(rx, (ys / ry[:, None]) @ (x / rx), range(nu + 1, nu + 201))
             series = -np.diag(tail(ry))
             np.testing.assert_allclose(direct, series, rtol=1e-12, atol=1e-16)
 
