@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .errors import ConfigError, OtlabError
-from .dnmap import SobolevScale, assemble_dn, sobolev_operator_norm
+from .dnmap import DNOperator, SobolevScale, assemble_dn, sobolev_operator_norm
+from .expressions import Expression
 from .gegenbauer import GegenbauerSpec, coefficient_table, endpoint_values
 from .medium import k_admissible_ranges, is_wave_number_admissible, split_real_imag, verify_ellipticity
 from .singular import SingularityPoint, SingularSolutionSpec, correction_w, leading_term
@@ -103,14 +104,9 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
     section = dict(config.experiment("solve"))
     if args.no_reaction:
         section["no_reaction"] = True
-    if args.grid:
-        grid = config.grid(m_per_axis=args.grid)
-    else:
-        grid = config.grid()
+    grid = config.grid(m_per_axis=args.grid)
     medium = config.medium(grid)
     op = assemble(medium, grid, include_reaction=not section.get("no_reaction", False))
-    from .expressions import Expression
-
     g_expr = Expression(str(section.get("boundary_data", "1")), dimension=3)
     g = g_expr(grid.points[op.boundary_idx]).astype(complex)
     sol = solve_dirichlet(op, g, rtol=config.rtol)
@@ -154,8 +150,6 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
 def cmd_dn(config: RunConfig, out: Path, args) -> int:
     grid = config.grid()
     if args.load:
-        from .dnmap import DNOperator
-
         dn = DNOperator.load(args.load)
         for pointer, found, wanted in (
             ("/grid", dn.grid_fingerprint, grid.fingerprint()),
@@ -193,6 +187,12 @@ def cmd_singular(config: RunConfig, out: Path, args) -> int:
     section = config.experiment("singular")
     m = args.m if args.m is not None else int(section.get("m", 1))
     grid = config.grid()
+    r_min = float(section.get("r_min_cells", 4)) * grid.h
+    r_max = float(section.get("r_max", 0.45))
+    if m < 0:
+        raise ConfigError("/experiments/singular", f"m must be at least 0, got {m}")
+    if not r_max - r_min >= 4 * grid.h:
+        raise ConfigError("/experiments/singular", f"r_max {r_max} must exceed r_min {r_min:.4g} by 4 cells")
     apriori = config.apriori()
     medium = config.medium(grid, apriori)
     center = np.zeros(3)
@@ -206,8 +206,6 @@ def cmd_singular(config: RunConfig, out: Path, args) -> int:
         apriori.n,
     )
     spec = SingularSolutionSpec(m, at)
-    r_min = float(section.get("r_min_cells", 4)) * grid.h
-    r_max = float(section.get("r_max", 0.45))
     result = correction_w(medium, spec, r_min, r_max)
 
     dist = np.linalg.norm(grid.points - center, axis=1)
@@ -368,6 +366,10 @@ def cmd_gegenbauer_table(config: RunConfig, out: Path, args) -> int:
     section = config.experiment("gegenbauer_table")
     max_m = args.max_m if args.max_m is not None else int(section.get("max_m", 8))
     n = args.n if args.n is not None else int(section.get("n", 3))
+    try:
+        GegenbauerSpec(max_m, n)
+    except ValueError as exc:
+        raise ConfigError("/experiments/gegenbauer_table", str(exc)) from None
     rows = coefficient_table(max_m, n)
     endpoint = [float(endpoint_values(GegenbauerSpec(m, n))[0]) for m in range(max_m + 1)]
     _write_csv(

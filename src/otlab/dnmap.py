@@ -27,27 +27,30 @@ V = [M_b^{-1/2} Q_chi U_chi] from eight symmetric eigenproblems of about
 Nb/8 each, Q_chi^T M_b^{-1/2} S_b M_b^{-1/2} Q_chi = U_chi D_chi U_chi^T,
 which costs about 1/64 of one dense Nb x Nb eigh.
 
-Stability sweeps need the H^{1/2} -> H^{-1/2} norm of S2 - S1 for two
-media, and take it from the discrete Alessandrini identity instead of
-subtracting two assembled matrices.  Write H = [-A_II^{-1} A_IB; I] for the
-discrete harmonic extension of boundary data, so that A H = [0; S] and
-H^T A H = S.  For energy matrices A1, A2 = A1 + E, the symmetry of A1 gives
-H1^T A1 H2 = (A1 H1)^T H2 = S1 (the boundary block of H2 is the identity),
-and H1^T A2 H2 = H1^T [0; S2] = S2, hence
-
-    S2 - S1 = H1^T E H2.
-
-The norm is the spectral norm of the whitened T = W V^T (S2 - S1) V W,
-W = (I + D)^{-1/4}, in the M_b-orthonormal eigenbasis V, D, and a Lanczos
-iteration on T^H T needs T only as a product.  For a vector x:
+Every H^{1/2} -> H^{-1/2} norm is the spectral norm of the whitened
+T = W V^T Delta V W, W = (I + D)^{-1/4}, in the M_b-orthonormal eigenbasis
+V, D, and is taken one way: a Lanczos iteration on T^H T, which needs T
+only as a product.  ``_whitened`` makes x -> T x from any boundary product
+z = Delta f, block by block:
 
     f = V W x                       (sum over chi of B_chi U_chi (W x)_chi)
-    u_I = -A2_II^{-1} A2_IB f       (H2 f = [u_I; f])
-    y = E H2 f
-    z = y_B - A1_BI A1_II^{-1} y_I  (H1^T y, since A1_II is symmetric)
     T x = W V^T z                   ((V^T z)_chi = U_chi^T B_chi^T z)
 
-with B_chi = M_b^{-1/2} Q_chi, so the dense V is never formed.
+with B_chi = M_b^{-1/2} Q_chi, so the dense V is never formed.  ``otlab dn``
+takes Delta = S, its assembled D-N matrix, with T^H from S^H and a start
+drawn with seed 0 (``sobolev_operator_norm``).
+
+Stability sweeps take Delta = S2 - S1 for two media from the discrete
+Alessandrini identity instead of subtracting two assembled matrices.  Write
+H = [-A_II^{-1} A_IB; I] for the discrete harmonic extension of boundary
+data, so that A H = [0; S] and H^T A H = S.  For energy matrices A1,
+A2 = A1 + E, the symmetry of A1 gives H1^T A1 H2 = (A1 H1)^T H2 = S1 (the
+boundary block of H2 is the identity), and H1^T A2 H2 = H1^T [0; S2] = S2,
+hence S2 - S1 = H1^T E H2, applied as
+
+    u_I = -A2_II^{-1} A2_IB f       (H2 f = [u_I; f])
+    y = E H2 f
+    z = y_B - A1_BI A1_II^{-1} y_I  (H1^T y, since A1_II is symmetric).
 
 One product costs one solve with A2_II and one with A1_II and forms no
 boundary-sized matrix, and the difference comes without the cancellation of
@@ -135,8 +138,9 @@ class SobolevScale:
     cube, so M_b^{-1/2} S_b M_b^{-1/2} is block diagonal in the bases Q_chi
     of ``symmetry_bases``; ``blocks`` holds the eight blocks' eigenpairs.
     ``eigenvectors`` is the dense V = [M_b^{-1/2} Q_chi U_chi] in ascending
-    eigenvalue order, built on first use only: the stability sweep works
-    block by block and never forms it.
+    eigenvalue order, built on first use only.  otlab itself works block by
+    block and never forms it; it is kept for the tests' dense references and
+    the benchmark's dense-SVD check.
     """
 
     grid: GridDomain
@@ -317,25 +321,14 @@ def _real_times(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (U @ v.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-def _whitened_product(
-    base: DiscreteOperator, op: DiscreteOperator, E: sp.csr_matrix, scale: SobolevScale
-):
-    """x -> T x for the whitened T = W V^T H1^T E H2 V W of S(op) - S(base),
-    E = op.matrix - base.matrix (module docstring).
-
-    Both interior blocks are factored through ``DiscreteOperator.factorization``,
-    so a base operator shared by a sweep is factored once, and every solve is
-    residual-checked."""
-    grid = base.grid
-    i_idx, b_idx = base.interior_idx, base.boundary_idx
-    A1_II, A1_IB = base._interior_blocks()
-    A2_II, A2_IB = op._interior_blocks()
-    A1_BI = A1_IB.T.tocsr()
-    lu1, lu2 = base.factorization(), op.factorization()
+def _whitened(product, scale: SobolevScale):
+    """x -> W V^T product(V W x), W = (I + D)^{-1/4}: the whitened matrix whose
+    spectral norm is the H^{1/2} -> H^{-1/2} norm of the boundary map
+    ``product``, applied block by block over ``scale.blocks`` (module
+    docstring), so no Nb x Nb array is formed."""
     w = (1.0 + scale.eigenvalues) ** -0.25
     # transposed once: a sparse transpose per product cost more than the product
     transposed = [block.basis.T.tocsr() for block in scale.blocks]
-    u = np.empty(grid.num_points, dtype=complex)
 
     def apply(x):
         wx = w * x
@@ -343,17 +336,35 @@ def _whitened_product(
             block.basis @ _real_times(block.vectors, wx[block.positions])
             for block in scale.blocks
         )
-        u[b_idx] = f
-        u[i_idx] = _solve_checked(lu2, A2_II, -(A2_IB @ f), "perturbed extension solve", grid)
-        y = E @ u
-        y_I = _solve_checked(lu1, A1_II, y[i_idx], "base extension solve", grid)
-        z = y[b_idx] - A1_BI @ y_I
+        z = product(f)
         out = np.empty_like(wx)
         for block, Bt in zip(scale.blocks, transposed):
             out[block.positions] = _real_times(block.vectors.T, Bt @ z)
         return w * out
 
     return apply
+
+
+def _difference_product(base: DiscreteOperator, op: DiscreteOperator, E: sp.csr_matrix):
+    """f -> H1^T E H2 f = (S(op) - S(base)) f for E = op.matrix - base.matrix.
+    Both interior blocks are factored through ``DiscreteOperator.factorization``
+    (once for a base shared by a sweep), and every solve is residual-checked."""
+    grid = base.grid
+    i_idx, b_idx = base.interior_idx, base.boundary_idx
+    A1_II, A1_IB = base._interior_blocks()
+    A2_II, A2_IB = op._interior_blocks()
+    A1_BI = A1_IB.T.tocsr()
+    lu1, lu2 = base.factorization(), op.factorization()
+    u = np.empty(grid.num_points, dtype=complex)
+
+    def product(f):
+        u[b_idx] = f
+        u[i_idx] = _solve_checked(lu2, A2_II, -(A2_IB @ f), "perturbed extension solve", grid)
+        y = E @ u
+        y_I = _solve_checked(lu1, A1_II, y[i_idx], "base extension solve", grid)
+        return y[b_idx] - A1_BI @ y_I
+
+    return product
 
 
 def difference_norm(
@@ -364,8 +375,8 @@ def difference_norm(
     guess: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """H^{1/2} -> H^{-1/2} norm of S(op) - S(base): the largest singular value
-    of the whitened T of ``_whitened_product``, by the Lanczos iteration of
-    ``_largest_singular_value`` on T^H T, with its top Ritz vector.
+    of T = ``_whitened(_difference_product(...))``, by the Lanczos iteration
+    of ``_largest_singular_value`` on T^H T, with its top Ritz vector.
 
     The iteration starts from ``guess`` (a top Ritz vector of a nearby
     difference, such as the previous amplitude of a sweep) plus a small
@@ -375,32 +386,12 @@ def difference_norm(
     E = _difference(base, op)
     if E.nnz == 0:
         return 0.0, guess
-    apply = _whitened_product(base, op, E, scale)
+    apply = _whitened(_difference_product(base, op, E), scale)
+    # T is complex symmetric, so T^H v = conj(T conj(v))
     return _largest_singular_value(
         lambda v: np.conj(apply(np.conj(apply(v)))),
-        len(scale.eigenvalues),
-        rtol=LANCZOS_RTOL,
-        seed=seed,
-        guess=guess,
+        len(scale.eigenvalues), rtol=LANCZOS_RTOL, seed=seed, guess=guess,
     )
-
-
-def _whitened(delta: np.ndarray, scale: SobolevScale) -> np.ndarray:
-    """(I+D)^{-1/4} V^T Delta V (I+D)^{-1/4}: the matrix whose spectral norm
-    realizes the H^{1/2} -> H^{-1/2} operator norm.
-
-    V is real, so the congruence is taken part by part: two real GEMMs cost
-    less than one complex GEMM with V promoted to complex.  The result is
-    filled and weighted in place, in Fortran order, so LAPACK takes it
-    without a copy."""
-    w = (1.0 + scale.eigenvalues) ** -0.25
-    V = scale.eigenvectors
-    core = np.empty(delta.shape, dtype=complex, order="F")
-    core.real = V.T @ delta.real @ V
-    core.imag = V.T @ delta.imag @ V
-    core *= w[:, None]
-    core *= w[None, :]
-    return core
 
 
 def _largest_singular_value(
@@ -453,8 +444,14 @@ def _largest_singular_value(
 
 
 def sobolev_operator_norm(delta: np.ndarray, scale: SobolevScale) -> float:
-    """Operator norm of a D-N difference from H^{1/2} to its dual: the
-    largest singular value of the spectrally whitened matrix, from a dense
-    SVD."""
-    T = _whitened(np.asarray(delta, dtype=complex), scale)
-    return float(scipy.linalg.svdvals(T, overwrite_a=True)[0])
+    """H^{1/2} -> H^{-1/2} norm of a boundary matrix: the largest singular
+    value of T = ``_whitened(delta @ .)`` by ``_largest_singular_value``,
+    started with seed 0.  No symmetry is assumed: T^H = W V^T delta^H V W."""
+    delta = np.asarray(delta, dtype=complex)
+    apply = _whitened(lambda f: delta @ f, scale)
+    # delta^H f = conj(conj(f) @ delta), with no conjugated copy of delta
+    adjoint = _whitened(lambda f: np.conj(np.conj(f) @ delta), scale)
+    sigma, _ = _largest_singular_value(
+        lambda v: adjoint(apply(v)), len(scale.eigenvalues), rtol=LANCZOS_RTOL, seed=0
+    )
+    return sigma

@@ -423,40 +423,39 @@ def _potential(f, nu, x, radius, rule, memo):
     # series truncation of the tail kernel
     err += abs(total) * 2.0 ** (-rule.series_terms)
 
-    # outer region |x|/2 <= |y| <= radius with a mollified Newtonian part,
-    # evaluated at full and reduced angular resolution so the difference
-    # gives a conservative error estimate
+    # outer region |x|/2 <= |y| <= radius, mollified on the delta-ball around
+    # x, at full and reduced angular resolution so the difference gives a
+    # conservative error estimate; the ball patch does not depend on them
+    delta = min(r / 4.0, (radius - r) / 2.0)
     outer_full = _outer_contribution(
-        f, nu, x, radius, rule, rule.outer_theta, rule.outer_phi, memo
+        f, nu, x, radius, delta, rule, rule.outer_theta, rule.outer_phi, memo
     )
     outer_low = _outer_contribution(
-        f, nu, x, radius, rule, max(rule.outer_theta - 8, 8), max(rule.outer_phi - 16, 16), memo
+        f, nu, x, radius, delta, rule, max(rule.outer_theta - 8, 8), max(rule.outer_phi - 16, 16), memo
     )
-    total += outer_full
+    total += outer_full + _ball_patch(f, x, delta, rule)
     err += abs(outer_full - outer_low)
 
     err += 1e-12 * abs(total)
     return total, PotentialInfo(value=total, tolerance_estimate=err, inner_shells=shells)
 
 
-def _outer_contribution(f, nu, x, radius, rule, n_theta, n_phi, memo):
-    """Mollified outer integral plus the exact-minus-mollified ball patch.
+def _outer_contribution(f, nu, x, radius, delta, rule, n_theta, n_phi, memo):
+    """Outer integral over |x|/2 <= |y| <= radius with the Newtonian part
+    mollified on the ``delta``-ball around x.
 
     Segments from r + delta outwards are kept in ``memo``: a probe at half
     the radius has the same doubling segments and the same last one.  The
-    near field [|x|/2, r + delta] and the delta-ball patch belong to this
-    probe alone.
+    near field [|x|/2, r + delta] belongs to this probe alone.
     """
     r = float(np.linalg.norm(x))
     cn = _sphere_constant(3)
-    a = r / 2.0
-    delta = min(r / 4.0, (radius - r) / 2.0)
     sph_out, w_out = _sphere_nodes(n_theta, n_phi)
     cosg = sph_out @ (x / r)
     # Gamma_nu + C_3/rho: the moments j <= nu that the truncation removes
     moments = _zonal_series(r, cosg, range(nu + 1))
 
-    breakpoints = [a, r - delta, r, r + delta]
+    breakpoints = [r / 2.0, r - delta, r, r + delta]
     c = r + delta
     while c * 2.0 < radius:
         c *= 2.0
@@ -474,16 +473,18 @@ def _outer_contribution(f, nu, x, radius, rule, n_theta, n_phi, memo):
         kern = -cn * _mollified_inverse_distance(rho, delta) + moments(rad).ravel()
         fv = _block_source(f, memo, (counts, lo, hi), rad, sph_out, lo >= r + delta)
         total += np.sum(wq * kern * fv)
+    return total
 
-    # patch: add back (exact - mollified) Newtonian part on the delta-ball
+
+def _ball_patch(f, x, delta, rule):
+    """The exact-minus-mollified Newtonian part on the delta-ball around x."""
     sph_p, w_p = _sphere_nodes(rule.patch_theta, rule.patch_phi)
     rad, wr = _radial_nodes(0.0, delta, rule.patch_radial)
     pts = (x[None, None, :] + rad[:, None, None] * sph_p[None, :, :]).reshape(-1, 3)
     wq = (wr[:, None] * (rad**2)[:, None] * w_p[None, :]).ravel()
     rho = np.repeat(rad, len(w_p))
-    kern = -cn * (1.0 / rho - _mollified_inverse_distance(rho, delta))
-    total += np.sum(wq * kern * f(pts))
-    return total
+    kern = -_sphere_constant(3) * (1.0 / rho - _mollified_inverse_distance(rho, delta))
+    return np.sum(wq * kern * f(pts))
 
 
 def shell_source_exponent(f, radius: float, p: float = 4.0, num_shells: int = 6) -> float:
@@ -604,6 +605,11 @@ def potential_decay_fit(
 # discrete annulus correction
 
 
+# shells of the annulus decay fit, and the RMS residual (log units) that flags it
+ANNULUS_SHELLS = 6
+FIT_RMS_THRESHOLD = 0.5
+
+
 @dataclass
 class CorrectionResult:
     """Annulus solve for the remainder w plus its fitted radial decay."""
@@ -625,8 +631,6 @@ def correction_w(
     spec: SingularSolutionSpec,
     r_min: float,
     r_max: float,
-    num_shells: int = 6,
-    fit_rms_threshold: float = 0.5,
     include_reaction: bool = True,
 ) -> CorrectionResult:
     """Solve L w = -L u_m on the discrete annulus r_min < |x-z| < r_max.
@@ -634,8 +638,9 @@ def correction_w(
     Zero Dirichlet data on both spheres; the mismatch against the true
     remainder's inner trace is absorbed into the fitted-constant slack,
     which is why only decay exponents are reported.  Shell sups of |w| and
-    |x-z| |Dw| are fitted log-log; the fit is flagged when its RMS residual
-    exceeds ``fit_rms_threshold`` (log units).
+    |x-z| |Dw| are fitted log-log over at most ``ANNULUS_SHELLS`` shells; the
+    fit is flagged when its RMS residual exceeds ``FIT_RMS_THRESHOLD`` (log
+    units).
     """
     grid = medium.grid
     z = spec.at.z
@@ -645,7 +650,7 @@ def correction_w(
     if r_max - r_min < 4 * grid.h or mask.sum() < 50:
         raise ValueError("annulus too thin for this grid")
     # shells thinner than ~1.5 h cannot hold a full gradient stencil
-    num_shells = max(3, min(num_shells, int((r_max - r_min) / (1.5 * grid.h))))
+    num_shells = max(3, min(ANNULUS_SHELLS, int((r_max - r_min) / (1.5 * grid.h))))
     dist = np.linalg.norm(grid.points - z, axis=1)
     near = dist <= r_min + 2 * grid.h
     if np.abs(medium.B[near]).max() > 1e-13:
@@ -714,7 +719,7 @@ def correction_w(
         exponent_w=float(coeffs[0]),
         exponent_r_dw=exp_rdw,
         fit_residual=rms,
-        flagged=rms > fit_rms_threshold,
+        flagged=rms > FIT_RMS_THRESHOLD,
         candidate_exponents={
             "with_order": 2.0 - n - spec.m + alpha,
             "without_order": 2.0 - n + alpha,

@@ -105,7 +105,6 @@ def assemble(
     grid: GridDomain | None = None,
     include_reaction: bool = True,
     interior_mask: np.ndarray | None = None,
-    grid_cap: int = MAX_POINTS_PER_AXIS,
     tensor: ComplexTensorField | None = None,
 ) -> DiscreteOperator:
     """Assemble the discrete operator for a sampled medium.
@@ -114,12 +113,12 @@ def assemble(
     cube interior, but any subset of it works (annulus problems pass a
     radial mask).  ``tensor`` is ``split_real_imag(medium)`` when the
     caller has already sampled it; it is sampled here otherwise.  Raises
-    when the medium violates its ellipticity bounds or the grid exceeds the
-    configured cap.
+    when the medium violates its ellipticity bounds or the grid exceeds
+    ``MAX_POINTS_PER_AXIS``.
     """
     grid = grid or medium.grid
-    if grid.m_per_axis > grid_cap:
-        raise MemoryBudgetError(f"m_per_axis={grid.m_per_axis} exceeds the cap {grid_cap}")
+    if grid.m_per_axis > MAX_POINTS_PER_AXIS:
+        raise MemoryBudgetError(f"m_per_axis={grid.m_per_axis} exceeds the cap {MAX_POINTS_PER_AXIS}")
     tensor = tensor if tensor is not None else split_real_imag(medium)
     report = verify_ellipticity(tensor, medium.apriori)
     if not report.admissible:

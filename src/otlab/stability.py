@@ -122,7 +122,6 @@ def normal_derivative_sup(
     evaluate,
     nu_field: NonTangentialField,
     order: int,
-    spacing: float | None = None,
     full_output: bool = False,
 ):
     """Sup over boundary samples of the order-th directional derivative
@@ -134,8 +133,7 @@ def normal_derivative_sup(
     and counted.
     """
     grid = nu_field.grid
-    if spacing is None:
-        spacing = 0.25 * math.sqrt(grid.h * grid.extent)
+    spacing = 0.25 * math.sqrt(grid.h * grid.extent)
     npts = order + 3
     offsets = -spacing * np.arange(npts)  # inward along -nu
     weights = finite_difference_weights(offsets, order)
@@ -161,9 +159,8 @@ class PerturbationSpec:
 
     The difference behaves like (d / depth)^profile_order times a smooth
     tangential bump of the given width, centred on a face centre (kept away
-    from the cube edges where the exterior field is blended).  ``holder_e``
-    records the C^{h,alpha} bound E_h of the family; the bump polynomial is
-    C^3 at its rims, so orders up to 3 are meaningful.
+    from the cube edges where the exterior field is blended).  The bump
+    polynomial is C^3 at its rims, so orders up to 3 are meaningful.
 
     Each amplitude's medium is built once and audited once, on first use, and
     kept: the command line's check of the ladder, the sweep's and its rows
@@ -176,7 +173,6 @@ class PerturbationSpec:
     face_side: int = 1
     width: float = 0.3
     depth: float = 0.4
-    holder_e: float = 10.0
     smoothness: int = 3
     _media: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _audits: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -14,7 +14,9 @@ transcription error:
   series of the potential quadrature);
 - the tensor derivative gap by entrywise differencing of the sampled K
   (against the chain rule);
-- the continuous Alessandrini identity (against assembled D-N maps).
+- the continuous Alessandrini identity (against assembled D-N maps);
+- the dense whitening of a boundary matrix and its dense SVD (against the
+  block-wise whitening and the Lanczos norms of ``otlab.dnmap``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from otlab.dnmap import DNOperator, assemble_dn
+from otlab.dnmap import DNOperator, SobolevScale, assemble_dn
 from otlab.errors import SingularityError
 from otlab.gegenbauer import GegenbauerSpec, _recurrence, gegenbauer_eval, sum_coefficients
 from otlab.medium import OpticalMedium, split_real_imag
@@ -355,3 +357,24 @@ def alessandrini_residual(
 
     scale = max(abs(lhs), abs(vol_grad) + abs(vol_mass), 1e-300)
     return float(abs(lhs - vol_grad - vol_mass) / scale)
+
+
+# ---------------------------------------------------------------------------
+# dense H^{1/2} -> H^{-1/2} norms
+
+
+def dense_whitened(delta, scale: SobolevScale) -> np.ndarray:
+    """(I+D)^{-1/4} V^T Delta V (I+D)^{-1/4} with the dense eigenbasis V of
+    ``scale.eigenvectors``: the Nb x Nb matrix whose spectral norm is the
+    H^{1/2} -> H^{-1/2} operator norm of Delta.  V is real, so the
+    congruence is taken part by part, as two real products."""
+    delta = np.asarray(delta, dtype=complex)
+    w = (1.0 + scale.eigenvalues) ** -0.25
+    V = scale.eigenvectors
+    core = (V.T @ delta.real @ V) + 1j * (V.T @ delta.imag @ V)
+    return w[:, None] * core * w[None, :]
+
+
+def dense_operator_norm(delta, scale: SobolevScale) -> float:
+    """Largest singular value of ``dense_whitened(delta, scale)`` by a dense SVD."""
+    return float(np.linalg.svd(dense_whitened(delta, scale), compute_uv=False)[0])

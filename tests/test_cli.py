@@ -13,6 +13,8 @@ from otlab.cli import main
 from otlab.config import RunConfig
 from otlab.errors import ConfigError, ResidualError
 
+from oracles import dense_operator_norm
+
 
 def default_config_dict():
     with resources.files("otlab.data").joinpath("default_config.json").open() as fh:
@@ -195,6 +197,34 @@ class TestCliExitCodes:
         assert "[5.0, 2.5]" in err and "[1/lam, lam]" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, section, fields, pointer, cause",
+        [
+            ("singular", "singular", {"r_max": 0.05}, "/experiments/singular", "r_max 0.05"),
+            ("singular", "singular", {"m": -1}, "/experiments/singular", "got -1"),
+            ("gegenbauer-table", "gegenbauer_table", {"n": 2}, "/experiments/gegenbauer_table",
+             "dimension must be >= 3"),
+        ],
+        ids=["singular-r_max", "singular-m", "gegenbauer_table-n"],
+    )
+    def test_bad_experiment_section_exits_2_before_working(
+        self, tmp_path, capsys, monkeypatch, command, section, fields, pointer, cause
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"the {command} command started working")
+
+        monkeypatch.setattr(RunConfig, "medium", no_work)
+        monkeypatch.setattr(otlab.cli, "coefficient_table", no_work)
+        cfg = default_config_dict()
+        cfg["experiments"][section].update(fields)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {pointer}:" in err and cause in err
+        assert list(out.iterdir()) == []
+
     def test_foreign_interior_factor_exits_3(self, tmp_path, capsys, monkeypatch):
         # a factor of 2 A_II in place of A_II fails the extension solves'
         # residual check inside the sweep
@@ -363,7 +393,8 @@ class TestCliCommands:
         # the seed draws the first amplitude's Lanczos start and the random
         # part of every later amplitude's warm start: gaps agree to the
         # Ritz-residual tolerance, and one seed reproduces its reports
-        # bytewise; the norm of `dn` is exact
+        # bytewise; `dn` draws its start with the fixed seed 0, so its norm
+        # does not read --seed
         real = otlab.dnmap._largest_singular_value
         seen = []
 
@@ -402,18 +433,25 @@ class TestCliCommands:
 
     def test_dn_norm_is_the_largest_singular_value(self, tmp_path):
         # at m=13 the whitened D-N matrix has a near-degenerate top singular
-        # value, where a power iteration took 18 159 steps; the dense SVD
-        # has no step cap
+        # value, where a power iteration took 18 159 steps; the Lanczos norm
+        # of `dn` still matches the oracle's dense SVD
         path = small_config(tmp_path, **{"grid.m_per_axis": 13})
         out = tmp_path / "o"
         assert main(["dn", "--config", str(path), "--out", str(out)]) == 0
         config = RunConfig.from_file(path)
         grid = config.grid()
         dn = otlab.dnmap.assemble_dn(config.medium(grid), grid)
-        whitened = otlab.dnmap._whitened(dn.matrix, otlab.dnmap.SobolevScale.build(grid))
-        dense = np.linalg.svd(whitened, compute_uv=False)[0]
+        dense = dense_operator_norm(dn.matrix, otlab.dnmap.SobolevScale.build(grid))
         norm = json.loads((out / "dn_report.json").read_text())["operator_norm"]
         assert norm == pytest.approx(dense, rel=1e-12)
+
+    def test_dn_leaves_the_dense_eigenbasis_unbuilt(self, tmp_path, monkeypatch):
+        def no_dense_basis(scale):
+            raise AssertionError("the dense eigenbasis was built")
+
+        monkeypatch.setattr(otlab.dnmap.SobolevScale, "eigenvectors", property(no_dense_basis))
+        path = small_config(tmp_path)
+        assert main(["dn", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_gegenbauer_table(self, tmp_path):
         out = tmp_path / "out"
@@ -439,7 +477,7 @@ class TestCliCommands:
         path = small_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
-            assert main(["check", "--config", str(path), "--out", str(out)]) == 0
-            assert main(["gegenbauer-table", "--config", str(path), "--out", str(out)]) == 0
-        for name in ("check_report.json", "gegenbauer_coefficients.csv"):
+            for command in ("check", "gegenbauer-table", "dn"):
+                assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        for name in ("check_report.json", "gegenbauer_coefficients.csv", "dn_report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

@@ -13,9 +13,9 @@ from otlab.dnmap import (
     SymmetryBlock,
     LANCZOS_RTOL,
     _difference,
+    _difference_product,
     _largest_singular_value,
     _whitened,
-    _whitened_product,
     assemble_dn,
     difference_norm,
     sobolev_operator_norm,
@@ -27,7 +27,7 @@ from otlab.medium import AprioriData, OpticalMedium
 from otlab.solver import assemble
 from otlab.stability import PerturbationSpec
 
-from oracles import alessandrini_residual
+from oracles import alessandrini_residual, dense_operator_norm, dense_whitened
 
 
 def apriori(**kw):
@@ -298,22 +298,35 @@ class TestOperatorNorm:
             )
 
     def test_whitening_matches_the_complex_product(self, scale9):
+        # the block-wise whitening, column by column, and the dense oracle's
+        # real products against one complex product with the dense basis
         rng = np.random.default_rng(5)
         nb = len(scale9.boundary_idx)
         delta = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
-        delta = delta + delta.T
         w = (1.0 + scale9.eigenvalues) ** -0.25
         V = scale9.eigenvectors
         reference = (w[:, None] * (V.T @ delta @ V)) * w[None, :]
-        gap = np.linalg.norm(_whitened(delta, scale9) - reference) / np.linalg.norm(reference)
-        assert gap <= 1e-13
+        apply = _whitened(lambda f: delta @ f, scale9)
+        blockwise = np.column_stack([apply(x) for x in np.eye(nb, dtype=complex)])
+        for whitened in (blockwise, dense_whitened(delta, scale9)):
+            gap = np.linalg.norm(whitened - reference) / np.linalg.norm(reference)
+            assert gap <= 1e-13
 
     def test_matches_dense_svd(self, grid9, scale9, dn9):
         other = assemble_dn(medium_on(grid9, mu_a="1 + 0.15*cos(x2)"), grid9)
         delta = other.matrix - dn9.matrix
-        power = sobolev_operator_norm(delta, scale9)
-        dense = np.linalg.svd(_whitened(delta, scale9), compute_uv=False)[0]
-        assert power == pytest.approx(dense, rel=1e-6)
+        lanczos = sobolev_operator_norm(delta, scale9)
+        assert lanczos == pytest.approx(dense_operator_norm(delta, scale9), rel=1e-6)
+
+    def test_non_symmetric_matrix_matches_dense_svd(self, scale9):
+        # a loaded D-N file need not be symmetric: the norm takes T^H from
+        # the conjugate transpose, not from conj(T conj(.))
+        rng = np.random.default_rng(7)
+        nb = len(scale9.boundary_idx)
+        delta = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
+        assert np.abs(delta - delta.T).max() > 1.0
+        dense = dense_operator_norm(delta, scale9)
+        assert sobolev_operator_norm(delta, scale9) == pytest.approx(dense, rel=1e-12)
 
     def test_frechet_probe_slope_one(self, grid9, scale9, dn9):
         base = medium_on(grid9)
@@ -452,10 +465,6 @@ def dense_difference(base, op2):
     return extension(base).T @ E @ extension(op2)
 
 
-def largest_singular_value(delta, scale):
-    return np.linalg.svd(_whitened(delta, scale), compute_uv=False)[0]
-
-
 def medium_with_B(grid, anisotropic):
     B = interior_anisotropic_B(grid) if anisotropic else None
     return OpticalMedium.from_expressions(grid, apriori(), mu_a="1", mu_s="1", B=B)
@@ -474,10 +483,10 @@ class TestPatchGreen:
         E = _difference(base, op2)
         # the cross terms widen E's rows beyond the 7-point stencil
         assert (E.getnnz(axis=1).max() > 7) == anisotropic
-        apply = _whitened_product(base, op2, E, scale9)
+        apply = _whitened(_difference_product(base, op2, E), scale9)
         columns = np.eye(len(scale9.boundary_idx), dtype=complex)
         T = np.column_stack([apply(x) for x in columns])
-        reference = _whitened(
+        reference = dense_whitened(
             assemble_dn(med2, grid9).matrix - assemble_dn(med, grid9).matrix, scale9
         )
         gap = np.linalg.norm(T - reference) / np.linalg.norm(reference)
@@ -498,7 +507,7 @@ class TestPatchOperatorNorm:
         med2 = spec.perturbed(0.2)
         op2 = assemble(med2, grid9)
         delta = assemble_dn(med2, grid9).matrix - assemble_dn(spec.base, grid9).matrix
-        dense = largest_singular_value(delta, scale9)
+        dense = dense_operator_norm(delta, scale9)
         assert difference_norm(base, op2, scale9)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_small_amplitude_matches_dense_svd_of_the_factors(self, grid9, scale9, route9):
@@ -506,7 +515,7 @@ class TestPatchOperatorNorm:
         # accuracy, so the reference whitens H1^T E H2 from dense solves
         spec, base = route9
         op2 = assemble(spec.perturbed(2e-8), grid9)
-        dense = largest_singular_value(dense_difference(base, op2), scale9)
+        dense = dense_operator_norm(dense_difference(base, op2), scale9)
         assert difference_norm(base, op2, scale9)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_patch_larger_than_the_boundary(self, grid9, scale9):
@@ -518,13 +527,13 @@ class TestPatchOperatorNorm:
         op2 = assemble(spec.perturbed(0.1), grid9)
         rows, cols = (op2.matrix - base.matrix).nonzero()
         assert len(np.union1d(rows, cols)) > len(scale9.boundary_idx)
-        dense = largest_singular_value(dense_difference(base, op2), scale9)
+        dense = dense_operator_norm(dense_difference(base, op2), scale9)
         assert difference_norm(base, op2, scale9)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_lanczos_matches_dense_svd(self, grid9, scale9, route9):
         spec, base = route9
         op2 = assemble(spec.perturbed(0.1), grid9)
-        dense = largest_singular_value(dense_difference(base, op2), scale9)
+        dense = dense_operator_norm(dense_difference(base, op2), scale9)
         assert difference_norm(base, op2, scale9)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_equal_operators_factor_nothing(self, grid9, scale9, monkeypatch):

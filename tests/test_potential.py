@@ -133,6 +133,17 @@ class TestPotentialQuadrature:
             _, info = newtonian_potential_truncated(f, 1, x, 1.0, full_output=True)
             assert info.inner_shells == shells
 
+    def test_tolerance_bounds_the_skipped_shells(self):
+        # the mixed source's shells shrink by about 2^-1/2 each, so a ladder
+        # stopped at shell_rtol = 1e-3 skips more than the outer passes
+        # differ by; the geometric tail of the tolerance estimate covers it
+        x = 2.0**-7 * np.array([0.36, 0.48, 0.8])
+        exact = newtonian_potential_truncated(mixed_source, 1, x, 1.0)
+        rule = PotentialRule(shell_rtol=1e-3)
+        early, info = newtonian_potential_truncated(mixed_source, 1, x, 1.0, rule, True)
+        assert info.inner_shells < 31
+        assert abs(early - exact) <= info.tolerance_estimate
+
     def test_non_finite_shell_names_the_shell(self):
         # inside the band of nu = 1, but r^-4.9 overflows on shells near 1e-63
         # before the slowly decaying Y_2 tail settles
@@ -265,6 +276,13 @@ class TestSharedSourceBlocks:
             return f(pts)
 
         return counted, seen
+
+    def test_ball_patch_is_evaluated_once_per_probe(self):
+        # the patch does not depend on the outer angular resolution
+        rule = PotentialRule()
+        f, seen = self._counting(mixed_source)
+        newtonian_potential_truncated(f, 1, 2.0**-7 * self.DIRECTION, 1.0, rule)
+        assert seen.count(rule.patch_radial * rule.patch_theta * rule.patch_phi) == 1
 
 
     @pytest.mark.parametrize("radii", [DYADIC, [0.03, 0.017, 0.009]], ids=["dyadic", "non-dyadic"])
