@@ -3,15 +3,17 @@
 Every run reads one JSON config (a bundled default is used when none is
 given), writes its artifacts into the output directory, and embeds the
 config fingerprint and module versions into every file it produces.
-Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure.
+User input is typed in ``otlab.config`` (``RunConfig.experiment`` takes the
+CLI flags as overrides, ``RunConfig.load_dn`` reads ``--load`` files).
+Exit codes: 0 success; 2 a ``ConfigError``: a bad config, flag or ``--load``
+file, found before any work and named by a JSON pointer (or ``--load``);
+3 a numerical or internal failure, or a ``check`` that finds violations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -20,11 +22,13 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .errors import ConfigError, OtlabError
-from .dnmap import DNOperator, SobolevScale, assemble_dn, sobolev_operator_norm
-from .expressions import Expression
-from .gegenbauer import GegenbauerSpec, coefficient_table, endpoint_values
+from .dnmap import SobolevScale, assemble_dn, sobolev_operator_norm
+from .expressions import Expression, ExpressionError
+from .gegenbauer import MAX_DEGREE, GegenbauerSpec, coefficient_table, endpoint_values
 from .medium import k_admissible_ranges, is_wave_number_admissible, split_real_imag, verify_ellipticity
-from .singular import SingularityPoint, SingularSolutionSpec, correction_w, leading_term
+from .singular import (
+    SingularityPoint, SingularSolutionSpec, b_vanishes_near_pole, correction_w, leading_term
+)
 from .solver import apply_operator, assemble, solve_dirichlet
 from .stability import PerturbationSpec, holder_exponent, run_stability_experiment
 from .svgplot import loglog_svg
@@ -101,33 +105,41 @@ def cmd_check(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_solve(config: RunConfig, out: Path, args) -> int:
-    section = dict(config.experiment("solve"))
-    if args.no_reaction:
-        section["no_reaction"] = True
+    section = config.experiment("solve", no_reaction=args.no_reaction, dump_slice=args.dump_slice)
+    try:
+        g_expr = Expression(section["boundary_data"])
+    except ExpressionError as exc:
+        raise ConfigError("/experiments/solve/boundary_data", str(exc)) from exc
+    slice_spec = section["dump_slice"]
+    if slice_spec:
+        axis_name, _, value = slice_spec.partition("=")
+        axis = {"x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}.get(axis_name.strip())
+        try:
+            target = float(value)
+        except ValueError:
+            axis = None
+        if axis is None:
+            raise ConfigError("/experiments/solve/dump_slice", f"bad slice {slice_spec!r}")
     grid = config.grid(m_per_axis=args.grid)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = g_expr(grid.points[grid.boundary_indices]).astype(complex)
+    if not np.isfinite(g).all():
+        raise ConfigError("/experiments/solve/boundary_data", "not finite on the boundary")
     medium = config.medium(grid)
-    op = assemble(medium, grid, include_reaction=not section.get("no_reaction", False))
-    g_expr = Expression(str(section.get("boundary_data", "1")), dimension=3)
-    g = g_expr(grid.points[op.boundary_idx]).astype(complex)
+    op = assemble(medium, grid, include_reaction=not section["no_reaction"])
     sol = solve_dirichlet(op, g, rtol=config.rtol)
     residual = float(np.abs(apply_operator(op, sol)).max())
     payload = {
         **_stamp(config),
         "grid_m_per_axis": grid.m_per_axis,
-        "include_reaction": not section.get("no_reaction", False),
+        "include_reaction": not section["no_reaction"],
         "interior_residual_sup": residual,
         "solution_sup": float(np.abs(sol.values).max()),
         "solution_l2": float(np.sqrt(np.sum(grid.volume_weights * np.abs(sol.values) ** 2))),
     }
     _write_json(out / "solve_report.json", payload)
 
-    slice_spec = args.dump_slice or section.get("dump_slice")
     if slice_spec:
-        axis_name, _, value = str(slice_spec).partition("=")
-        axis = {"x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}.get(axis_name.strip())
-        if axis is None:
-            raise ConfigError("/experiments/solve/dump_slice", f"bad slice {slice_spec!r}")
-        target = float(value)
         plane = int(np.argmin(np.abs(grid.axis - target)))
         ids = np.take(np.arange(grid.num_points).reshape((grid.m_per_axis,) * 3), plane, axis=axis)
         pts = grid.points[ids.ravel()]
@@ -150,17 +162,7 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
 def cmd_dn(config: RunConfig, out: Path, args) -> int:
     grid = config.grid()
     if args.load:
-        dn = DNOperator.load(args.load)
-        for pointer, found, wanted in (
-            ("/grid", dn.grid_fingerprint, grid.fingerprint()),
-            ("/medium", dn.medium_fingerprint, config.medium(grid).fingerprint()),
-        ):
-            if found != wanted:
-                raise ConfigError(
-                    pointer,
-                    f"{args.load} holds a D-N map for {pointer[1:]} fingerprint {found}, "
-                    f"but this config gives {wanted}",
-                )
+        dn = config.load_dn(args.load)
         src = f"loaded from {args.load}"
     else:
         dn = assemble_dn(config.medium(grid), grid)
@@ -184,18 +186,24 @@ def cmd_dn(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_singular(config: RunConfig, out: Path, args) -> int:
-    section = config.experiment("singular")
-    m = args.m if args.m is not None else int(section.get("m", 1))
+    section = config.experiment("singular", m=args.m)
+    m, r_max = section["m"], section["r_max"]
     grid = config.grid()
-    r_min = float(section.get("r_min_cells", 4)) * grid.h
-    r_max = float(section.get("r_max", 0.45))
-    if m < 0:
-        raise ConfigError("/experiments/singular", f"m must be at least 0, got {m}")
-    if not r_max - r_min >= 4 * grid.h:
-        raise ConfigError("/experiments/singular", f"r_max {r_max} must exceed r_min {r_min:.4g} by 4 cells")
+    r_min = section["r_min_cells"] * grid.h
+    where = "/experiments/singular"
+    if not 0 <= m <= MAX_DEGREE:
+        raise ConfigError(where, f"m must be at least 0 and at most {MAX_DEGREE}, got {m}")
+    if r_min <= 0:
+        raise ConfigError(where, f"r_min_cells must be positive, got {section['r_min_cells']}")
+    if r_max > grid.extent / 2:
+        raise ConfigError(where, f"r_max {r_max} exceeds the cube's half extent {grid.extent / 2}")
+    if r_max - r_min < 4 * grid.h:
+        raise ConfigError(where, f"r_max {r_max} must exceed r_min {r_min:.4g} by 4 cells")
     apriori = config.apriori()
     medium = config.medium(grid, apriori)
     center = np.zeros(3)
+    if not b_vanishes_near_pole(medium, center, r_min):
+        raise ConfigError("/medium/B", f"B must vanish within {r_min + 2 * grid.h:.4g} of the pole")
     idx_center = int(np.argmin(np.linalg.norm(grid.points - center, axis=1)))
     at = SingularityPoint.from_coefficients(
         center,
@@ -266,19 +274,12 @@ def cmd_singular(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_stability(config: RunConfig, out: Path, args) -> int:
-    section = dict(config.experiment("stability"))
-    if args.profile_order is not None:
-        section["profile_order"] = args.profile_order
-    if args.derivatives is not None:
-        section["h"] = args.derivatives
-    if args.eps_start is not None:
-        section["eps_start"] = args.eps_start
-    if args.eps_count is not None:
-        section["eps_count"] = args.eps_count
-    h_order = int(section.get("h", 0))
-    eps0 = float(section.get("eps_start", 0.2))
-    count = int(section.get("eps_count", 6))
-    if not (math.isfinite(eps0) and eps0 > 0.0):
+    section = config.experiment(
+        "stability",
+        profile_order=args.profile_order, h=args.h, eps_start=args.eps_start, eps_count=args.eps_count,
+    )
+    h_order, eps0, count = section["h"], section["eps_start"], section["eps_count"]
+    if eps0 <= 0.0:
         raise ConfigError(
             "/experiments/stability", f"eps_start must be positive and finite, got {eps0}"
         )
@@ -290,20 +291,14 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
             f"h must lie in 0..{PerturbationSpec.smoothness} (the smoothness of the "
             f"perturbation family), got {h_order}",
         )
-    overrides = {}
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.k is not None:
-        overrides["k"] = args.k
-    apriori = config.apriori(**overrides)
+    apriori = config.apriori(alpha=args.alpha, k=args.k)
     grid = config.grid()
     medium = config.medium(grid, apriori)
+    if h_order >= 1 and not medium.supp_B_interior:
+        raise ConfigError("/medium/supp_B_interior", f"h = {h_order} needs supp(B) interior to the domain")
     try:
         pspec = PerturbationSpec(
-            medium,
-            profile_order=int(section.get("profile_order", 0)),
-            width=float(section.get("width", 0.3)),
-            depth=float(section.get("depth", 0.4)),
+            medium, profile_order=section["profile_order"], width=section["width"], depth=section["depth"]
         )
     except ValueError as exc:
         raise ConfigError("/experiments/stability", str(exc)) from exc
@@ -363,9 +358,8 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_gegenbauer_table(config: RunConfig, out: Path, args) -> int:
-    section = config.experiment("gegenbauer_table")
-    max_m = args.max_m if args.max_m is not None else int(section.get("max_m", 8))
-    n = args.n if args.n is not None else int(section.get("n", 3))
+    section = config.experiment("gegenbauer_table", max_m=args.max_m, n=args.n)
+    max_m, n = section["max_m"], section["n"]
     try:
         GegenbauerSpec(max_m, n)
     except ValueError as exc:
@@ -405,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", parents=[common], help="one Dirichlet solve")
     p_solve.add_argument("--grid", type=int, help="points per axis override")
-    p_solve.add_argument("--no-reaction", action="store_true")
+    p_solve.add_argument("--no-reaction", action="store_true", default=None)
     p_solve.add_argument("--dump-slice", help="plane dump, e.g. z=0.0")
 
     p_dn = sub.add_parser("dn", parents=[common], help="assemble the Dirichlet-to-Neumann matrix")
@@ -417,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stab = sub.add_parser("stability", parents=[common], help="boundary stability sweep")
     p_stab.add_argument("--profile-order", type=int, dest="profile_order")
-    p_stab.add_argument("--h", type=int, dest="derivatives", help="highest derivative order")
+    p_stab.add_argument("--h", type=int, help="highest derivative order")
     p_stab.add_argument("--alpha", type=float)
     p_stab.add_argument("--eps-start", type=float, dest="eps_start")
     p_stab.add_argument("--eps-count", type=int, dest="eps_count")
@@ -455,10 +449,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except OtlabError as exc:
+    except (OtlabError, ValueError) as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
 

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import zipfile
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from .dnmap import DNOperator
 from .errors import ConfigError, MemoryBudgetError
 from .grid import GridDomain
 from .medium import AprioriData, OpticalMedium
@@ -27,6 +30,18 @@ APRIORI_KEYS = {
     "alpha": ("alpha", float),
 }
 
+# Every key of /experiments/<section> with its default.  The default's type
+# is the key's type: bool, int, float or str, and None for an optional str.
+EXPERIMENTS = {
+    "solve": {"no_reaction": False, "boundary_data": "1", "dump_slice": None},
+    "singular": {"m": 1, "r_min_cells": 4.0, "r_max": 0.45},
+    "stability": {
+        "profile_order": 0, "h": 0, "eps_start": 0.2, "eps_count": 6, "width": 0.3, "depth": 0.4
+    },
+    "gegenbauer_table": {"max_m": 8, "n": 3},
+}
+
+
 def _require(mapping: Any, key: str, pointer: str):
     if not isinstance(mapping, dict):
         raise ConfigError(pointer.rsplit("/", 1)[0] or "/", "expected an object")
@@ -38,9 +53,24 @@ def _require(mapping: Any, key: str, pointer: str):
 def _number(value: Any, pointer: str, kind=float):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(pointer, f"expected a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # nan, inf or past float range
+        raise ConfigError(pointer, f"expected a finite number, got {value!r}")
     if kind is int and int(value) != value:
         raise ConfigError(pointer, f"expected an integer, got {value!r}")
     return kind(value)
+
+
+def _typed(value: Any, default: Any, pointer: str):
+    """``value`` checked against the type of ``default`` (see ``EXPERIMENTS``)."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(pointer, f"expected true or false, got {value!r}")
+        return value
+    if isinstance(default, (int, float)):
+        return _number(value, pointer, type(default))
+    if not (isinstance(value, str) or (value is None and default is None)):
+        raise ConfigError(pointer, f"expected a string, got {value!r}")
+    return value
 
 
 @dataclass
@@ -84,11 +114,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("/", f"invalid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("/", f"cannot read {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError("/", f"invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 
     @classmethod
@@ -103,12 +135,13 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def apriori(self, **overrides) -> AprioriData:
+        """The a-priori data; ``overrides`` that are not None replace config values."""
         section = _require(self.raw, "apriori", "/apriori")
         kwargs = {}
         for json_key, (attr, kind) in APRIORI_KEYS.items():
             value = _require(section, json_key, f"/apriori/{json_key}")
             kwargs[attr] = _number(value, f"/apriori/{json_key}", kind)
-        kwargs.update(overrides)
+        kwargs.update({key: value for key, value in overrides.items() if value is not None})
         try:
             return AprioriData(**kwargs)
         except ValueError as exc:
@@ -133,6 +166,7 @@ class RunConfig:
         apriori = apriori or self.apriori()
         if not isinstance(section, dict):
             raise ConfigError("/medium", "expected an object")
+        supp_B_interior = _typed(section.get("supp_B_interior", True), True, "/medium/supp_B_interior")
         try:
             # non-finite samples are reported below, by field and node
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -142,7 +176,7 @@ class RunConfig:
                     mu_a=section.get("mu_a", "1"),
                     mu_s=section.get("mu_s", "1"),
                     B=section.get("B"),
-                    supp_B_interior=bool(section.get("supp_B_interior", True)),
+                    supp_B_interior=supp_B_interior,
                 )
         except (ValueError, TypeError, IndexError) as exc:
             raise ConfigError("/medium", str(exc)) from exc
@@ -157,8 +191,44 @@ class RunConfig:
                 )
         return medium
 
-    def experiment(self, name: str) -> dict:
-        section = self.raw.get("experiments", {})
-        if name not in section:
-            raise ConfigError(f"/experiments/{name}", "required field is missing")
-        return section[name]
+    def experiment(self, name: str, **overrides) -> dict:
+        """Every key of ``EXPERIMENTS[name]``, typed, from ``/experiments/<name>``
+        or its default; ``overrides`` (CLI flags) that are not None win."""
+        pointer = f"/experiments/{name}"
+        section = _require(self.raw.get("experiments", {}), name, pointer)
+        if not isinstance(section, dict):
+            raise ConfigError(pointer, "expected an object")
+        defaults = EXPERIMENTS[name]
+        unknown = sorted((section.keys() | overrides.keys()) - defaults.keys())
+        if unknown:
+            known = ", ".join(defaults)
+            raise ConfigError(f"{pointer}/{unknown[0]}", f"unknown key {unknown[0]!r} (known: {known})")
+        values = {**defaults, **section, **{k: v for k, v in overrides.items() if v is not None}}
+        return {key: _typed(values[key], default, f"{pointer}/{key}") for key, default in defaults.items()}
+
+    def load_dn(self, path) -> DNOperator:
+        """The D-N map saved at ``path`` by ``otlab dn --save``, checked against
+        this config's grid and medium."""
+        try:
+            dn = DNOperator.load(path)
+        except (OSError, EOFError, ValueError, LookupError, zipfile.BadZipFile) as exc:
+            raise ConfigError("--load", f"cannot read a D-N map from {path}: {exc}") from exc
+        grid = self.grid()
+        for pointer, found, wanted in (
+            ("/grid", dn.grid_fingerprint, grid.fingerprint()),
+            ("/medium", dn.medium_fingerprint, self.medium(grid).fingerprint()),
+        ):
+            if found != wanted:
+                raise ConfigError(
+                    pointer,
+                    f"{path} holds a D-N map for {pointer[1:]} fingerprint {found}, "
+                    f"but this config gives {wanted}",
+                )
+        nb = len(grid.boundary_indices)
+        if dn.matrix.shape != (nb, nb):
+            raise ConfigError("/grid", f"{path} holds a {dn.matrix.shape} matrix, the grid needs ({nb}, {nb})")
+        if not np.array_equal(dn.boundary_idx, grid.boundary_indices):
+            raise ConfigError("/grid", f"{path}: boundary_idx differs from the grid's boundary nodes")
+        if not (np.issubdtype(dn.matrix.dtype, np.number) and np.isfinite(dn.matrix).all()):
+            raise ConfigError("--load", f"{path}: the D-N matrix has a non-finite entry")
+        return dn

@@ -17,12 +17,9 @@ import numpy as np
 class GridDomain:
     extent: float = 1.0
     m_per_axis: int = 17
-    dimension: int = 3
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dimension != 3:
-            raise ValueError("only 3-dimensional solver grids are supported")
         if self.m_per_axis < 9 or self.m_per_axis % 2 == 0:
             raise ValueError(f"m_per_axis must be odd and >= 9, got {self.m_per_axis}")
         if self.extent <= 0:
@@ -139,5 +136,6 @@ class GridDomain:
         return self.interior_mask & (r > r_min) & (r < r_max)
 
     def fingerprint(self) -> str:
-        key = f"grid:{self.dimension}:{self.extent!r}:{self.m_per_axis}"
+        # the "3" is the space dimension, kept so saved D-N files still match
+        key = f"grid:3:{self.extent!r}:{self.m_per_axis}"
         return hashlib.sha256(key.encode()).hexdigest()[:16]

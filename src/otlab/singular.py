@@ -626,6 +626,13 @@ class CorrectionResult:
     candidate_exponents: dict
 
 
+def b_vanishes_near_pole(medium: OpticalMedium, z, r_min: float) -> bool:
+    """Whether B is zero (to 1e-13) within r_min + 2h of the pole ``z``, as
+    ``correction_w`` requires of its medium."""
+    near = np.linalg.norm(medium.grid.points - z, axis=1) <= r_min + 2 * medium.grid.h
+    return bool(np.abs(medium.B[near]).max() <= 1e-13)
+
+
 def correction_w(
     medium: OpticalMedium,
     spec: SingularSolutionSpec,
@@ -651,10 +658,9 @@ def correction_w(
         raise ValueError("annulus too thin for this grid")
     # shells thinner than ~1.5 h cannot hold a full gradient stencil
     num_shells = max(3, min(ANNULUS_SHELLS, int((r_max - r_min) / (1.5 * grid.h))))
-    dist = np.linalg.norm(grid.points - z, axis=1)
-    near = dist <= r_min + 2 * grid.h
-    if np.abs(medium.B[near]).max() > 1e-13:
+    if not b_vanishes_near_pole(medium, z, r_min):
         raise ValueError("B must vanish on a neighbourhood of the pole")
+    dist = np.linalg.norm(grid.points - z, axis=1)
 
     op = assemble(medium, grid, include_reaction=include_reaction, interior_mask=mask)
     u_m = np.zeros(grid.num_points, dtype=complex)

@@ -66,7 +66,6 @@ class DiscreteOperator:
     matrix: sp.csr_matrix          # full complex symmetric energy matrix
     interior_idx: np.ndarray       # unknown nodes
     boundary_idx: np.ndarray       # Dirichlet nodes (complement, ascending)
-    include_reaction: bool
     medium_fingerprint: str
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -200,7 +199,6 @@ def assemble(
         matrix=A,
         interior_idx=interior_idx,
         boundary_idx=boundary_idx,
-        include_reaction=include_reaction,
         medium_fingerprint=medium.fingerprint(),
     )
 

@@ -10,7 +10,7 @@ import otlab.dnmap
 import otlab.solver
 import otlab.stability
 from otlab.cli import main
-from otlab.config import RunConfig
+from otlab.config import EXPERIMENTS, RunConfig
 from otlab.errors import ConfigError, ResidualError
 
 from oracles import dense_operator_norm
@@ -130,6 +130,11 @@ class TestCliExitCodes:
         path.write_text("{not json")
         assert main(["check", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["check", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"configuration error: /: cannot read {path}" in capsys.readouterr().err
+
     def test_inadmissible_check_exits_3(self, tmp_path):
         path = small_config(tmp_path, **{"medium.mu_a": "3"})  # above lam
         assert main(["check", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
@@ -204,8 +209,14 @@ class TestCliExitCodes:
             ("singular", "singular", {"m": -1}, "/experiments/singular", "got -1"),
             ("gegenbauer-table", "gegenbauer_table", {"n": 2}, "/experiments/gegenbauer_table",
              "dimension must be >= 3"),
+            ("singular", "singular", {"r_max": 0.9}, "/experiments/singular",
+             "r_max 0.9 exceeds the cube's half extent 0.5"),
+            ("singular", "singular", {"r_min_cells": 0}, "/experiments/singular",
+             "r_min_cells must be positive, got 0"),
+            ("singular", "singular", {"m": 65}, "/experiments/singular", "at most 64, got 65"),
         ],
-        ids=["singular-r_max", "singular-m", "gegenbauer_table-n"],
+        ids=["singular-r_max", "singular-m", "gegenbauer_table-n", "singular-r_max-past-the-faces",
+             "singular-r_min_cells", "singular-m-past-the-cap"],
     )
     def test_bad_experiment_section_exits_2_before_working(
         self, tmp_path, capsys, monkeypatch, command, section, fields, pointer, cause
@@ -224,6 +235,119 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"configuration error: {pointer}:" in err and cause in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("solve", "no_reaction", "yes"),
+            ("solve", "boundary_data", 2),
+            ("solve", "dump_slice", ["z=0"]),
+            ("singular", "m", [1]),
+            ("singular", "r_min_cells", None),
+            ("singular", "r_max", True),
+            ("stability", "profile_order", "0"),
+            ("stability", "h", None),
+            ("stability", "eps_start", "0.2"),
+            ("stability", "eps_count", None),
+            ("stability", "width", [0.3]),
+            ("stability", "depth", {"a": 1}),
+            ("gegenbauer_table", "max_m", "8"),
+            ("gegenbauer_table", "n", 3.5),
+        ],
+    )
+    def test_wrong_json_type_exits_2_before_working(
+        self, tmp_path, capsys, monkeypatch, section, key, value
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started working")
+
+        monkeypatch.setattr(RunConfig, "medium", no_work)
+        monkeypatch.setattr(otlab.cli, "coefficient_table", no_work)
+        assert key in EXPERIMENTS[section]
+        path = small_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["experiments"][section][key] = value
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        command = section.replace("_", "-")
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: /experiments/{section}/{key}: expected" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "section, value, pointer",
+        [
+            ("stability", {"eps_cout": 3}, "/experiments/stability/eps_cout: unknown key"),
+            ("solve", {"grid": 9}, "/experiments/solve/grid: unknown key"),
+            ("stability", [1], "/experiments/stability: expected an object"),
+        ],
+        ids=["misspelt-key", "cli-flag-as-key", "list-section"],
+    )
+    def test_unknown_key_or_bad_section_exits_2(self, tmp_path, capsys, section, value, pointer):
+        path = small_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        if isinstance(value, dict):
+            cfg["experiments"][section].update(value)
+        else:
+            cfg["experiments"][section] = value
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main([section, "--config", str(path), "--out", str(out)]) == 2
+        assert f"configuration error: {pointer}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, grid, edits, pointer",
+        [
+            ("solve", 9, {"experiments.solve.boundary_data": "1 +"},
+             "/experiments/solve/boundary_data"),
+            ("solve", 9, {"experiments.solve.boundary_data": "log(x1 - x1)"},
+             "/experiments/solve/boundary_data"),
+            ("solve", 9, {"experiments.solve.dump_slice": "z=abc"}, "/experiments/solve/dump_slice"),
+            ("stability", 9, {"medium.supp_B_interior": False, "experiments.stability.h": 1},
+             "/medium/supp_B_interior"),
+            ("stability", 9, {"medium.supp_B_interior": "false"}, "/medium/supp_B_interior"),
+            ("singular", 17, {"medium.B": [[0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]]}, "/medium/B"),
+            ("check", 9, {"medium.mu_a": "-" * 3000 + "1"}, "/medium"),
+        ],
+        ids=["boundary_data", "boundary_data-not-finite", "dump_slice", "supp_B_interior",
+             "supp_B_interior-not-bool", "B-at-the-pole", "deep-mu_a"],
+    )
+    def test_config_faults_name_their_pointer(
+        self, tmp_path, capsys, monkeypatch, command, grid, edits, pointer
+    ):
+        # each of these used to surface as a bare ValueError (exit 2 without a
+        # pointer) or as a traceback; now each is a ConfigError before any output
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started working")
+
+        for name in ("assemble", "run_stability_experiment", "SingularityPoint"):
+            monkeypatch.setattr(otlab.cli, name, no_work)
+        cfg = default_config_dict()
+        cfg["grid"]["m_per_axis"] = grid
+        for dotted, value in edits.items():
+            *parents, leaf = dotted.split(".")
+            node = cfg
+            for key in parents:
+                node = node[key]
+            node[leaf] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert f"configuration error: {pointer}:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_internal_value_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # only a ConfigError means "fix the input"; a ValueError from inside
+        # the program is an internal failure
+        def broken(config, out, args):
+            raise ValueError("an internal fault")
+
+        monkeypatch.setitem(otlab.cli.COMMANDS, "check", broken)
+        assert main(["check", "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "o")]) == 3
+        assert "(ValueError): an internal fault" in capsys.readouterr().err
 
     def test_foreign_interior_factor_exits_3(self, tmp_path, capsys, monkeypatch):
         # a factor of 2 A_II in place of A_II fails the extension solves'
@@ -340,6 +464,43 @@ class TestCliCommands:
         wanted = grid.fingerprint() if pointer == "/grid" else run.medium(grid).fingerprint()
         assert pointer in err and str(stored) in err and wanted in err
         assert not (tmp_path / "o2" / "dn_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "defect, pointer, cause",
+        [
+            ("missing", "--load", "No such file"),
+            ("not-npz", "--load", "cannot read a D-N map"),
+            ("no-matrix", "--load", "matrix is not a file"),
+            ("cut", "/grid", "holds a (385, 385) matrix, the grid needs (386, 386)"),
+            ("boundary_idx", "/grid", "boundary_idx differs from the grid's boundary nodes"),
+            ("nan", "--load", "non-finite entry"),
+        ],
+    )
+    def test_dn_load_rejects_a_damaged_file(self, tmp_path, capsys, defect, pointer, cause):
+        path = small_config(tmp_path)  # m = 9: 386 boundary nodes
+        saved = tmp_path / "dn.npz"
+        assert main(["dn", "--config", str(path), "--out", str(tmp_path / "o1"), "--save", str(saved)]) == 0
+        arrays = dict(np.load(saved))
+        if defect == "missing":
+            saved.unlink()
+        elif defect == "not-npz":
+            saved.write_text("not an archive")
+        else:
+            if defect == "no-matrix":
+                del arrays["matrix"]
+            elif defect == "cut":
+                arrays["matrix"] = arrays["matrix"][:385, :385]
+            elif defect == "boundary_idx":
+                arrays["boundary_idx"] = arrays["boundary_idx"] + 1
+            else:
+                arrays["matrix"][3, 5] = np.nan
+            np.savez(saved, **arrays)
+        capsys.readouterr()
+        out = tmp_path / "o2"
+        assert main(["dn", "--config", str(path), "--out", str(out), "--load", str(saved)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {pointer}: " in err and str(saved) in err and cause in err
+        assert list(out.iterdir()) == []
 
     def test_stability_report_has_slopes(self, tmp_path):
         path = small_config(tmp_path, **{"experiments.stability": {
