@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .errors import ConfigError, OtlabError
-from .dnmap import SobolevScale, assemble_dn, sobolev_operator_norm
+from .dnmap import SobolevScale, _dn_product, assemble_dn, sobolev_operator_norm, symmetry_residual
 from .expressions import Expression, ExpressionError
 from .gegenbauer import MAX_DEGREE, GegenbauerSpec, coefficient_table, endpoint_values
 from .medium import k_admissible_ranges, is_wave_number_admissible, split_real_imag, verify_ellipticity
@@ -161,27 +161,29 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
 
 def cmd_dn(config: RunConfig, out: Path, args) -> int:
     grid = config.grid()
+    medium = config.medium(grid)
     if args.load:
-        dn = config.load_dn(args.load)
-        src = f"loaded from {args.load}"
+        matrix = config.load_dn(args.load).matrix
+        product, src = (lambda f: matrix @ f), f"loaded from {args.load}"
     else:
-        dn = assemble_dn(config.medium(grid), grid)
-        src = "assembled"
+        op = assemble(medium, grid)
+        product, src = _dn_product(op), "assembled"
         if args.save:
-            dn.save(args.save, metadata=_stamp(config))
-    sym = float(np.abs(dn.matrix - dn.matrix.T).max())
-    norm = sobolev_operator_norm(dn.matrix, SobolevScale.build(grid))
+            assemble_dn(medium, grid, operator=op).save(args.save, metadata=_stamp(config))
+    nb = len(grid.boundary_indices)
+    sym = symmetry_residual(product, nb)
+    norm, _ = sobolev_operator_norm(product, SobolevScale.build(grid))
     payload = {
         **_stamp(config),
         "source": src,
-        "boundary_dof": int(len(dn.boundary_idx)),
+        "boundary_dof": nb,
         "bilinear_symmetry_residual": sym,
         "operator_norm": norm,
-        "medium_fingerprint": dn.medium_fingerprint,
-        "grid_fingerprint": dn.grid_fingerprint,
+        "medium_fingerprint": medium.fingerprint(),
+        "grid_fingerprint": grid.fingerprint(),
     }
     _write_json(out / "dn_report.json", payload)
-    print(f"dn: {src}, {len(dn.boundary_idx)} boundary dof, symmetry residual {sym:.3e}")
+    print(f"dn: {src}, {nb} boundary dof, symmetry residual {sym:.3e}")
     return 0
 
 
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-reaction", action="store_true", default=None)
     p_solve.add_argument("--dump-slice", help="plane dump, e.g. z=0.0")
 
-    p_dn = sub.add_parser("dn", parents=[common], help="assemble the Dirichlet-to-Neumann matrix")
+    p_dn = sub.add_parser("dn", parents=[common], help="norm and symmetry of the Dirichlet-to-Neumann map")
     p_dn.add_argument("--save", help="write the operator to this .npz container")
     p_dn.add_argument("--load", help="load an operator instead of assembling")
 

@@ -208,7 +208,7 @@ class RunConfig:
 
     def load_dn(self, path) -> DNOperator:
         """The D-N map saved at ``path`` by ``otlab dn --save``, checked against
-        this config's grid and medium."""
+        this config's grid and medium, finite and complex symmetric."""
         try:
             dn = DNOperator.load(path)
         except (OSError, EOFError, ValueError, LookupError, zipfile.BadZipFile) as exc:
@@ -231,4 +231,8 @@ class RunConfig:
             raise ConfigError("/grid", f"{path}: boundary_idx differs from the grid's boundary nodes")
         if not (np.issubdtype(dn.matrix.dtype, np.number) and np.isfinite(dn.matrix).all()):
             raise ConfigError("--load", f"{path}: the D-N matrix has a non-finite entry")
+        # the norm takes T^H from complex symmetry; assemble_dn meets this bound
+        asymmetry = np.abs(dn.matrix - dn.matrix.T).max()
+        if asymmetry > 1e-9 * np.abs(dn.matrix).max():
+            raise ConfigError("--load", f"{path}: the D-N matrix is not symmetric (max|S - S^T| = {asymmetry:.3e})")
         return dn

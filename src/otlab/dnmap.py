@@ -1,12 +1,13 @@
 """Discrete Dirichlet-to-Neumann operators and boundary Sobolev machinery.
 
-The D-N matrix is assembled through the volume (weak) form: with the full
-energy matrix A partitioned into interior/boundary blocks, the column for
-nodal boundary data e_j is the boundary rows of A applied to the discrete
-solution, i.e. the Schur complement
+The D-N map is taken through the volume (weak) form: with the full energy
+matrix A partitioned into interior/boundary blocks, nodal boundary data f
+maps to the boundary rows of A applied to the discrete solution, the Schur
+complement product
 
-    S = A_BB - A_BI A_II^{-1} A_IB.
+    S f = A_BB f - A_BI A_II^{-1} A_IB f      (``_dn_product``, one solve),
 
+which ``assemble_dn`` applies to the identity, one column block at a time.
 S is complex symmetric (bilinear symmetry <Lf, conj(g)> = <Lg, conj(f)>),
 not Hermitian.  The pairing convention is <Lambda f, conj(g)> = g^T S f
 with the plain (unconjugated) dot product.
@@ -29,16 +30,17 @@ which costs about 1/64 of one dense Nb x Nb eigh.
 
 Every H^{1/2} -> H^{-1/2} norm is the spectral norm of the whitened
 T = W V^T Delta V W, W = (I + D)^{-1/4}, in the M_b-orthonormal eigenbasis
-V, D, and is taken one way: a Lanczos iteration on T^H T, which needs T
-only as a product.  ``_whitened`` makes x -> T x from any boundary product
-z = Delta f, block by block:
+V, D, and is taken one way, by ``sobolev_operator_norm``: a Lanczos
+iteration on T^H T, which needs T only as a product.  ``_whitened`` makes
+x -> T x from a boundary product z = Delta f, block by block:
 
     f = V W x                       (sum over chi of B_chi U_chi (W x)_chi)
     T x = W V^T z                   ((V^T z)_chi = U_chi^T B_chi^T z)
 
-with B_chi = M_b^{-1/2} Q_chi, so the dense V is never formed.  ``otlab dn``
-takes Delta = S, its assembled D-N matrix, with T^H from S^H and a start
-drawn with seed 0 (``sobolev_operator_norm``).
+with B_chi = M_b^{-1/2} Q_chi, so the dense V is never formed.  Delta is
+complex symmetric on every route, so T is too and T^H v = conj(T conj(v)).
+``otlab dn`` takes Delta = S as the Schur product, or as the matrix of a
+``--load`` file, with a start drawn with seed 0.
 
 Stability sweeps take Delta = S2 - S1 for two media from the discrete
 Alessandrini identity instead of subtracting two assembled matrices.  Write
@@ -54,12 +56,11 @@ hence S2 - S1 = H1^T E H2, applied as
 
 One product costs one solve with A2_II and one with A1_II and forms no
 boundary-sized matrix, and the difference comes without the cancellation of
-subtracting two O(1) matrices.  T is complex symmetric, so
-T^H v = conj(T conj(v)), and a Lanczos step, one product T^H T v, costs four
-solves.  Along a sweep's amplitude ladder T(eps) is nearly eps T', so its top
-singular vector barely moves: each amplitude's iteration starts from the
-previous amplitude's top Ritz vector plus a small seeded random part, and
-needs about half the steps of a random start.
+subtracting two O(1) matrices.  A Lanczos step, one product T^H T v, costs
+four solves.  Along a sweep's amplitude ladder T(eps) is nearly eps T', so
+its top singular vector barely moves: each amplitude's iteration starts from
+the previous amplitude's top Ritz vector plus a small seeded random part,
+and needs about half the steps of a random start.
 """
 
 from __future__ import annotations
@@ -251,24 +252,34 @@ class DNOperator:
         )
 
 
-def _require_residual(gap: float, rhs_norm: float, label: str, grid: GridDomain):
-    """Raise ResidualError unless the residual norm ``gap`` is at most
-    SOLVE_RTOL times the right-hand side's norm ``rhs_norm``."""
+def _solve_checked(lu, A_II, rhs: np.ndarray, label: str, grid: GridDomain) -> np.ndarray:
+    """Solve A_II U = rhs with the factor ``lu``; raise ResidualError unless
+    the residual norm is at most SOLVE_RTOL times the norm of ``rhs``."""
+    try:
+        U = lu.solve(rhs)
+    except RuntimeError as exc:
+        raise FactorizationError(f"{label} failed: {exc}") from exc
+    gap, rhs_norm = np.linalg.norm(A_II @ U - rhs), np.linalg.norm(rhs)
     if not gap <= SOLVE_RTOL * rhs_norm:
         raise ResidualError(
             f"{label}: residual {gap / rhs_norm:.3e} exceeds {SOLVE_RTOL:.1e} "
             f"(grid {grid.m_per_axis}^3)"
         )
-
-
-def _solve_checked(lu, A_II, rhs: np.ndarray, label: str, grid: GridDomain) -> np.ndarray:
-    """Solve A_II U = rhs with the factor ``lu`` and check the residual."""
-    try:
-        U = lu.solve(rhs)
-    except RuntimeError as exc:
-        raise FactorizationError(f"{label} failed: {exc}") from exc
-    _require_residual(np.linalg.norm(A_II @ U - rhs), np.linalg.norm(rhs), label, grid)
     return U
+
+
+def _dn_product(op: DiscreteOperator):
+    """f -> S f for one vector or a block of columns f, the D-N map of ``op``,
+    with A_II factored once by ``DiscreteOperator.factorization`` and every
+    solve residual-checked; ``label`` names the solve in its errors."""
+    A_II, A_IB = op._interior_blocks()
+    A_BB, A_BI = op.matrix[op.boundary_idx][:, op.boundary_idx].tocsr(), A_IB.T.tocsr()
+    lu = op.factorization()
+
+    def product(f, label="D-N extension solve"):
+        return A_BB @ f + A_BI @ _solve_checked(lu, A_II, -(A_IB @ f), label, op.grid)
+
+    return product
 
 
 def assemble_dn(
@@ -277,30 +288,20 @@ def assemble_dn(
     operator: DiscreteOperator | None = None,
 ) -> DNOperator:
     """Dirichlet-to-Neumann matrix on the nodal boundary basis, boundary
-    nodes in ascending flat order.
-
-    One factorization is shared across all columns.
-    """
+    nodes in ascending flat order: ``_dn_product`` applied to the identity
+    in column blocks of ``DN_CHUNK``, with one factorization for all."""
     grid = grid or medium.grid
-    op = operator if operator is not None else assemble(medium, grid, include_reaction=True)
-    A = op.matrix
-    A_II, A_IB = op._interior_blocks()
-    i_idx, b_idx = op.interior_idx, op.boundary_idx
-
-    A_BI = A[b_idx][:, i_idx].tocsr()
-    lu = op.factorization()
-    nb = len(b_idx)
-
-    # the dense A_BB block is a fresh complex array; the columns accumulate in it
-    S = A[b_idx][:, b_idx].toarray()
+    op = operator if operator is not None else assemble(medium, grid)
+    product = _dn_product(op)
+    nb = len(op.boundary_idx)
+    S = np.empty((nb, nb), dtype=complex)
     for start in range(0, nb, DN_CHUNK):
-        sel = slice(start, min(start + DN_CHUNK, nb))
-        rhs = -A_IB[:, sel].toarray()
-        U = _solve_checked(lu, A_II, rhs, f"D-N column block {start}..{sel.stop - 1}", grid)
-        S[:, sel] += A_BI @ U
+        stop = min(start + DN_CHUNK, nb)
+        columns = np.eye(nb, stop - start, -start)  # columns start..stop-1 of the identity
+        S[:, start:stop] = product(columns, f"D-N column block {start}..{stop - 1}")
     return DNOperator(
         matrix=S,
-        boundary_idx=b_idx,
+        boundary_idx=op.boundary_idx,
         medium_fingerprint=op.medium_fingerprint,
         grid_fingerprint=grid.fingerprint(),
     )
@@ -374,24 +375,13 @@ def difference_norm(
     seed: int = 0,
     guess: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
-    """H^{1/2} -> H^{-1/2} norm of S(op) - S(base): the largest singular value
-    of T = ``_whitened(_difference_product(...))``, by the Lanczos iteration
-    of ``_largest_singular_value`` on T^H T, with its top Ritz vector.
-
-    The iteration starts from ``guess`` (a top Ritz vector of a nearby
-    difference, such as the previous amplitude of a sweep) plus a small
-    random part drawn with ``seed``, or from the random vector alone when
-    ``guess`` is None.  Returns (0.0, guess) without factoring when the two
-    matrices are equal."""
+    """H^{1/2} -> H^{-1/2} norm of S(op) - S(base) and its top Ritz vector:
+    ``sobolev_operator_norm`` of ``_difference_product``.  Returns
+    (0.0, guess) without factoring when the two matrices are equal."""
     E = _difference(base, op)
     if E.nnz == 0:
         return 0.0, guess
-    apply = _whitened(_difference_product(base, op, E), scale)
-    # T is complex symmetric, so T^H v = conj(T conj(v))
-    return _largest_singular_value(
-        lambda v: np.conj(apply(np.conj(apply(v)))),
-        len(scale.eigenvalues), rtol=LANCZOS_RTOL, seed=seed, guess=guess,
-    )
+    return sobolev_operator_norm(_difference_product(base, op, E), scale, seed=seed, guess=guess)
 
 
 def _largest_singular_value(
@@ -443,15 +433,28 @@ def _largest_singular_value(
         basis.append(v)
 
 
-def sobolev_operator_norm(delta: np.ndarray, scale: SobolevScale) -> float:
-    """H^{1/2} -> H^{-1/2} norm of a boundary matrix: the largest singular
-    value of T = ``_whitened(delta @ .)`` by ``_largest_singular_value``,
-    started with seed 0.  No symmetry is assumed: T^H = W V^T delta^H V W."""
-    delta = np.asarray(delta, dtype=complex)
-    apply = _whitened(lambda f: delta @ f, scale)
-    # delta^H f = conj(conj(f) @ delta), with no conjugated copy of delta
-    adjoint = _whitened(lambda f: np.conj(np.conj(f) @ delta), scale)
-    sigma, _ = _largest_singular_value(
-        lambda v: adjoint(apply(v)), len(scale.eigenvalues), rtol=LANCZOS_RTOL, seed=0
+def sobolev_operator_norm(
+    product, scale: SobolevScale, seed: int = 0, guess: np.ndarray | None = None
+) -> tuple[float, np.ndarray | None]:
+    """H^{1/2} -> H^{-1/2} norm of the complex symmetric boundary map
+    ``product`` (f -> Delta f) and its top Ritz vector: the largest singular
+    value of T = ``_whitened(product)`` by ``_largest_singular_value``, with
+    T^H v = conj(T conj(v)).  The iteration starts from ``guess`` (a top Ritz
+    vector of a nearby map, such as the previous amplitude of a sweep) plus
+    a small random part drawn with ``seed``, or from that part alone."""
+    apply = _whitened(product, scale)
+    return _largest_singular_value(
+        lambda v: np.conj(apply(np.conj(apply(v)))),
+        len(scale.eigenvalues), rtol=LANCZOS_RTOL, seed=seed, guess=guess,
     )
-    return sigma
+
+
+def symmetry_residual(product, n: int) -> float:
+    """max |g^T Delta f - f^T Delta g| over four pairs (f, g) of random
+    complex unit vectors of length ``n``, drawn with seed 0: the bilinear
+    asymmetry of the boundary map ``product``, from one product of 8 columns."""
+    rng = np.random.default_rng(0)
+    F = rng.normal(size=(n, 8)) + 1j * rng.normal(size=(n, 8))
+    F /= np.linalg.norm(F, axis=0)
+    Z = product(F)
+    return float(np.abs(np.sum(F[:, 4:] * Z[:, :4] - F[:, :4] * Z[:, 4:], axis=0)).max())

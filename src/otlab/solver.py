@@ -6,11 +6,12 @@ centered differences for the cross terms, and trapezoid mass terms.  The
 resulting complex matrix A is symmetric (not Hermitian), and strong
 ellipticity makes its real part Re A positive definite on the unknowns.
 The interior system A_II u = rhs is solved one of two ways, chosen by the
-number of right-hand sides:
+number of solves with one A_II:
 
-- Block solves factor A_II once as it stands, in complex arithmetic, and
-  reuse the LU for every right-hand side (``DiscreteOperator.factorization``):
-  the D-N columns of ``dnmap.assemble_dn`` and the extension solves of
+- Repeated solves factor A_II once as it stands, in complex arithmetic, and
+  reuse the LU for every solve (``DiscreteOperator.factorization``): the
+  Schur products of ``dnmap._dn_product`` (``assemble_dn``'s column blocks,
+  the Lanczos products of ``otlab dn``) and the extension solves of
   ``dnmap.difference_norm``.  SuperLU orders A_II with minimum degree on
   A^T + A and takes the pivots from the diagonal without row interchanges.
   Such an LU exists under every symmetric permutation, with bounded growth,

@@ -118,14 +118,10 @@ def finite_difference_weights(offsets, derivative_order: int) -> np.ndarray:
     return C[:, m]
 
 
-def normal_derivative_sup(
-    evaluate,
-    nu_field: NonTangentialField,
-    order: int,
-    full_output: bool = False,
-):
-    """Sup over boundary samples of the order-th directional derivative
-    along the outward field, by one-sided stencils reaching inward.
+def normal_derivative_sup(evaluate, nu_field: NonTangentialField, order: int):
+    """(sup, skipped): the sup over boundary samples of the order-th
+    directional derivative along the outward field, by one-sided stencils
+    reaching inward, and the number of samples skipped.
 
     ``evaluate`` maps points (k, 3) to real values.  The stencil spacing
     scales like sqrt(h) for noise control and uses order + 3 points
@@ -147,10 +143,7 @@ def normal_derivative_sup(
     kept = stack[:, inside, :]
     vals = np.stack([np.asarray(evaluate(kept[i])) for i in range(npts)], axis=0)
     derivs = np.tensordot(weights, vals, axes=(0, 0))
-    sup = float(np.abs(derivs).max()) if derivs.size else 0.0
-    if full_output:
-        return sup, skipped
-    return sup
+    return (float(np.abs(derivs).max()) if derivs.size else 0.0), skipped
 
 
 @dataclass
@@ -158,8 +151,9 @@ class PerturbationSpec:
     """Boundary patch perturbation of the absorption coefficient.
 
     The difference behaves like (d / depth)^profile_order times a smooth
-    tangential bump of the given width, centred on a face centre (kept away
-    from the cube edges where the exterior field is blended).  The bump
+    tangential bump of the given width, where d is the distance to the face
+    z = +extent/2, centred on that face's centre (kept away from the cube
+    edges where the exterior field is blended).  The bump
     polynomial is C^3 at its rims, so orders up to 3 are meaningful.
 
     Each amplitude's medium is built once and audited once, on first use, and
@@ -169,8 +163,6 @@ class PerturbationSpec:
 
     base: OpticalMedium
     profile_order: int
-    face_axis: int = 2
-    face_side: int = 1
     width: float = 0.3
     depth: float = 0.4
     smoothness: int = 3
@@ -200,9 +192,8 @@ class PerturbationSpec:
         """Unit-amplitude perturbation profile (multiply by eps)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         half = self.base.grid.extent / 2.0
-        d = half - self.face_side * points[:, self.face_axis]
-        tang = [a for a in range(3) if a != self.face_axis]
-        rho2 = points[:, tang[0]] ** 2 + points[:, tang[1]] ** 2
+        d = half - points[:, 2]
+        rho2 = points[:, 0] ** 2 + points[:, 1] ** 2
         bump = np.where(rho2 < self.width**2, (1.0 - rho2 / self.width**2) ** 4, 0.0)
         u = d / self.depth
         ramp = np.where(
@@ -333,7 +324,7 @@ def run_stability_experiment(
     min(derivative_order, 1), the highest ``tensor_derivative_gap`` has, and
     the report records that order.  Amplitudes of both signs, a ladder with
     no nonzero admissible amplitude and a ``scale`` built on another grid
-    raise ValueError.
+    raise ValueError, and so does a sweep in which every D-N gap is zero.
 
     The amplitudes run from the largest |eps| down, and each amplitude's
     Lanczos iteration starts from the previous amplitude's top Ritz vector
@@ -376,12 +367,8 @@ def run_stability_experiment(
     base_op, base_K = _assemble_sampled(base, grid)
     tensor_gap_order = min(derivative_order, 1)
 
-    profile_sup, skipped = normal_derivative_sup(
-        pspec.profile, nu_field, 0, full_output=True
-    )
-    deriv_sups = [profile_sup]
-    for j in range(1, derivative_order + 1):
-        deriv_sups.append(normal_derivative_sup(pspec.profile, nu_field, j))
+    sups = [normal_derivative_sup(pspec.profile, nu_field, j) for j in range(derivative_order + 1)]
+    deriv_sups, skipped = [sup for sup, _ in sups], sups[0][1]
 
     rows, guess = [], None
     for eps in eps_values:
@@ -392,11 +379,13 @@ def run_stability_experiment(
             StabilityRow(
                 eps=eps,
                 dn_gap=dn_gap,
-                sup_mu_boundary=abs(eps) * profile_sup,
+                sup_mu_boundary=abs(eps) * deriv_sups[0],
                 sup_normal_derivatives=[abs(eps) * s for s in deriv_sups],
                 tensor_gap=tensor_derivative_gap(base, base_K, med2, K2, tensor_gap_order),
             )
         )
+    if not any(r.dn_gap > 0 for r in rows):
+        raise ValueError(f"every D-N gap is zero, at the amplitudes {eps_values}: nothing to fit")
 
     # linear-regime flags: deviation from the power law fitted on the two
     # largest amplitudes; a zero gap (an amplitude too small to change the

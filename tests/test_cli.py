@@ -349,6 +349,18 @@ class TestCliExitCodes:
         assert main(["check", "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "o")]) == 3
         assert "(ValueError): an internal fault" in capsys.readouterr().err
 
+    def test_all_zero_gaps_exit_3_before_writing(self, tmp_path, capsys):
+        # amplitudes this small leave the assembled operator as it is, so
+        # every gap is zero and there is nothing to fit or plot
+        path = small_config(tmp_path, **{"experiments.stability": {
+            "profile_order": 0, "h": 0, "eps_start": 1.7e-106, "eps_count": 3,
+            "width": 0.3, "depth": 0.4}})
+        out = tmp_path / "out"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "every D-N gap is zero" in err and "1.7e-106" in err
+        assert list(out.glob("stability_*")) == []
+
     def test_foreign_interior_factor_exits_3(self, tmp_path, capsys, monkeypatch):
         # a factor of 2 A_II in place of A_II fails the extension solves'
         # residual check inside the sweep
@@ -432,15 +444,20 @@ class TestCliCommands:
         assert header == "u,v,re,im"
 
     def test_dn_save_load_roundtrip(self, tmp_path):
+        # --save assembles the matrix beside the Schur product and leaves the
+        # report as it is; --load takes the norm from the saved matrix
         path = small_config(tmp_path)
         saved = tmp_path / "dn.npz"
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        out0, out1, out2 = tmp_path / "o0", tmp_path / "o1", tmp_path / "o2"
+        assert main(["dn", "--config", str(path), "--out", str(out0)]) == 0
         assert main(["dn", "--config", str(path), "--out", str(out1), "--save", str(saved)]) == 0
         assert main(["dn", "--config", str(path), "--out", str(out2), "--load", str(saved)]) == 0
+        assert (out0 / "dn_report.json").read_bytes() == (out1 / "dn_report.json").read_bytes()
         r1 = json.loads((out1 / "dn_report.json").read_text())
         r2 = json.loads((out2 / "dn_report.json").read_text())
         assert r1["operator_norm"] == pytest.approx(r2["operator_norm"], rel=1e-12)
         assert r1["bilinear_symmetry_residual"] <= 1e-12
+        assert r2["bilinear_symmetry_residual"] <= 1e-12
 
     @pytest.mark.parametrize(
         "section, leaf, value, pointer",
@@ -474,6 +491,7 @@ class TestCliCommands:
             ("cut", "/grid", "holds a (385, 385) matrix, the grid needs (386, 386)"),
             ("boundary_idx", "/grid", "boundary_idx differs from the grid's boundary nodes"),
             ("nan", "--load", "non-finite entry"),
+            ("asymmetric", "--load", "the D-N matrix is not symmetric"),
         ],
     )
     def test_dn_load_rejects_a_damaged_file(self, tmp_path, capsys, defect, pointer, cause):
@@ -492,6 +510,8 @@ class TestCliCommands:
                 arrays["matrix"] = arrays["matrix"][:385, :385]
             elif defect == "boundary_idx":
                 arrays["boundary_idx"] = arrays["boundary_idx"] + 1
+            elif defect == "asymmetric":
+                arrays["matrix"][3, 5] += 1e-6 * np.abs(arrays["matrix"]).max()
             else:
                 arrays["matrix"][3, 5] = np.nan
             np.savez(saved, **arrays)
@@ -605,6 +625,15 @@ class TestCliCommands:
         dense = dense_operator_norm(dn.matrix, otlab.dnmap.SobolevScale.build(grid))
         norm = json.loads((out / "dn_report.json").read_text())["operator_norm"]
         assert norm == pytest.approx(dense, rel=1e-12)
+
+    def test_dn_without_save_assembles_no_matrix(self, tmp_path, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("the D-N matrix was assembled")
+
+        monkeypatch.setattr(otlab.cli, "assemble_dn", no_matrix)
+        monkeypatch.setattr(otlab.dnmap, "assemble_dn", no_matrix)
+        path = small_config(tmp_path)
+        assert main(["dn", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_dn_leaves_the_dense_eigenbasis_unbuilt(self, tmp_path, monkeypatch):
         def no_dense_basis(scale):

@@ -108,19 +108,19 @@ class TestNormalDerivativeSup:
     def test_constant_field_order_zero(self):
         grid = GridDomain(extent=1.0, m_per_axis=9)
         fld = build_nu_tilde(grid)
-        sup = normal_derivative_sup(lambda p: np.full(len(p), -2.5), fld, 0)
+        sup, _ = normal_derivative_sup(lambda p: np.full(len(p), -2.5), fld, 0)
         assert sup == pytest.approx(2.5, rel=1e-12)
 
     def test_distance_field_first_derivative(self):
         grid = GridDomain(extent=1.0, m_per_axis=17)
         fld = build_nu_tilde(grid)
-        sup = normal_derivative_sup(lambda p: grid.distance_to_boundary(p), fld, 1)
+        sup, _ = normal_derivative_sup(lambda p: grid.distance_to_boundary(p), fld, 1)
         assert sup == pytest.approx(1.0, abs=0.15)
 
     def test_squared_distance_first_derivative_vanishes(self):
         grid = GridDomain(extent=1.0, m_per_axis=17)
         fld = build_nu_tilde(grid)
-        sup = normal_derivative_sup(lambda p: grid.distance_to_boundary(p) ** 2, fld, 1)
+        sup, _ = normal_derivative_sup(lambda p: grid.distance_to_boundary(p) ** 2, fld, 1)
         assert sup <= 0.12
 
 
