@@ -110,6 +110,7 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
         g_expr = Expression(section["boundary_data"])
     except ExpressionError as exc:
         raise ConfigError("/experiments/solve/boundary_data", str(exc)) from exc
+    grid = config.grid(m_per_axis=args.grid)
     slice_spec = section["dump_slice"]
     if slice_spec:
         axis_name, _, value = slice_spec.partition("=")
@@ -120,7 +121,12 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
             axis = None
         if axis is None:
             raise ConfigError("/experiments/solve/dump_slice", f"bad slice {slice_spec!r}")
-    grid = config.grid(m_per_axis=args.grid)
+        half = grid.extent / 2
+        if not -half <= target <= half:  # also rejects nan and inf
+            raise ConfigError(
+                "/experiments/solve/dump_slice",
+                f"slice value must lie in the cube's [-{half:g}, {half:g}], got {value.strip()}",
+            )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = g_expr(grid.points[grid.boundary_indices]).astype(complex)
     if not np.isfinite(g).all():
@@ -147,7 +153,7 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
         others = [d for d in range(3) if d != axis]
         _write_csv(
             out / "solve_slice.csv",
-            _comments(config) + [f"slice axis={axis} value={grid.axis[plane]!r}"],
+            _comments(config) + [f"slice axis={axis} value={float(grid.axis[plane])!r}"],
             {
                 "u": pts[:, others[0]].tolist(),
                 "v": pts[:, others[1]].tolist(),

@@ -141,6 +141,8 @@ class RunConfig:
         for json_key, (attr, kind) in APRIORI_KEYS.items():
             value = _require(section, json_key, f"/apriori/{json_key}")
             kwargs[attr] = _number(value, f"/apriori/{json_key}", kind)
+        if kwargs["n"] != 3:
+            raise ConfigError("/apriori/n", f"the grid is the 3-D cube, so n must be 3, got {kwargs['n']}")
         kwargs.update({key: value for key, value in overrides.items() if value is not None})
         try:
             return AprioriData(**kwargs)

@@ -16,9 +16,10 @@ Writing u = u_R + i u_I turns the complex equation into a real system for
 (u_R, u_I) with the 2n x 2n block coefficient [[K_R, -K_I], [K_I, K_R]]
 and the reaction block [[mu_a, k], [-k, mu_a]].  Their quadratic forms see
 only K_R and mu_a, which is why ``verify_ellipticity`` audits the spectrum
-of K_R alone; no code path builds the blocks.  The pointwise tensor K and
-its sensitivity dK/dmu_a = -n K^2 are checked in the tests by inverting
-n (M - ik I) directly.
+of K_R alone; no code path builds the blocks.  The pointwise tensor K,
+its sensitivity dK/dmu_a = -n K^2 and the audited spectra are checked in
+the tests against numpy's inverse of n (M - ik I) and ``eigvalsh`` of the
+sampled K_R and K_I.
 """
 
 from __future__ import annotations
@@ -238,42 +239,86 @@ class OpticalMedium:
 
 @dataclass
 class ComplexTensorField:
-    """Sampled diffusion tensor with its real/imaginary split and reaction terms."""
+    """Sampled diffusion tensor with its real/imaginary split and reaction terms.
 
-    K: np.ndarray       # (N, n, n) complex
-    K_R: np.ndarray     # (N, n, n) real
-    K_I: np.ndarray     # (N, n, n) real
+    ``eig_M`` holds the ascending eigenvalues of M = ``base_matrix`` per
+    node; K_R and K_I are rational functions of the symmetric M, so they
+    share its eigenvectors and their spectra follow from these.
+    """
+
+    K: np.ndarray       # (N, 3, 3) complex
+    eig_M: np.ndarray   # (N, 3) real, ascending
     q_R: np.ndarray     # (N,)
     q_I: np.ndarray     # (N,)
     k: float
     n: int
 
     @property
+    def K_R(self) -> np.ndarray:
+        return self.K.real
+
+    @property
+    def K_I(self) -> np.ndarray:
+        return self.K.imag
+
+    @property
     def q(self) -> np.ndarray:
         return self.q_R + 1j * self.q_I
 
 
+def _symmetric_inverse(S: np.ndarray) -> np.ndarray:
+    """Inverses of symmetric positive definite 3 x 3 matrices (N, 3, 3) from
+    the adjugate, adj(S) / det(S), on the six entries of the upper triangle.
+
+    Each S is first divided by its trace, so det neither under- nor
+    overflows for entries far from one.  The six cofactors are written in
+    place into one (6, N) array: N-sized temporaries left on the heap
+    between a sweep's amplitudes fragment it, so that the next LU grows the
+    heap, and the entry-by-entry form raised the m=17 sweep's peak RSS.
+    """
+    t = np.trace(S, axis1=1, axis2=2)
+    a, b, c, d, e, f = S[:, [0, 1, 2, 0, 1, 0], [0, 1, 2, 1, 2, 2]].T / t
+    cof = np.empty((6, len(t)))
+    np.multiply(b, c, out=cof[0])
+    cof[0] -= e * e
+    np.multiply(a, c, out=cof[1])
+    cof[1] -= f * f
+    np.multiply(a, b, out=cof[2])
+    cof[2] -= d * d
+    np.multiply(e, f, out=cof[3])
+    cof[3] -= d * c
+    np.multiply(d, e, out=cof[4])
+    cof[4] -= f * b
+    np.multiply(d, f, out=cof[5])
+    cof[5] -= a * e
+    det = a * cof[0] + d * cof[3] + f * cof[4]
+    det *= t
+    cof /= det
+    return cof[[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3)
+
+
 def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
-    """Sample K, K_R, K_I and q over the whole grid.
+    """Sample K, K_R, K_I, the eigenvalues of M and q over the whole grid.
 
     K_R and K_I come from their closed forms
 
         K_R = (1/n) (M^2 + k^2 I)^{-1} M,    K_I = (k/n) (M^2 + k^2 I)^{-1},
 
-    M = ``base_matrix``, one batched real inverse, and K = K_R + i K_I,
-    which matches the direct complex inverse to round-off.
+    M = ``base_matrix``, with (M^2 + k^2 I)^{-1} from the symmetric 3 x 3
+    adjugate, and K = K_R + i K_I, which matches the direct complex inverse
+    of n (M - ik I) to round-off.  One batched ``eigvalsh`` of M gives
+    ``eig_M`` for ``verify_ellipticity``.  The grid is the 3-D cube, so the
+    tensor must be 3 x 3 (n = 3); anything else raises ValueError.
     """
     a = medium.apriori
     n, k = a.n, a.k
-    eye = np.eye(n)
+    if n != 3 or medium.B.shape[1:] != (3, 3):
+        raise ValueError(f"the diffusion tensor must be 3 x 3 (n = 3), got n = {n}, B {medium.B.shape}")
     M = base_matrix(medium.mu_a, medium.mu_s, medium.B)
-    core = np.linalg.inv(M @ M + k * k * eye[None, :, :])
-    K_R = (core @ M) / n
-    K_I = (k / n) * core
+    core = _symmetric_inverse(M @ M + k * k * np.eye(3))
     return ComplexTensorField(
-        K=K_R + 1j * K_I,
-        K_R=K_R,
-        K_I=K_I,
+        K=(core @ M) / n + 1j * ((k / n) * core),
+        eig_M=np.linalg.eigvalsh(M),
         q_R=medium.mu_a.copy(),
         q_I=np.full_like(medium.mu_a, -k),
         k=k,
@@ -313,7 +358,11 @@ class EllipticityReport:
 def verify_ellipticity(tensor: ComplexTensorField, apriori: AprioriData) -> EllipticityReport:
     """Check every grid sample against the explicit ellipticity bounds.
 
-    Violations are report entries, never exceptions.
+    K_R and K_I are rational functions of the symmetric M, so each
+    eigenvalue m of M (``tensor.eig_M``) gives the eigenvalues
+    m / (n (m^2 + k^2)) of K_R and k / (n (m^2 + k^2)) of K_I; no
+    eigen-solve of K_R or K_I is needed.  Violations are report entries,
+    never exceptions.
     """
     lam, cal_e, k, n = apriori.lam, apriori.cal_e, apriori.k, apriori.n
     hi = lam * (1.0 + cal_e)
@@ -322,10 +371,11 @@ def verify_ellipticity(tensor: ComplexTensorField, apriori: AprioriData) -> Elli
     lower_I = k / n / (hi * hi + k * k)
     upper = (hi * hi + k * k) / (n * n) / (lo * lo + k * k) ** 2
 
-    eigs_R = np.linalg.eigvalsh(tensor.K_R)
-    eigs_I = np.linalg.eigvalsh(tensor.K_I)
-    min_R, min_I = eigs_R[:, 0], eigs_I[:, 0]
-    norm_sq = np.abs(eigs_R).max(axis=1) ** 2 + np.abs(eigs_I).max(axis=1) ** 2
+    denom = tensor.n * (tensor.eig_M**2 + tensor.k**2)
+    eigs_R = tensor.eig_M / denom
+    eigs_I = tensor.k / denom
+    min_R, min_I = eigs_R.min(axis=1), eigs_I.min(axis=1)
+    norm_sq = np.abs(eigs_R).max(axis=1) ** 2 + eigs_I.max(axis=1) ** 2
 
     tol = 1e-12
     violations = []

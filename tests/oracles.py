@@ -12,6 +12,10 @@ transcription error:
   the gradient lower bracket;
 - the truncated Laplace kernel evaluated directly (against the tabulated
   series of the potential quadrature);
+- the diffusion tensor K = (n (M - ik I))^{-1} by a direct complex
+  inverse, and the spectra of K_R and K_I by ``eigvalsh`` of the sampled
+  parts (against the adjugate closed form of ``split_real_imag`` and the
+  eigenvalue map of ``verify_ellipticity``);
 - the tensor derivative gap by entrywise differencing of the sampled K
   (against the chain rule);
 - the continuous Alessandrini identity (against assembled D-N maps);
@@ -30,7 +34,7 @@ import numpy as np
 from otlab.dnmap import DNOperator, SobolevScale, assemble_dn
 from otlab.errors import SingularityError
 from otlab.gegenbauer import GegenbauerSpec, _recurrence, gegenbauer_eval, sum_coefficients
-from otlab.medium import OpticalMedium, split_real_imag
+from otlab.medium import ComplexTensorField, OpticalMedium, base_matrix, split_real_imag
 from otlab.singular import (
     SingularSolutionSpec,
     _displacement,
@@ -290,6 +294,26 @@ def truncated_laplace_kernel(x, y, nu: int, n: int = 3):
             tpow = tpow * t
         out = out + cn * rx ** (2.0 - n) * acc
     return float(out[0]) if y_was_vector else out
+
+
+# ---------------------------------------------------------------------------
+# the diffusion tensor and its ellipticity spectra
+
+
+def direct_diffusion_tensor(mu_a, mu_s, B, k: float, n: int = 3) -> np.ndarray:
+    """K = (n (M - ik I))^{-1} by numpy's complex inverse, over the leading
+    axes of ``B`` (None for B = 0 at one point)."""
+    B = np.zeros((n, n)) if B is None else np.asarray(B, dtype=float)
+    return np.linalg.inv(n * (base_matrix(mu_a, mu_s, B) - 1j * k * np.eye(n)))
+
+
+def sampled_spectra(tensor: ComplexTensorField):
+    """(min eig K_R, min eig K_I, max|eig K_R|^2 + max|eig K_I|^2) per node,
+    from ``eigvalsh`` of the sampled K_R and K_I."""
+    eigs_R = np.linalg.eigvalsh(tensor.K_R)
+    eigs_I = np.linalg.eigvalsh(tensor.K_I)
+    norm_sq = np.abs(eigs_R).max(axis=1) ** 2 + np.abs(eigs_I).max(axis=1) ** 2
+    return eigs_R[:, 0], eigs_I[:, 0], norm_sq
 
 
 # ---------------------------------------------------------------------------

@@ -399,8 +399,43 @@ class TestCliExitCodes:
         assert "configuration error: /solver/rtol:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["check", "solve", "dn"])
+    def test_dimension_other_than_3_exits_2_before_working(self, tmp_path, capsys, monkeypatch, command):
+        # the grid is the 3-D cube: n = 4 used to build K with a 1/4 factor
+        # on it and exit 0
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started working")
+
+        monkeypatch.setattr(RunConfig, "medium", no_work)
+        path = small_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["apriori"].update(n=4, p=5.0)
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "configuration error: /apriori/n: the grid is the 3-D cube, so n must be 3, got 4" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "5", "-0.51"])
+    def test_slice_off_the_cube_exits_2_before_solving(self, tmp_path, capsys, monkeypatch, value):
+        # argmin used to snap these to a face (nan and inf to z = -0.5, 5 to
+        # z = 0.5) and exit 0
+        def no_work(*args, **kwargs):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(otlab.cli, "assemble", no_work)
+        path = small_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out), "--dump-slice", f"z={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: /experiments/solve/dump_slice: slice value must lie in" in err
+        assert f"got {value}" in err
+        assert list(out.iterdir()) == []
+
     def test_unconverged_solve_fails_the_residual_check(self, tmp_path, capsys, monkeypatch):
-        # BiCGStab stopped long before convergence: the explicit residual
+        # COCG stopped long before convergence: the explicit residual
         # check is the only failure path, in the API and in `otlab solve`
         monkeypatch.setattr(otlab.solver, "SOLVE_MAX_ITERATIONS", 2)
         path = small_config(tmp_path)
@@ -408,7 +443,7 @@ class TestCliExitCodes:
         grid = config.grid()
         op = otlab.solver.assemble(config.medium(grid), grid)
         g = np.cos(grid.points[op.boundary_idx, 0]).astype(complex)
-        with pytest.raises(ResidualError, match=r"solve residual .* after 2 BiCGStab iterations"):
+        with pytest.raises(ResidualError, match=r"solve residual .* after 2 COCG iterations"):
             otlab.solver.solve_dirichlet(op, g)
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure (ResidualError): solve residual" in capsys.readouterr().err
@@ -440,6 +475,7 @@ class TestCliCommands:
         assert report["interior_residual_sup"] < 1e-9
         lines = (out / "solve_slice.csv").read_text().splitlines()
         assert lines[0].startswith("# config_fingerprint=")
+        assert "# slice axis=2 value=0.0" in lines
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "u,v,re,im"
 

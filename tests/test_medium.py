@@ -17,6 +17,8 @@ from otlab.medium import (
 from otlab.singular import SingularityPoint
 from otlab.solver import assemble
 
+from oracles import direct_diffusion_tensor as diffusion_tensor, sampled_spectra
+
 # frozen from a 40-digit evaluation of the closed forms (k0 = 4 - 2 sqrt(3)
 # and k0_tilde = 4 + 2 sqrt(3) exactly for lam = cal_e = 1, n = 3)
 K0_N3 = 0.5358983848622454
@@ -33,12 +35,6 @@ def default_apriori(**kw):
     base = dict(n=3, p=4.0, lam=1.5, E=10.0, cal_e=1.2, k=0.12, alpha=0.2)
     base.update(kw)
     return AprioriData(**base)
-
-
-def diffusion_tensor(mu_a, mu_s, B, k, n=3):
-    """K = (1/n) ((mu_a - ik) I + (I - B) mu_s)^{-1} by a direct complex inverse."""
-    B = np.zeros((n, n)) if B is None else np.asarray(B, dtype=float)
-    return np.linalg.inv(n * (base_matrix(mu_a, mu_s, B) - 1j * k * np.eye(n)))
 
 
 def sampled_point(mu_a, mu_s, B, k):
@@ -171,6 +167,56 @@ class TestRealImagSplit:
         np.testing.assert_allclose(
             K_inv.imag, -a.n * a.k * np.broadcast_to(eye, K_inv.shape), rtol=1e-12, atol=1e-12
         )
+
+
+def random_anisotropic_medium(seed, k):
+    """An m=9 medium with random absorption, scattering and symmetric B at every node."""
+    grid = small_grid()
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(grid.num_points, 3, 3))
+    return OpticalMedium.from_expressions(
+        grid,
+        default_apriori(k=k),
+        mu_a=rng.uniform(0.7, 1.4, grid.num_points),
+        mu_s=rng.uniform(0.7, 1.4, grid.num_points),
+        B=0.15 * (W + W.transpose(0, 2, 1)),
+        supp_B_interior=False,
+    )
+
+
+class TestClosedForms:
+    """The adjugate inverse of ``split_real_imag`` and the eigenvalue map of
+    ``verify_ellipticity`` against numpy's inverse and eigen-solver."""
+
+    @staticmethod
+    def relative_gap(found, expected):
+        scale = np.abs(expected).max(axis=(1, 2))
+        return (np.abs(found - expected).max(axis=(1, 2)) / scale).max()
+
+    @pytest.mark.parametrize("k", [1e-3, 0.12, 1.0, 50.0])
+    def test_tensor_matches_the_direct_inverse(self, k):
+        med = random_anisotropic_medium(7, k)
+        field = split_real_imag(med)
+        expected = diffusion_tensor(med.mu_a, med.mu_s, med.B, k)
+        assert self.relative_gap(field.K, expected) <= 1e-14
+        assert self.relative_gap(field.K_R, expected.real) <= 1e-14
+        assert self.relative_gap(field.K_I, expected.imag) <= 1e-14
+
+    @pytest.mark.parametrize("k", [1e-3, 0.12, 1.0, 50.0])
+    def test_audit_spectra_match_eigvalsh(self, k):
+        med = random_anisotropic_medium(8, k)
+        field = split_real_imag(med)
+        report = verify_ellipticity(field, med.apriori)
+        min_R, min_I, norm_sq = sampled_spectra(field)
+        np.testing.assert_allclose(report.min_eig_K_R, min_R, rtol=0, atol=1e-14 * np.abs(min_R).max())
+        np.testing.assert_allclose(report.min_eig_K_I, min_I, rtol=0, atol=1e-14 * np.abs(min_I).max())
+        np.testing.assert_allclose(report.norm_sq_sum, norm_sq, rtol=1e-14)
+
+    def test_only_a_3x3_tensor_is_split(self):
+        apriori = AprioriData(n=4, p=5.0, lam=1.5, E=10.0, cal_e=1.2, k=0.12, alpha=0.1)
+        med = OpticalMedium.from_expressions(small_grid(), apriori, mu_a="1", mu_s="1")
+        with pytest.raises(ValueError, match="must be 3 x 3"):
+            split_real_imag(med)
 
 
 class TestOneFormula:

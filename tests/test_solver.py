@@ -1,11 +1,14 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from otlab.errors import EllipticityError, MemoryBudgetError
+from otlab.errors import EllipticityError, MemoryBudgetError, ResidualError
 from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium
-from otlab.solver import ComplexField, apply_operator, assemble, solve_dirichlet
+from otlab.solver import ComplexField, DiscreteOperator, apply_operator, assemble, solve_dirichlet
 
 
 def apriori(**kw):
@@ -238,6 +241,36 @@ class TestApplyOperator:
         lhs = apply_operator(op, a * u + b * v)
         rhs = a * apply_operator(op, u) + b * apply_operator(op, v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * np.abs(rhs).max())
+
+
+class TestCocgBreakdown:
+    @pytest.mark.parametrize(
+        "coupling, b, product",
+        [(0.0, [1.0, 1.0j], "r^T D^-1 r = 0"), (1.0, [1.0, -1.0], "p^T A p = 0")],
+        ids=["rho", "pAp"],
+    )
+    def test_vanishing_bilinear_product_fails_the_residual_check(self, coupling, b, product):
+        # A_II = [[1, c], [c, 1]] on two unknowns: b = (1, i) gives b^T b = 0
+        # at c = 0, b = (1, -1) gives b^T A b = 0 at c = 1, so COCG's first
+        # step would divide by zero; the loop stops and the residual check
+        # names the breakdown, with no NaN and no warning on the way
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        i, j = interior = grid.interior_indices[:2]
+        matrix = sp.identity(grid.num_points, dtype=complex, format="lil")
+        matrix[i, j] = matrix[j, i] = coupling
+        op = DiscreteOperator(
+            grid=grid,
+            matrix=matrix.tocsr(),
+            interior_idx=interior,
+            boundary_idx=np.setdiff1d(np.arange(grid.num_points), interior),
+            medium_fingerprint="two unknowns",
+        )
+        f = np.array(b) / grid.volume_weights[interior]
+        expected = "after 0 COCG iterations; COCG broke down " + re.escape(f"({product})")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResidualError, match=expected):
+                solve_dirichlet(op, np.zeros(len(op.boundary_idx)), f)
 
 
 class TestGuards:
