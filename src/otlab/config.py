@@ -14,7 +14,7 @@ import numpy as np
 from .dnmap import DNOperator
 from .errors import ConfigError, MemoryBudgetError
 from .grid import GridDomain
-from .medium import AprioriData, OpticalMedium
+from .medium import B_SYMMETRY_ATOL, AprioriData, OpticalMedium
 from .solver import MAX_POINTS_PER_AXIS, SOLVE_RTOL
 
 APRIORI_KEYS = {
@@ -40,6 +40,26 @@ EXPERIMENTS = {
     },
     "gegenbauer_table": {"max_m": 8, "n": 3},
 }
+
+
+# the keys of each top-level section; a key outside its list is an error
+SECTIONS = {
+    "grid": ("extent", "m_per_axis"),
+    "apriori": tuple(APRIORI_KEYS),
+    "medium": ("mu_a", "mu_s", "B", "supp_B_interior"),
+    "solver": ("grid_cap", "rtol"),
+    "experiments": tuple(EXPERIMENTS),
+}
+# "threads" is accepted and ignored: older configs and the benchmark set it
+TOP_LEVEL = ("seed", *SECTIONS, "threads")
+
+
+def _known_keys(keys, known, pointer: str):
+    """Raise ConfigError at ``<pointer>/<key>`` for the first of ``keys`` (in
+    sorted order) that is not in ``known``, listing the known keys."""
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ConfigError(f"{pointer}/{unknown[0]}", f"unknown key {unknown[0]!r} (known: {', '.join(known)})")
 
 
 def _require(mapping: Any, key: str, pointer: str):
@@ -79,10 +99,15 @@ class RunConfig:
 
     Explicit configs must be complete: the grid and every a-priori constant
     are required (no silent defaulting), the medium section is optional and
-    defaults to the homogeneous unit medium.  ``solver.grid_cap`` may lower
-    the built-in grid cap; every grid the config hands out is checked
-    against it.  ``solver.rtol`` is the residual ``otlab solve`` requires,
-    a number in (0, 1).  A ``threads`` key left by older configs is ignored.
+    defaults to the homogeneous unit medium.  A key that no section knows
+    (``SECTIONS``, ``TOP_LEVEL``, ``EXPERIMENTS``) is an error at its
+    pointer, except a top-level ``threads``, which older configs and the
+    benchmark set and which is ignored.  ``solver.grid_cap`` may lower the
+    built-in grid cap; every grid the config hands out is checked against
+    it.  ``solver.rtol`` is the residual ``otlab solve`` requires, a number
+    in (0, 1).  The medium's B must be symmetric at every node (max
+    |B - B^T| at most ``B_SYMMETRY_ATOL``), or ``medium`` fails at
+    ``/medium/B``.
     """
 
     raw: dict
@@ -94,6 +119,11 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("/", "top-level config must be an object")
+        _known_keys(data, TOP_LEVEL, "")
+        for name, known in SECTIONS.items():
+            # a section that is no object fails where it is read
+            if isinstance(data.get(name), dict):
+                _known_keys(data[name], known, f"/{name}")
         seed = _number(data.get("seed", 0), "/seed", int)
         solver = data.get("solver", {})
         if not isinstance(solver, dict):
@@ -191,6 +221,10 @@ class RunConfig:
                     "/medium",
                     f"{name} is not finite at node {node} (x = {grid.points[node].tolist()})",
                 )
+        # the tensor pass reads one triangle of B
+        asymmetry = medium.b_asymmetry()
+        if asymmetry > B_SYMMETRY_ATOL:
+            raise ConfigError("/medium/B", f"B must be symmetric, got max |B - B^T| = {asymmetry:.3e}")
         return medium
 
     def experiment(self, name: str, **overrides) -> dict:
@@ -201,10 +235,7 @@ class RunConfig:
         if not isinstance(section, dict):
             raise ConfigError(pointer, "expected an object")
         defaults = EXPERIMENTS[name]
-        unknown = sorted((section.keys() | overrides.keys()) - defaults.keys())
-        if unknown:
-            known = ", ".join(defaults)
-            raise ConfigError(f"{pointer}/{unknown[0]}", f"unknown key {unknown[0]!r} (known: {known})")
+        _known_keys(section.keys() | overrides.keys(), defaults, pointer)
         values = {**defaults, **section, **{k: v for k, v in overrides.items() if v is not None}}
         return {key: _typed(values[key], default, f"{pointer}/{key}") for key, default in defaults.items()}
 

@@ -10,7 +10,10 @@ complement product
 which ``assemble_dn`` applies to the identity, one column block at a time.
 S is complex symmetric (bilinear symmetry <Lf, conj(g)> = <Lg, conj(f)>),
 not Hermitian.  The pairing convention is <Lambda f, conj(g)> = g^T S f
-with the plain (unconjugated) dot product.
+with the plain (unconjugated) dot product.  The solves with A_II belong to
+``solver``: this module takes them from ``DiscreteOperator.extension``
+(f -> -A_II^{-1} A_IB f) and ``interior_solver``, which factor A_II once
+and check every solve's residual, and A_BI from ``boundary_coupling``.
 
 H^{1/2} and its dual are realized spectrally on the boundary surface grid:
 a face-wise five-point graph Laplacian S_b stitched across cube edges, a
@@ -72,10 +75,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import FactorizationError, ResidualError
 from .grid import GridDomain
 from .medium import OpticalMedium
-from .solver import SOLVE_RTOL, DiscreteOperator, assemble
+from .solver import DiscreteOperator, assemble
 
 DN_CHUNK = 64
 # Lanczos operator norms: Ritz residual relative to the Ritz value
@@ -98,7 +100,7 @@ def symmetry_bases(grid: GridDomain) -> list[sp.csr_matrix]:
     nb = len(b_idx)
     m = grid.m_per_axis
     half = (m - 1) // 2
-    ijk = np.array(np.unravel_index(b_idx, (m, m, m)))
+    ijk = grid.multi_index()[b_idx].T
     folded = np.minimum(ijk, m - 1 - ijk)
     _, orbit = np.unique(
         np.ravel_multi_index(folded, (half + 1,) * 3), return_inverse=True
@@ -157,40 +159,20 @@ class SobolevScale:
         nb = len(b_idx)
         pos = -np.ones(grid.num_points, dtype=int)
         pos[b_idx] = np.arange(nb)
-        m, h = grid.m_per_axis, grid.h
-
-        mass = np.zeros(nb)
-        rows, cols, vals = [], [], []
-        for axis in range(3):
-            for side in (0, 1):
-                face = grid.face_node_ids(axis, side)
-                fpos = pos[face]
-                # 2-D trapezoid fractions on this face
-                frac = np.ones((m, m))
-                frac[0, :] *= 0.5
-                frac[-1, :] *= 0.5
-                frac[:, 0] *= 0.5
-                frac[:, -1] *= 0.5
-                np.add.at(mass, fpos.ravel(), (h * h * frac).ravel())
-                # in-face edges along both transverse directions, rim edges
-                # carry half the transverse width
-                for t in (0, 1):
-                    a = np.moveaxis(fpos, t, 0)
-                    left, right = a[:-1, :], a[1:, :]
-                    w = np.ones_like(left, dtype=float)
-                    w[:, 0] = 0.5
-                    w[:, -1] = 0.5
-                    for r, c, v in (
-                        (left, left, w),
-                        (right, right, w),
-                        (left, right, -w),
-                        (right, left, -w),
-                    ):
-                        rows.append(r.ravel())
-                        cols.append(c.ravel())
-                        vals.append(v.ravel())
+        # the 2-D trapezoid weights of the faces through a node, summed: a
+        # node on c faces lies on the rim of each of them c - 1 times
+        faces = grid.rim[b_idx].sum(axis=1)
+        mass = grid.h * grid.h * faces * 2.0 ** (1 - faces)
+        # S_b joins adjacent boundary nodes with unit weight: a rim edge gets
+        # half the transverse width from each of the two faces through it
+        pairs = []
+        for d, stride in enumerate(grid.strides):
+            p = b_idx[grid.multi_index()[b_idx, d] < grid.m_per_axis - 1]
+            p = p[grid.boundary_mask[p + stride]]
+            pairs.append((pos[p], pos[p + stride]))
+        i, j = (np.concatenate(side) for side in zip(*pairs))
         S = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (np.repeat([1.0, 1.0, -1.0, -1.0], len(i)), (np.r_[i, j, i, j], np.r_[i, j, j, i])),
             shape=(nb, nb),
         ).tocsr()
         # M_b is diagonal and commutes with the reflections, so the block of
@@ -252,32 +234,15 @@ class DNOperator:
         )
 
 
-def _solve_checked(lu, A_II, rhs: np.ndarray, label: str, grid: GridDomain) -> np.ndarray:
-    """Solve A_II U = rhs with the factor ``lu``; raise ResidualError unless
-    the residual norm is at most SOLVE_RTOL times the norm of ``rhs``."""
-    try:
-        U = lu.solve(rhs)
-    except RuntimeError as exc:
-        raise FactorizationError(f"{label} failed: {exc}") from exc
-    gap, rhs_norm = np.linalg.norm(A_II @ U - rhs), np.linalg.norm(rhs)
-    if not gap <= SOLVE_RTOL * rhs_norm:
-        raise ResidualError(
-            f"{label}: residual {gap / rhs_norm:.3e} exceeds {SOLVE_RTOL:.1e} "
-            f"(grid {grid.m_per_axis}^3)"
-        )
-    return U
-
-
 def _dn_product(op: DiscreteOperator):
     """f -> S f for one vector or a block of columns f, the D-N map of ``op``,
-    with A_II factored once by ``DiscreteOperator.factorization`` and every
-    solve residual-checked; ``label`` names the solve in its errors."""
-    A_II, A_IB = op._interior_blocks()
-    A_BB, A_BI = op.matrix[op.boundary_idx][:, op.boundary_idx].tocsr(), A_IB.T.tocsr()
-    lu = op.factorization()
+    through ``op.extension`` (one factorization, every solve residual-checked);
+    ``label`` names the solve in its errors."""
+    A_BB = op.matrix[op.boundary_idx][:, op.boundary_idx].tocsr()
+    A_BI, extend = op.boundary_coupling(), op.extension()
 
     def product(f, label="D-N extension solve"):
-        return A_BB @ f + A_BI @ _solve_checked(lu, A_II, -(A_IB @ f), label, op.grid)
+        return A_BB @ f + A_BI @ extend(f, label)
 
     return product
 
@@ -347,23 +312,20 @@ def _whitened(product, scale: SobolevScale):
 
 
 def _difference_product(base: DiscreteOperator, op: DiscreteOperator, E: sp.csr_matrix):
-    """f -> H1^T E H2 f = (S(op) - S(base)) f for E = op.matrix - base.matrix.
-    Both interior blocks are factored through ``DiscreteOperator.factorization``
-    (once for a base shared by a sweep), and every solve is residual-checked."""
-    grid = base.grid
+    """f -> H1^T E H2 f = (S(op) - S(base)) f for E = op.matrix - base.matrix,
+    from the solves of ``base.interior_solver`` and ``op.extension``.  The
+    base is factored first, once for a base shared by a sweep, and every
+    solve is residual-checked."""
     i_idx, b_idx = base.interior_idx, base.boundary_idx
-    A1_II, A1_IB = base._interior_blocks()
-    A2_II, A2_IB = op._interior_blocks()
-    A1_BI = A1_IB.T.tocsr()
-    lu1, lu2 = base.factorization(), op.factorization()
-    u = np.empty(grid.num_points, dtype=complex)
+    solve1, A1_BI = base.interior_solver(), base.boundary_coupling()
+    extend2 = op.extension()
+    u = np.empty(base.grid.num_points, dtype=complex)
 
     def product(f):
         u[b_idx] = f
-        u[i_idx] = _solve_checked(lu2, A2_II, -(A2_IB @ f), "perturbed extension solve", grid)
+        u[i_idx] = extend2(f, "perturbed extension solve")
         y = E @ u
-        y_I = _solve_checked(lu1, A1_II, y[i_idx], "base extension solve", grid)
-        return y[b_idx] - A1_BI @ y_I
+        return y[b_idx] - A1_BI @ solve1(y[i_idx], "base extension solve")
 
     return product
 

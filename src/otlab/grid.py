@@ -55,11 +55,20 @@ class GridDomain:
         return (m * m, m, 1)
 
     @property
+    def rim(self) -> np.ndarray:
+        """(num_points, 3) bool, shared read-only: whether a node lies on the
+        first or last plane of each axis, so a node on c faces has c flags."""
+        if "rim" not in self._cache:
+            midx = self.multi_index()
+            rim = (midx == 0) | (midx == self.m_per_axis - 1)
+            rim.flags.writeable = False
+            self._cache["rim"] = rim
+        return self._cache["rim"]
+
+    @property
     def boundary_mask(self) -> np.ndarray:
         if "bmask" not in self._cache:
-            m = self.m_per_axis
-            idx = np.indices((m, m, m)).reshape(3, -1)
-            self._cache["bmask"] = np.any((idx == 0) | (idx == m - 1), axis=0)
+            self._cache["bmask"] = self.rim.any(axis=1)
         return self._cache["bmask"]
 
     @property
@@ -78,10 +87,7 @@ class GridDomain:
     def trapezoid_fraction(self) -> np.ndarray:
         """Per-node trapezoid-rule fraction (1 interior, 1/2 face, 1/4 edge, 1/8 corner)."""
         if "trap" not in self._cache:
-            m = self.m_per_axis
-            idx = np.indices((m, m, m)).reshape(3, -1)
-            on_border = (idx == 0) | (idx == m - 1)
-            self._cache["trap"] = 0.5 ** on_border.sum(axis=0)
+            self._cache["trap"] = 0.5 ** self.rim.sum(axis=1)
         return self._cache["trap"]
 
     @property
@@ -90,16 +96,13 @@ class GridDomain:
         return self.h**3 * self.trapezoid_fraction
 
     def multi_index(self) -> np.ndarray:
-        """Integer index triples, shape (num_points, 3)."""
-        m = self.m_per_axis
-        return np.indices((m, m, m)).reshape(3, -1).T
-
-    def face_node_ids(self, axis: int, side: int) -> np.ndarray:
-        """Flat node ids of one cube face, shape (m, m), ordered by the two
-        transverse axes in increasing-axis order.  ``side`` is 0 or 1."""
-        m = self.m_per_axis
-        grid_ids = np.arange(m**3).reshape(m, m, m)
-        return np.take(grid_ids, 0 if side == 0 else m - 1, axis=axis)
+        """Integer index triples, shape (num_points, 3), shared read-only."""
+        if "midx" not in self._cache:
+            m = self.m_per_axis
+            midx = np.indices((m, m, m)).reshape(3, -1).T
+            midx.flags.writeable = False
+            self._cache["midx"] = midx
+        return self._cache["midx"]
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """Second-order discrete gradient of a nodal field, shape (num_points, 3).

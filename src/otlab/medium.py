@@ -103,6 +103,10 @@ def is_wave_number_admissible(k: float, lam: float, cal_e: float, n: int) -> boo
     return (0.0 < k <= k0) or (k >= k0_tilde)
 
 
+# largest max |B - B^T| taken for a symmetric B
+B_SYMMETRY_ATOL = 1e-12
+
+
 def base_matrix(mu_a, mu_s, B) -> np.ndarray:
     """M = mu_a I + (I - B) mu_s, the real part of K^{-1} / n, over any leading axes.
 
@@ -195,6 +199,12 @@ class OpticalMedium:
         hsh.update(repr(self.apriori).encode())
         return hsh.hexdigest()[:16]
 
+    def b_asymmetry(self, out: np.ndarray | None = None) -> float:
+        """max |B - B^T| over the samples, with B - B^T formed in ``out`` (an
+        array shaped like B) when given."""
+        gap = np.subtract(self.B, np.transpose(self.B, (0, 2, 1)), out=out)
+        return float(np.abs(gap, out=gap).max())
+
     def admissibility_violations(self) -> list[str]:
         """Pointwise a-priori checks on the samples; empty list means admissible."""
         a = self.apriori
@@ -206,8 +216,8 @@ class OpticalMedium:
                     f"{name} out of [1/lam, lam] = [{1 / a.lam:.6g}, {a.lam:.6g}] "
                     f"at node {bad} (value {f[bad]:.6g})"
                 )
-        asym = np.max(np.abs(self.B - np.transpose(self.B, (0, 2, 1))))
-        if asym > 1e-12:
+        asym = self.b_asymmetry()
+        if asym > B_SYMMETRY_ATOL:
             out.append(f"B not symmetric (max asymmetry {asym:.3e})")
         eigs = np.linalg.eigvalsh(np.eye(a.n)[None, :, :] - 0.5 * (self.B + np.transpose(self.B, (0, 2, 1))))
         lo, hi = eigs.min(), eigs.max()
@@ -308,14 +318,24 @@ def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
     adjugate, and K = K_R + i K_I, which matches the direct complex inverse
     of n (M - ik I) to round-off.  One batched ``eigvalsh`` of M gives
     ``eig_M`` for ``verify_ellipticity``.  The grid is the 3-D cube, so the
-    tensor must be 3 x 3 (n = 3); anything else raises ValueError.
+    tensor must be 3 x 3 (n = 3); anything else raises ValueError.  Both
+    read one triangle of M, so a B that is not symmetric (max |B - B^T|
+    above ``B_SYMMETRY_ATOL``) raises ValueError too.
     """
     a = medium.apriori
     n, k = a.n, a.k
     if n != 3 or medium.B.shape[1:] != (3, 3):
         raise ValueError(f"the diffusion tensor must be 3 x 3 (n = 3), got n = {n}, B {medium.B.shape}")
+    # one (N, 3, 3) buffer takes B - B^T and then M^2 + k^2 I, so the check
+    # adds no N-sized temporary to the tensor pass a sweep runs per amplitude
+    S = np.empty_like(medium.B)
+    asym = medium.b_asymmetry(out=S)
+    if asym > B_SYMMETRY_ATOL:
+        raise ValueError(f"B must be symmetric, got max |B - B^T| = {asym:.3e}")
     M = base_matrix(medium.mu_a, medium.mu_s, medium.B)
-    core = _symmetric_inverse(M @ M + k * k * np.eye(3))
+    np.matmul(M, M, out=S)
+    S += k * k * np.eye(3)
+    core = _symmetric_inverse(S)
     return ComplexTensorField(
         K=(core @ M) / n + 1j * ((k / n) * core),
         eig_M=np.linalg.eigvalsh(M),

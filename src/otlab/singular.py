@@ -40,7 +40,7 @@ import numpy as np
 from .errors import QuadratureBudgetError, SingularityError
 from .gegenbauer import GegenbauerSpec, gegenbauer_eval
 from .medium import OpticalMedium, base_matrix
-from .solver import ComplexField, assemble, solve_dirichlet
+from .solver import ComplexField, apply_operator, assemble, loglog_fit, solve_dirichlet
 
 
 class BranchCutWarning(UserWarning):
@@ -234,6 +234,14 @@ def _radial_nodes(lo: float, hi: float, count: int):
     return mid + half * xg, half * wg
 
 
+def _shell_rule(lo: float, hi: float, count: int, w_dirs: np.ndarray):
+    """Radii and r^2 dr dS weights of the product rule on lo <= r <= hi:
+    ``count`` Gauss-Legendre radii times the directions weighted ``w_dirs``,
+    the weights flattened radius-major like the nodes rad x dirs."""
+    rad, wr = _radial_nodes(lo, hi, count)
+    return rad, (wr[:, None] * (rad**2)[:, None] * w_dirs[None, :]).ravel()
+
+
 def _zonal_series(rx: float, cosg: np.ndarray, orders: range):
     """rad -> C_3/rx sum_{j in orders} (rad/rx)^j P_j(cosg), shape
     (len(rad), len(cosg)), for points rad * d on fixed unit directions d,
@@ -383,8 +391,7 @@ def _potential(f, nu, x, radius, rule, memo):
     contrib_mag_max = 0.0
     while shells < rule.max_inner_shells and hi >= 1e-280:
         lo = hi / 2.0
-        rad, wr = _radial_nodes(lo, hi, rule.inner_radial)
-        wq = (wr[:, None] * (rad**2)[:, None] * w_in[None, :]).ravel()
+        rad, wq = _shell_rule(lo, hi, rule.inner_radial, w_in)
         kern = -tail(rad).ravel()
         fv = _block_source(f, memo, (inner_counts, lo, hi), rad, sph_in, True)
         terms = wq * kern * fv
@@ -466,8 +473,7 @@ def _outer_contribution(f, nu, x, radius, delta, rule, n_theta, n_phi, memo):
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         if hi <= lo:
             continue
-        rad, wr = _radial_nodes(lo, hi, rule.outer_radial)
-        wq = (wr[:, None] * (rad**2)[:, None] * w_out[None, :]).ravel()
+        rad, wq = _shell_rule(lo, hi, rule.outer_radial, w_out)
         # |y - x| by the law of cosines on the tabulated x^ . d
         rho = np.sqrt((rad**2 + r * r)[:, None] - (2.0 * r * rad)[:, None] * cosg).ravel()
         kern = -cn * _mollified_inverse_distance(rho, delta) + moments(rad).ravel()
@@ -479,9 +485,8 @@ def _outer_contribution(f, nu, x, radius, delta, rule, n_theta, n_phi, memo):
 def _ball_patch(f, x, delta, rule):
     """The exact-minus-mollified Newtonian part on the delta-ball around x."""
     sph_p, w_p = _sphere_nodes(rule.patch_theta, rule.patch_phi)
-    rad, wr = _radial_nodes(0.0, delta, rule.patch_radial)
+    rad, wq = _shell_rule(0.0, delta, rule.patch_radial, w_p)
     pts = (x[None, None, :] + rad[:, None, None] * sph_p[None, :, :]).reshape(-1, 3)
-    wq = (wr[:, None] * (rad**2)[:, None] * w_p[None, :]).ravel()
     rho = np.repeat(rad, len(w_p))
     kern = -_sphere_constant(3) * (1.0 / rho - _mollified_inverse_distance(rho, delta))
     return np.sum(wq * kern * f(pts))
@@ -499,14 +504,12 @@ def shell_source_exponent(f, radius: float, p: float = 4.0, num_shells: int = 6)
     hi = radius / 2.0
     for _ in range(num_shells):
         lo = hi / 2.0
-        rad, wr = _radial_nodes(lo, hi, 12)
+        rad, wq = _shell_rule(lo, hi, 12, wsph)
         pts = (rad[:, None, None] * sph[None, :, :]).reshape(-1, 3)
-        wq = (wr[:, None] * (rad**2)[:, None] * wsph[None, :]).ravel()
         norms.append(np.sum(wq * np.abs(f(pts)) ** p) ** (1.0 / p))
         radii.append(math.sqrt(lo * hi))
         hi = lo
-    slope = float(np.polyfit(np.log(radii), np.log(np.maximum(norms, 1e-300)), 1)[0])
-    return 3.0 / p - slope
+    return 3.0 / p - loglog_fit(radii, np.maximum(norms, 1e-300))[0]
 
 
 # a decay fit needs each probe's value well above its quadrature error
@@ -589,13 +592,11 @@ def potential_decay_fit(
             )
         values.append(value)
     values = np.array(values)
-    logs = np.log(np.abs(values))
-    coeffs, res = np.polyfit(np.log(radii), logs, 1, full=True)[:2]
-    rms = float(np.sqrt(res[0] / len(radii))) if len(res) else 0.0
+    exponent, rms = loglog_fit(radii, np.abs(values))
     return DecayFit(
         radii=radii,
         values=values,
-        exponent=float(coeffs[0]),
+        exponent=exponent,
         fit_residual=rms,
         source_exponent=source_exponent,
     )
@@ -666,20 +667,15 @@ def correction_w(
     u_m = np.zeros(grid.num_points, dtype=complex)
     safe = dist > max(r_min - 2 * grid.h, 0.5 * r_min)
     u_m[safe] = leading_term(spec, grid.points[safe])
-    rhs = -(op.matrix @ u_m)[op.interior_idx] / grid.h**3
-    w_field = solve_dirichlet(op, np.zeros(len(op.boundary_idx)), rhs)
+    w_field = solve_dirichlet(op, np.zeros(len(op.boundary_idx)), -apply_operator(op, u_m))
 
     w = w_field.values
     grad_w = grid.gradient(w)
-    # gradient trusted only where the full stencil lives inside the annulus
+    # gradient trusted only where the full stencil lives inside the annulus;
+    # the annulus avoids the cube surface, so no stencil leaves the grid
     ok = mask.copy()
-    for stride in grid.strides:
-        has_both = np.zeros_like(mask)
-        idx = np.flatnonzero(mask)
-        idx = idx[(idx - stride >= 0) & (idx + stride < grid.num_points)]
-        idx = idx[mask[idx - stride] & mask[idx + stride]]
-        has_both[idx] = True
-        ok &= has_both
+    for s in grid.strides:
+        ok[s:-s] &= mask[: -2 * s] & mask[2 * s :]
 
     edges = np.geomspace(r_min, r_max, num_shells + 1)
     mids, sup_w, sup_dw, sup_rdw = [], [], [], []
@@ -704,15 +700,11 @@ def correction_w(
 
     # interior shells only: the zero boundary data pins both end shells
     sel = slice(1, -1) if len(mids) >= 4 else slice(None)
-    logs_r = np.log(mids[sel])
-    logs_w = np.log(np.maximum(sup_w[sel], 1e-300))
-    coeffs, res = np.polyfit(logs_r, logs_w, 1, full=True)[:2]
-    rms = float(np.sqrt(res[0] / len(logs_r))) if len(res) else 0.0
+    exp_w, rms = loglog_fit(mids[sel], np.maximum(sup_w[sel], 1e-300))
     good = np.isfinite(sup_rdw[sel])
+    exp_rdw = float("nan")
     if good.sum() >= 2:
-        exp_rdw = float(np.polyfit(logs_r[good], np.log(np.maximum(sup_rdw[sel][good], 1e-300)), 1)[0])
-    else:
-        exp_rdw = float("nan")
+        exp_rdw = loglog_fit(mids[sel][good], np.maximum(sup_rdw[sel][good], 1e-300))[0]
 
     n = spec.at.dimension
     alpha = medium.apriori.alpha
@@ -722,7 +714,7 @@ def correction_w(
         sup_w=sup_w,
         sup_dw=sup_dw,
         sup_r_dw=sup_rdw,
-        exponent_w=float(coeffs[0]),
+        exponent_w=exp_w,
         exponent_r_dw=exp_rdw,
         fit_residual=rms,
         flagged=rms > FIT_RMS_THRESHOLD,

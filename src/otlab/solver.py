@@ -5,13 +5,15 @@ flux terms for the diagonal tensor entries, node-centered products of
 centered differences for the cross terms, and trapezoid mass terms.  The
 resulting complex matrix A is symmetric (not Hermitian), and strong
 ellipticity makes its real part Re A positive definite on the unknowns.
-The interior system A_II u = rhs is solved one of two ways, chosen by the
-number of solves with one A_II:
+Every solve with A_II lives here; ``dnmap`` takes its solves from
+``DiscreteOperator``.  The interior system A_II u = rhs is solved one of
+two ways, chosen by the number of solves with one A_II:
 
 - Repeated solves factor A_II once as it stands, in complex arithmetic, and
-  reuse the LU for every solve (``DiscreteOperator.factorization``): the
-  Schur products of ``dnmap._dn_product`` (``assemble_dn``'s column blocks,
-  the Lanczos products of ``otlab dn``) and the extension solves of
+  reuse the LU for every solve (``DiscreteOperator.interior_solver`` and the
+  harmonic extension of ``extension``): the Schur products of
+  ``dnmap._dn_product`` (``assemble_dn``'s column blocks, the Lanczos
+  products of ``otlab dn``) and the extension solves of
   ``dnmap.difference_norm``.  SuperLU orders A_II with minimum degree on
   A^T + A and takes the pivots from the diagonal without row interchanges.
   Such an LU exists under every symmetric permutation, with bounded growth,
@@ -103,6 +105,44 @@ class DiscreteOperator:
                 raise FactorizationError(f"sparse LU failed: {exc}") from exc
         return self._cache["lu"]
 
+    def boundary_coupling(self) -> sp.csr_matrix:
+        """A_BI = A_IB^T (A is symmetric), stored by rows, built once."""
+        if "A_BI" not in self._cache:
+            self._cache["A_BI"] = self._interior_blocks()[1].T.tocsr()
+        return self._cache["A_BI"]
+
+    def _check_residual(self, u, rhs, rtol: float, label: str, detail: str = ""):
+        """Raise ResidualError unless ||A_II u - rhs|| <= rtol ||rhs||, the one test
+        that accepts an interior solve, as "<label> <residual> exceeds <rtol><detail>"."""
+        gap, rhs_norm = np.linalg.norm(self._interior_blocks()[0] @ u - rhs), np.linalg.norm(rhs)
+        if not gap <= rtol * rhs_norm:
+            raise ResidualError(
+                f"{label} {gap / rhs_norm:.3e} exceeds {rtol:.1e}{detail} "
+                f"(grid {self.grid.m_per_axis}^3)"
+            )
+
+    def interior_solver(self):
+        """(rhs, label) -> A_II^{-1} rhs for a vector or a block of columns, from
+        the LU of ``factorization`` (taken once, here), each solve checked by
+        ``_check_residual`` at SOLVE_RTOL; ``label`` names it in errors."""
+        lu = self.factorization()
+
+        def solve(rhs, label):
+            try:
+                U = lu.solve(rhs)
+            except RuntimeError as exc:
+                raise FactorizationError(f"{label} failed: {exc}") from exc
+            self._check_residual(U, rhs, SOLVE_RTOL, f"{label}: residual")
+            return U
+
+        return solve
+
+    def extension(self):
+        """(f, label) -> -A_II^{-1} A_IB f: the unknowns' values of the discrete
+        harmonic extension of boundary data f, by ``interior_solver``."""
+        A_IB, solve = self._interior_blocks()[1], self.interior_solver()
+        return lambda f, label: solve(-(A_IB @ f), label)
+
 
 def assemble(
     medium: OpticalMedium,
@@ -139,7 +179,6 @@ def assemble(
     midx = grid.multi_index()
 
     rows, cols, vals = [], [], []
-    on_border = (midx == 0) | (midx == m - 1)
 
     # face-averaged flux terms for the diagonal tensor entries; the
     # transverse trapezoid fraction keeps the boundary energy functional
@@ -150,7 +189,7 @@ def assemble(
         p = np.flatnonzero(has_next)
         q = p + strides[d]
         transverse = [e for e in range(3) if e != d]
-        w_t = 0.5 ** on_border[p][:, transverse].sum(axis=1)
+        w_t = 0.5 ** grid.rim[p][:, transverse].sum(axis=1)
         coef = 0.5 * (tensor.K[p, d, d] + tensor.K[q, d, d]) * h * w_t
         rows += [p, q, p, q]
         cols += [p, q, q, p]
@@ -161,13 +200,7 @@ def assemble(
         for e in range(d + 1, 3):
             if not np.any(tensor.K[:, d, e]):
                 continue
-            ok = (
-                (midx[:, d] > 0)
-                & (midx[:, d] < m - 1)
-                & (midx[:, e] > 0)
-                & (midx[:, e] < m - 1)
-            )
-            p = np.flatnonzero(ok)
+            p = np.flatnonzero(~(grid.rim[:, d] | grid.rim[:, e]))
             coef = tensor.K[p, d, e] * h * grid.trapezoid_fraction[p] / 4.0
             for s1 in (-1, 1):
                 for s2 in (-1, 1):
@@ -208,15 +241,16 @@ def assemble(
     )
 
 
-def _boundary_vector(op: DiscreteOperator, g) -> np.ndarray:
-    g = np.asarray(g, dtype=complex)
-    if g.shape == (op.grid.num_points,):
-        return g[op.boundary_idx]
-    if g.shape == (len(op.boundary_idx),):
-        return g
+def _restricted(op: DiscreteOperator, values, idx: np.ndarray, what: str, where: str) -> np.ndarray:
+    """``values`` on the nodes ``idx``, given over every grid node or over ``idx``."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape == (op.grid.num_points,):
+        return values[idx]
+    if values.shape == (len(idx),):
+        return values
     raise ValueError(
-        f"boundary data must have length {op.grid.num_points} (full grid) or "
-        f"{len(op.boundary_idx)} (boundary set), got {g.shape}"
+        f"{what} must have length {op.grid.num_points} (full grid) or "
+        f"{len(idx)} ({where}), got {values.shape}"
     )
 
 
@@ -265,18 +299,10 @@ def solve_dirichlet(op: DiscreteOperator, g, f=None, rtol: float = SOLVE_RTOL) -
     iteration hit ``SOLVE_MAX_ITERATIONS``, broke down or converged.
     """
     A_II, A_IB = op._interior_blocks()
-    g_b = _boundary_vector(op, g)
-    ni = op.interior_count
-
+    g_b = _restricted(op, g, op.boundary_idx, "boundary data", "boundary set")
     rhs = -A_IB @ g_b
     if f is not None:
-        f = np.asarray(f, dtype=complex)
-        if f.shape == (op.grid.num_points,):
-            f_int = f[op.interior_idx]
-        elif f.shape == (ni,):
-            f_int = f
-        else:
-            raise ValueError("interior source has the wrong shape")
+        f_int = _restricted(op, f, op.interior_idx, "interior source", "unknown set")
         rhs = rhs + f_int * op.grid.volume_weights[op.interior_idx]
 
     values = np.zeros(op.grid.num_points, dtype=complex)
@@ -292,13 +318,8 @@ def solve_dirichlet(op: DiscreteOperator, g, f=None, rtol: float = SOLVE_RTOL) -
     u, steps, breakdown = _cocg(
         A_II.T, rhs, 1.0 / A_II.diagonal(), 1e-3 * rtol * rhs_norm, SOLVE_MAX_ITERATIONS
     )
-    residual = np.linalg.norm(A_II @ u - rhs) / rhs_norm
-    if not residual <= rtol:
-        broke = f"; COCG broke down ({breakdown})" if breakdown else ""
-        raise ResidualError(
-            f"solve residual {residual:.3e} exceeds {rtol:.1e} "
-            f"after {steps} COCG iterations{broke} (grid {op.grid.m_per_axis}^3)"
-        )
+    broke = f"; COCG broke down ({breakdown})" if breakdown else ""
+    op._check_residual(u, rhs, rtol, "solve residual", f" after {steps} COCG iterations{broke}")
     values[op.interior_idx] = u
     return ComplexField(op.grid, values)
 
@@ -316,3 +337,11 @@ def apply_operator(op: DiscreteOperator, u) -> np.ndarray:
     if u.shape != (op.grid.num_points,):
         raise ValueError("field shape does not match the grid")
     return (op.matrix @ u)[op.interior_idx] / op.grid.h**3
+
+
+def loglog_fit(x, y) -> tuple[float, float]:
+    """(slope, rms) of the least-squares line through (log x, log y), rms the
+    root mean square of its residuals in log units: the one fit behind every
+    decay exponent and stability slope."""
+    coeffs, res = np.polyfit(np.log(x), np.log(y), 1, full=True)[:2]
+    return float(coeffs[0]), float(np.sqrt(res[0] / len(x))) if len(res) else 0.0

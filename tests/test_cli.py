@@ -386,6 +386,38 @@ class TestCliExitCodes:
         assert "configuration error: /medium:" in err
         assert "mu_a is not finite at node 0" in err
 
+    @pytest.mark.parametrize("command", ["check", "solve", "dn"])
+    def test_asymmetric_B_exits_2_before_any_work(self, tmp_path, capsys, command):
+        # the tensor pass reads one triangle of B; B01 = 0.1 x1 x2 with B10 = 0
+        # used to run through solve and dn on the upper triangle alone
+        B = [["0", "0.1*x1*x2", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+        path = small_config(tmp_path, **{"medium.B": B, "medium.supp_B_interior": False})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: /medium/B: B must be symmetric, got max |B - B^T| = 2.500e-02" in err
+        assert list(out.iterdir()) == []
+        B[1][0] = B[0][1]
+        path = small_config(tmp_path, **{"medium.B": B, "medium.supp_B_interior": False})
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("", "thread"), ("grid", "m"), ("apriori", "lam"), ("medium", "mua"), ("solver", "tol"),
+         ("experiments", "stabilty")],
+    )
+    def test_unknown_key_exits_2_before_any_work(self, tmp_path, capsys, section, key):
+        cfg = default_config_dict()
+        cfg["grid"]["m_per_axis"] = 9
+        (cfg.setdefault(section, {}) if section else cfg)[key] = "1 + 0.3*x1"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(path), "--out", str(out)]) == 2
+        pointer = f"/{section}/{key}" if section else f"/{key}"
+        assert f"configuration error: {pointer}: unknown key {key!r} (known: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "dn", "stability"])
     def test_grid_cap_applies_to_every_command(self, tmp_path, capsys, command):
         path = small_config(tmp_path, solver={"grid_cap": 5})  # m = 9

@@ -6,7 +6,9 @@ experiment key, or a random string for `medium.mu_a` or
 `experiments.solve.boundary_data`.  Whatever the draw, `main` returns 0, 2
 or 3 without raising, and every exit 2 names a JSON pointer.  Draws that
 start work stay small (three amplitudes, `eps_count` at most 4), so a run
-takes well under a second.
+takes well under a second.  A second draw puts an unknown key at the top
+level or into any section and expects exit 2 at that key's pointer with no
+report written; a top-level ``threads`` key is accepted and ignored.
 """
 
 import contextlib
@@ -17,10 +19,11 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from otlab.cli import main
-from otlab.config import EXPERIMENTS
+from otlab.config import EXPERIMENTS, SECTIONS, TOP_LEVEL
 
 WRONG_TYPES = st.one_of(
     st.none(),
@@ -88,3 +91,40 @@ def test_fuzzed_config_exits_0_2_or_3(edit):
     assert code in (0, 2, 3), (code, err.getvalue())
     if code == 2:
         assert re.search(r"^configuration error: /", err.getvalue(), re.M), err.getvalue()
+
+
+# the top level ("") and every section, each with the keys it knows
+KNOWN = {"": TOP_LEVEL, **SECTIONS}
+UNKNOWN_KEYS = st.sampled_from(sorted(KNOWN)).flatmap(
+    lambda s: st.tuples(st.just(s), st.text(min_size=1, max_size=6).filter(lambda k: k not in KNOWN[s]))
+)
+
+
+def _run_check(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["check", "--config", str(path), "--out", str(Path(tmp) / "o")])
+        return code, err.getvalue(), (Path(tmp) / "o" / "check_report.json").exists()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(edit=UNKNOWN_KEYS, value=WRONG_TYPES | NUMBERS)
+def test_unknown_key_exits_2_at_its_pointer(edit, value):
+    section, key = edit
+    cfg = _config()
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    code, err, wrote = _run_check(cfg)
+    pointer = f"/{section}/{key}" if section else f"/{key}"
+    assert code == 2 and not wrote, (code, err)
+    assert err.startswith(f"configuration error: {pointer}: unknown key {key!r}"), err
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_top_level_threads_is_accepted_and_ignored(threads):
+    cfg = _config()
+    cfg["threads"] = threads
+    code, err, wrote = _run_check(cfg)
+    assert code == 0 and wrote, err

@@ -183,6 +183,18 @@ class TestSobolevScale:
     def test_total_mass_is_surface_area(self, scale9, grid9):
         assert scale9.mass.sum() == pytest.approx(6.0 * grid9.extent**2, rel=1e-12)
 
+    @pytest.mark.parametrize("m, extent", [(9, 1.0), (11, 0.7), (9, 3.3)])
+    def test_boundary_mass_by_faces(self, m, extent):
+        # the face-wise trapezoid weights summed over the faces through a
+        # node: h^2 on faces and cube edges, 3/4 h^2 at the corners
+        grid = GridDomain(extent=extent, m_per_axis=m)
+        scale = SobolevScale.build(grid)
+        faces = grid.rim[grid.boundary_indices].sum(axis=1)
+        h2 = grid.h * grid.h
+        assert np.all(scale.mass[faces <= 2] == h2)
+        assert np.all(scale.mass[faces == 3] == 0.75 * h2)
+        assert (np.bincount(faces)[1:] == [6 * (m - 2) ** 2, 12 * (m - 2), 8]).all()
+
     def test_constant_norm_is_total_weight(self, scale9):
         c = 2.5 - 1.0j
         f = np.full(len(scale9.boundary_idx), c)

@@ -218,6 +218,19 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="must be 3 x 3"):
             split_real_imag(med)
 
+    def test_only_a_symmetric_B_is_split(self):
+        # the adjugate and eigvalsh each read one triangle of M, so an
+        # asymmetric B would be split as a symmetric one it is not
+        grid = small_grid()
+        B = np.zeros((grid.num_points, 3, 3))
+        B[:, 0, 1] = 0.1 * grid.points[:, 0] * grid.points[:, 1]
+        med = OpticalMedium.from_expressions(grid, default_apriori(), mu_a="1", mu_s="1", B=B)
+        assert med.b_asymmetry() > 1e-12
+        with pytest.raises(ValueError, match=r"B must be symmetric, got max \|B - B\^T\| = 2\.500e-02"):
+            split_real_imag(med)
+        B[:, 1, 0] = B[:, 0, 1]
+        split_real_imag(med)
+
 
 class TestOneFormula:
     """split_real_imag (assembly) and SingularityPoint.from_coefficients
