@@ -4,10 +4,11 @@ Every run reads one JSON config (a bundled default is used when none is
 given), writes its artifacts into the output directory, and embeds the
 config fingerprint and module versions into every file it produces.
 User input is typed in ``otlab.config`` (``RunConfig.experiment`` takes the
-CLI flags as overrides, ``RunConfig.load_dn`` reads ``--load`` files).
-Exit codes: 0 success; 2 a ``ConfigError``: a bad config, flag or ``--load``
-file, found before any work and named by a JSON pointer (or ``--load``);
-3 a numerical or internal failure, or a ``check`` that finds violations.
+CLI flags as overrides).
+Exit codes: 0 success; 2 a ``ConfigError``: a bad config or flag, found
+before any work and named by a JSON pointer; 3 a numerical or internal
+failure, a failed allocation (``MemoryError``), or a ``check`` that finds
+violations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .errors import ConfigError, OtlabError
-from .dnmap import SobolevScale, _dn_product, assemble_dn, sobolev_operator_norm, symmetry_residual
+from .dnmap import SobolevScale, _dn_product, sobolev_operator_norm, symmetry_residual
 from .expressions import Expression, ExpressionError
 from .gegenbauer import MAX_DEGREE, GegenbauerSpec, coefficient_table, endpoint_values
 from .medium import k_admissible_ranges, is_wave_number_admissible, split_real_imag, verify_ellipticity
@@ -168,20 +169,13 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
 def cmd_dn(config: RunConfig, out: Path, args) -> int:
     grid = config.grid()
     medium = config.medium(grid)
-    if args.load:
-        matrix = config.load_dn(args.load).matrix
-        product, src = (lambda f: matrix @ f), f"loaded from {args.load}"
-    else:
-        op = assemble(medium, grid)
-        product, src = _dn_product(op), "assembled"
-        if args.save:
-            assemble_dn(medium, grid, operator=op).save(args.save, metadata=_stamp(config))
+    product = _dn_product(assemble(medium, grid))
     nb = len(grid.boundary_indices)
     sym = symmetry_residual(product, nb)
     norm, _ = sobolev_operator_norm(product, SobolevScale.build(grid))
     payload = {
         **_stamp(config),
-        "source": src,
+        "source": "assembled",
         "boundary_dof": nb,
         "bilinear_symmetry_residual": sym,
         "operator_norm": norm,
@@ -189,7 +183,7 @@ def cmd_dn(config: RunConfig, out: Path, args) -> int:
         "grid_fingerprint": grid.fingerprint(),
     }
     _write_json(out / "dn_report.json", payload)
-    print(f"dn: {src}, {nb} boundary dof, symmetry residual {sym:.3e}")
+    print(f"dn: assembled, {nb} boundary dof, symmetry residual {sym:.3e}")
     return 0
 
 
@@ -407,9 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-reaction", action="store_true", default=None)
     p_solve.add_argument("--dump-slice", help="plane dump, e.g. z=0.0")
 
-    p_dn = sub.add_parser("dn", parents=[common], help="norm and symmetry of the Dirichlet-to-Neumann map")
-    p_dn.add_argument("--save", help="write the operator to this .npz container")
-    p_dn.add_argument("--load", help="load an operator instead of assembling")
+    sub.add_parser("dn", parents=[common], help="norm and symmetry of the Dirichlet-to-Neumann map")
 
     p_sing = sub.add_parser("singular", parents=[common], help="annulus correction decay study")
     p_sing.add_argument("--m", type=int, help="singularity order")
@@ -456,6 +448,9 @@ def main(argv=None) -> int:
         return 2
     except (OtlabError, ValueError) as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory (MemoryError): {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
 
 

@@ -5,13 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-import zipfile
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .dnmap import DNOperator
 from .errors import ConfigError, MemoryBudgetError
 from .grid import GridDomain
 from .medium import B_SYMMETRY_ATOL, AprioriData, OpticalMedium
@@ -238,34 +236,3 @@ class RunConfig:
         _known_keys(section.keys() | overrides.keys(), defaults, pointer)
         values = {**defaults, **section, **{k: v for k, v in overrides.items() if v is not None}}
         return {key: _typed(values[key], default, f"{pointer}/{key}") for key, default in defaults.items()}
-
-    def load_dn(self, path) -> DNOperator:
-        """The D-N map saved at ``path`` by ``otlab dn --save``, checked against
-        this config's grid and medium, finite and complex symmetric."""
-        try:
-            dn = DNOperator.load(path)
-        except (OSError, EOFError, ValueError, LookupError, zipfile.BadZipFile) as exc:
-            raise ConfigError("--load", f"cannot read a D-N map from {path}: {exc}") from exc
-        grid = self.grid()
-        for pointer, found, wanted in (
-            ("/grid", dn.grid_fingerprint, grid.fingerprint()),
-            ("/medium", dn.medium_fingerprint, self.medium(grid).fingerprint()),
-        ):
-            if found != wanted:
-                raise ConfigError(
-                    pointer,
-                    f"{path} holds a D-N map for {pointer[1:]} fingerprint {found}, "
-                    f"but this config gives {wanted}",
-                )
-        nb = len(grid.boundary_indices)
-        if dn.matrix.shape != (nb, nb):
-            raise ConfigError("/grid", f"{path} holds a {dn.matrix.shape} matrix, the grid needs ({nb}, {nb})")
-        if not np.array_equal(dn.boundary_idx, grid.boundary_indices):
-            raise ConfigError("/grid", f"{path}: boundary_idx differs from the grid's boundary nodes")
-        if not (np.issubdtype(dn.matrix.dtype, np.number) and np.isfinite(dn.matrix).all()):
-            raise ConfigError("--load", f"{path}: the D-N matrix has a non-finite entry")
-        # the norm takes T^H from complex symmetry; assemble_dn meets this bound
-        asymmetry = np.abs(dn.matrix - dn.matrix.T).max()
-        if asymmetry > 1e-9 * np.abs(dn.matrix).max():
-            raise ConfigError("--load", f"{path}: the D-N matrix is not symmetric (max|S - S^T| = {asymmetry:.3e})")
-        return dn

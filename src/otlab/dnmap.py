@@ -7,7 +7,8 @@ complement product
 
     S f = A_BB f - A_BI A_II^{-1} A_IB f      (``_dn_product``, one solve),
 
-which ``assemble_dn`` applies to the identity, one column block at a time.
+which ``assemble_dn`` applies to the identity, one column block at a time,
+for the dense references of the tests (otlab itself forms no such matrix).
 S is complex symmetric (bilinear symmetry <Lf, conj(g)> = <Lg, conj(f)>),
 not Hermitian.  The pairing convention is <Lambda f, conj(g)> = g^T S f
 with the plain (unconjugated) dot product.  The solves with A_II belong to
@@ -42,8 +43,8 @@ x -> T x from a boundary product z = Delta f, block by block:
 
 with B_chi = M_b^{-1/2} Q_chi, so the dense V is never formed.  Delta is
 complex symmetric on every route, so T is too and T^H v = conj(T conj(v)).
-``otlab dn`` takes Delta = S as the Schur product, or as the matrix of a
-``--load`` file, with a start drawn with seed 0.
+``otlab dn`` takes Delta = S as the Schur product, with a start drawn with
+seed 0.
 
 Stability sweeps take Delta = S2 - S1 for two media from the discrete
 Alessandrini identity instead of subtracting two assembled matrices.  Write
@@ -203,37 +204,6 @@ class SobolevScale:
         return V
 
 
-@dataclass
-class DNOperator:
-    """Dense boundary matrix of the Dirichlet-to-Neumann functional."""
-
-    matrix: np.ndarray
-    boundary_idx: np.ndarray
-    medium_fingerprint: str
-    grid_fingerprint: str
-
-    def save(self, path, metadata: dict | None = None):
-        extra = {key: np.array(str(value)) for key, value in (metadata or {}).items()}
-        np.savez_compressed(
-            path,
-            matrix=self.matrix,
-            boundary_idx=self.boundary_idx,
-            medium_fingerprint=np.array(self.medium_fingerprint),
-            grid_fingerprint=np.array(self.grid_fingerprint),
-            **extra,
-        )
-
-    @classmethod
-    def load(cls, path) -> "DNOperator":
-        data = np.load(path, allow_pickle=False)
-        return cls(
-            matrix=data["matrix"],
-            boundary_idx=data["boundary_idx"],
-            medium_fingerprint=str(data["medium_fingerprint"]),
-            grid_fingerprint=str(data["grid_fingerprint"]),
-        )
-
-
 def _dn_product(op: DiscreteOperator):
     """f -> S f for one vector or a block of columns f, the D-N map of ``op``,
     through ``op.extension`` (one factorization, every solve residual-checked);
@@ -251,12 +221,11 @@ def assemble_dn(
     medium: OpticalMedium,
     grid: GridDomain | None = None,
     operator: DiscreteOperator | None = None,
-) -> DNOperator:
-    """Dirichlet-to-Neumann matrix on the nodal boundary basis, boundary
-    nodes in ascending flat order: ``_dn_product`` applied to the identity
-    in column blocks of ``DN_CHUNK``, with one factorization for all."""
-    grid = grid or medium.grid
-    op = operator if operator is not None else assemble(medium, grid)
+) -> np.ndarray:
+    """Dense Nb x Nb Dirichlet-to-Neumann matrix on the nodal boundary basis,
+    boundary nodes in ascending flat order: ``_dn_product`` applied to the
+    identity in column blocks of ``DN_CHUNK``, with one factorization for all."""
+    op = operator if operator is not None else assemble(medium, grid or medium.grid)
     product = _dn_product(op)
     nb = len(op.boundary_idx)
     S = np.empty((nb, nb), dtype=complex)
@@ -264,12 +233,7 @@ def assemble_dn(
         stop = min(start + DN_CHUNK, nb)
         columns = np.eye(nb, stop - start, -start)  # columns start..stop-1 of the identity
         S[:, start:stop] = product(columns, f"D-N column block {start}..{stop - 1}")
-    return DNOperator(
-        matrix=S,
-        boundary_idx=op.boundary_idx,
-        medium_fingerprint=op.medium_fingerprint,
-        grid_fingerprint=grid.fingerprint(),
-    )
+    return S
 
 
 def _difference(base: DiscreteOperator, op: DiscreteOperator) -> sp.csr_matrix:

@@ -247,12 +247,12 @@ def test_criterion_08_dn_structure(monkeypatch):
     grid = GridDomain(extent=1.0, m_per_axis=9)
     med = default_medium(grid)
     dn = assemble_dn(med, grid)
-    sym = float(np.abs(dn.matrix - dn.matrix.T).max() / np.abs(dn.matrix).max())
+    sym = float(np.abs(dn - dn.T).max() / np.abs(dn).max())
     scale = SobolevScale.build(grid)
     other = OpticalMedium.from_expressions(
         grid, med.apriori, mu_a="1 + 0.15*cos(x2)", mu_s="1"
     )
-    delta = assemble_dn(other, grid).matrix - dn.matrix
+    delta = assemble_dn(other, grid) - dn
     krylov, _ = difference_norm(assemble(med, grid), assemble(other, grid), scale)
     dense = dense_operator_norm(delta, scale)
     gap = abs(krylov - dense) / dense

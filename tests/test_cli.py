@@ -349,6 +349,25 @@ class TestCliExitCodes:
         assert main(["check", "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "o")]) == 3
         assert "(ValueError): an internal fault" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, error, cause",
+        [
+            ("solve", MemoryError("Unable to allocate 1.00 GiB"), "Unable to allocate 1.00 GiB"),
+            ("dn", MemoryError(), "an allocation failed"),
+        ],
+    )
+    def test_failed_allocation_exits_3(self, tmp_path, capsys, monkeypatch, command, error, cause):
+        # a MemoryError from numpy, splu or eigh ends in the documented exit
+        # code with its cause, not in a traceback
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(otlab.cli, "assemble", out_of_memory)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(small_config(tmp_path)), "--out", str(out)]) == 3
+        assert f"out of memory (MemoryError): {cause}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_all_zero_gaps_exit_3_before_writing(self, tmp_path, capsys):
         # amplitudes this small leave the assembled operator as it is, so
         # every gap is zero and there is nothing to fit or plot
@@ -511,84 +530,15 @@ class TestCliCommands:
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "u,v,re,im"
 
-    def test_dn_save_load_roundtrip(self, tmp_path):
-        # --save assembles the matrix beside the Schur product and leaves the
-        # report as it is; --load takes the norm from the saved matrix
-        path = small_config(tmp_path)
-        saved = tmp_path / "dn.npz"
-        out0, out1, out2 = tmp_path / "o0", tmp_path / "o1", tmp_path / "o2"
-        assert main(["dn", "--config", str(path), "--out", str(out0)]) == 0
-        assert main(["dn", "--config", str(path), "--out", str(out1), "--save", str(saved)]) == 0
-        assert main(["dn", "--config", str(path), "--out", str(out2), "--load", str(saved)]) == 0
-        assert (out0 / "dn_report.json").read_bytes() == (out1 / "dn_report.json").read_bytes()
-        r1 = json.loads((out1 / "dn_report.json").read_text())
-        r2 = json.loads((out2 / "dn_report.json").read_text())
-        assert r1["operator_norm"] == pytest.approx(r2["operator_norm"], rel=1e-12)
-        assert r1["bilinear_symmetry_residual"] <= 1e-12
-        assert r2["bilinear_symmetry_residual"] <= 1e-12
-
-    @pytest.mark.parametrize(
-        "section, leaf, value, pointer",
-        [("apriori", "k", 0.3, "/medium"), ("grid", "m_per_axis", 11, "/grid")],
-    )
-    def test_dn_load_rejects_a_foreign_file(self, tmp_path, capsys, section, leaf, value, pointer):
-        path = small_config(tmp_path)  # k = 0.12, m = 9
-        saved = tmp_path / "dn.npz"
-        assert main(["dn", "--config", str(path), "--out", str(tmp_path / "o1"), "--save", str(saved)]) == 0
-        cfg = json.loads(path.read_text())
-        cfg[section][leaf] = value
-        other = tmp_path / "other.json"
-        other.write_text(json.dumps(cfg))
-        capsys.readouterr()
-        code = main(["dn", "--config", str(other), "--out", str(tmp_path / "o2"), "--load", str(saved)])
-        assert code == 2
-        err = capsys.readouterr().err
-        stored = np.load(saved)[f"{pointer[1:]}_fingerprint"]
-        run = RunConfig.from_file(str(other))
-        grid = run.grid()
-        wanted = grid.fingerprint() if pointer == "/grid" else run.medium(grid).fingerprint()
-        assert pointer in err and str(stored) in err and wanted in err
-        assert not (tmp_path / "o2" / "dn_report.json").exists()
-
-    @pytest.mark.parametrize(
-        "defect, pointer, cause",
-        [
-            ("missing", "--load", "No such file"),
-            ("not-npz", "--load", "cannot read a D-N map"),
-            ("no-matrix", "--load", "matrix is not a file"),
-            ("cut", "/grid", "holds a (385, 385) matrix, the grid needs (386, 386)"),
-            ("boundary_idx", "/grid", "boundary_idx differs from the grid's boundary nodes"),
-            ("nan", "--load", "non-finite entry"),
-            ("asymmetric", "--load", "the D-N matrix is not symmetric"),
-        ],
-    )
-    def test_dn_load_rejects_a_damaged_file(self, tmp_path, capsys, defect, pointer, cause):
-        path = small_config(tmp_path)  # m = 9: 386 boundary nodes
-        saved = tmp_path / "dn.npz"
-        assert main(["dn", "--config", str(path), "--out", str(tmp_path / "o1"), "--save", str(saved)]) == 0
-        arrays = dict(np.load(saved))
-        if defect == "missing":
-            saved.unlink()
-        elif defect == "not-npz":
-            saved.write_text("not an archive")
-        else:
-            if defect == "no-matrix":
-                del arrays["matrix"]
-            elif defect == "cut":
-                arrays["matrix"] = arrays["matrix"][:385, :385]
-            elif defect == "boundary_idx":
-                arrays["boundary_idx"] = arrays["boundary_idx"] + 1
-            elif defect == "asymmetric":
-                arrays["matrix"][3, 5] += 1e-6 * np.abs(arrays["matrix"]).max()
-            else:
-                arrays["matrix"][3, 5] = np.nan
-            np.savez(saved, **arrays)
-        capsys.readouterr()
-        out = tmp_path / "o2"
-        assert main(["dn", "--config", str(path), "--out", str(out), "--load", str(saved)]) == 2
-        err = capsys.readouterr().err
-        assert f"configuration error: {pointer}: " in err and str(saved) in err and cause in err
-        assert list(out.iterdir()) == []
+    @pytest.mark.parametrize("flag", ["--save", "--load"])
+    def test_dn_refuses_the_removed_file_flags(self, tmp_path, capsys, flag):
+        # the D-N map is not written to or read from a file
+        target, out = tmp_path / "dn.npz", tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["dn", "--out", str(out), flag, str(target)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not target.exists() and not out.exists()
 
     def test_stability_report_has_slopes(self, tmp_path):
         path = small_config(tmp_path, **{"experiments.stability": {
@@ -690,7 +640,7 @@ class TestCliCommands:
         config = RunConfig.from_file(path)
         grid = config.grid()
         dn = otlab.dnmap.assemble_dn(config.medium(grid), grid)
-        dense = dense_operator_norm(dn.matrix, otlab.dnmap.SobolevScale.build(grid))
+        dense = dense_operator_norm(dn, otlab.dnmap.SobolevScale.build(grid))
         norm = json.loads((out / "dn_report.json").read_text())["operator_norm"]
         assert norm == pytest.approx(dense, rel=1e-12)
 
@@ -698,7 +648,6 @@ class TestCliCommands:
         def no_matrix(*args, **kwargs):
             raise AssertionError("the D-N matrix was assembled")
 
-        monkeypatch.setattr(otlab.cli, "assemble_dn", no_matrix)
         monkeypatch.setattr(otlab.dnmap, "assemble_dn", no_matrix)
         path = small_config(tmp_path)
         assert main(["dn", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
