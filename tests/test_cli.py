@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,16 @@ def small_config(tmp_path, **updates):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_cli_import_leaves_scipy_fft_out():
+    # the sine preconditioner applies its transform as dense products; scipy.fft
+    # would add about 47 ms of import time and 3 MB of resident memory
+    src = str(Path(otlab.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, otlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -487,9 +501,11 @@ class TestCliExitCodes:
 
     def test_unconverged_solve_fails_the_residual_check(self, tmp_path, capsys, monkeypatch):
         # COCG stopped long before convergence: the explicit residual
-        # check is the only failure path, in the API and in `otlab solve`
+        # check is the only failure path, in the API and in `otlab solve`.
+        # A variable mu_a, because the sine preconditioner is exact on a
+        # constant medium and converges there in one step
         monkeypatch.setattr(otlab.solver, "SOLVE_MAX_ITERATIONS", 2)
-        path = small_config(tmp_path)
+        path = small_config(tmp_path, **{"medium.mu_a": "1 + 0.1*sin(x1 + x2)"})
         config = RunConfig.from_file(path)
         grid = config.grid()
         op = otlab.solver.assemble(config.medium(grid), grid)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import otlab.solver
 from otlab.errors import EllipticityError, MemoryBudgetError, ResidualError
 from otlab.grid import GridDomain
-from otlab.medium import AprioriData, OpticalMedium
+from otlab.medium import AprioriData, OpticalMedium, split_real_imag
 from otlab.solver import ComplexField, DiscreteOperator, apply_operator, assemble, solve_dirichlet
 
 
@@ -15,6 +16,18 @@ def apriori(**kw):
     base = dict(n=3, p=4.0, lam=1.5, E=10.0, cal_e=1.2, k=0.12, alpha=0.2)
     base.update(kw)
     return AprioriData(**base)
+
+
+# from_expressions arguments of two non-constant media, one with cross terms
+VARIABLE_MEDIA = {
+    "variable": dict(mu_a="1 + 0.2*x1", mu_s="1 - 0.2*x2"),
+    "anisotropic": dict(
+        mu_a="1 + 0.1*sin(x1 + x2)",
+        mu_s="1",
+        B=np.array([[0.1, 0.05, -0.04], [0.05, -0.05, 0.03], [-0.04, 0.03, 0.0]]),
+        supp_B_interior=False,
+    ),
+}
 
 
 def constant_medium(grid, k=1.0):
@@ -146,7 +159,7 @@ class TestOperatorStructure:
     def test_discrete_form_satisfies_the_coefficient_sandwich(self):
         # the form with the true coefficients, divided by the same form with
         # unit coefficients, stays inside the strong-ellipticity constants
-        from otlab.medium import split_real_imag, verify_ellipticity
+        from otlab.medium import verify_ellipticity
 
         grid = GridDomain(extent=1.0, m_per_axis=9)
         med = OpticalMedium.from_expressions(
@@ -198,10 +211,7 @@ class TestComplexFactor:
     )
     def test_matches_dense_solve_with_cross_terms(self, annulus, include_reaction):
         grid = GridDomain(extent=1.0, m_per_axis=9)
-        B = np.array([[0.1, 0.05, -0.04], [0.05, -0.05, 0.03], [-0.04, 0.03, 0.0]])
-        med = OpticalMedium.from_expressions(
-            grid, apriori(), mu_a="1 + 0.1*sin(x1 + x2)", mu_s="1", B=B, supp_B_interior=False
-        )
+        med = OpticalMedium.from_expressions(grid, apriori(), **VARIABLE_MEDIA["anisotropic"])
         mask = grid.annulus_interior_mask(np.zeros(3), 0.15, 0.45) if annulus else None
         op = assemble(med, grid, include_reaction=include_reaction, interior_mask=mask)
         ii, bb = op.interior_idx, op.boundary_idx
@@ -243,10 +253,85 @@ class TestApplyOperator:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * np.abs(rhs).max())
 
 
+def record_cocg_steps(monkeypatch):
+    """The list that every later ``solver._cocg`` call appends its step count to."""
+    steps, real = [], otlab.solver._cocg
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        steps.append(result[1])
+        return result
+
+    monkeypatch.setattr(otlab.solver, "_cocg", recording)
+    return steps
+
+
+class TestSinePreconditioner:
+    @pytest.mark.parametrize("include_reaction", [True, False], ids=["reaction", "no-reaction"])
+    def test_is_the_dense_inverse_of_the_constant_coefficient_model(self, include_reaction):
+        # M = sum_d a_d L_d + b I, built densely from its definition: a_d minus
+        # the mean coupling along axis d, b the mean of q h^3 over the unknowns
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        med = OpticalMedium.from_expressions(grid, apriori(), **VARIABLE_MEDIA["anisotropic"])
+        op = assemble(med, grid, include_reaction=include_reaction)
+        ii, n = op.interior_idx, grid.m_per_axis - 2
+        A = op.matrix.toarray()
+        eye = np.eye(n)
+        L = 2.0 * eye - np.eye(n, k=1) - np.eye(n, k=-1)
+        M = np.zeros((n**3, n**3), dtype=complex)
+        for d, stride in enumerate(grid.strides):
+            p = ii[grid.interior_mask[ii + stride]]
+            a_d = -np.mean(A[p, p + stride])
+            factors = [L if e == d else eye for e in range(3)]
+            M += a_d * np.kron(np.kron(factors[0], factors[1]), factors[2])
+        b = np.mean(split_real_imag(med).q[ii]) * grid.h**3 if include_reaction else 0.0
+        M += b * np.eye(n**3)
+
+        apply = otlab.solver._sine_inverse(op)
+        M_inv = np.column_stack([apply(column) for column in np.eye(n**3, dtype=complex)])
+        scale = np.abs(M_inv).max()
+        assert np.abs(M_inv - np.linalg.inv(M)).max() <= 1e-12 * scale
+        assert np.abs(M_inv - M_inv.T).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("include_reaction", [True, False], ids=["reaction", "no-reaction"])
+    @pytest.mark.parametrize("medium", sorted(VARIABLE_MEDIA))
+    def test_step_count_does_not_grow_with_the_grid(self, monkeypatch, medium, include_reaction):
+        # the reference is the exact solution u* of the discrete system: data
+        # g = u* on the surface and f = (A u*) / h^3 on the unknowns
+        steps = record_cocg_steps(monkeypatch)
+        for m in (17, 25, 33):
+            grid = GridDomain(extent=1.0, m_per_axis=m)
+            med = OpticalMedium.from_expressions(grid, apriori(), **VARIABLE_MEDIA[medium])
+            op = assemble(med, grid, include_reaction=include_reaction)
+            exact, _ = manufactured(grid.points)
+            sol = solve_dirichlet(op, exact, apply_operator(op, exact))
+            gap = np.linalg.norm(sol.values - exact) / np.linalg.norm(exact)
+            assert gap <= 1e-10
+        assert max(steps) <= 20
+        assert all(abs(count - steps[0]) <= 2 for count in steps), steps
+
+    def test_constant_medium_converges_in_one_step(self, monkeypatch):
+        steps = record_cocg_steps(monkeypatch)
+        grid = GridDomain(extent=1.0, m_per_axis=17)
+        op = assemble(constant_medium(grid), grid)
+        solve_dirichlet(op, np.cos(grid.points[:, 0]))
+        assert steps == [1]
+
+    def test_annulus_keeps_jacobi(self, monkeypatch):
+        # a masked unknown set has no sine basis: Jacobi's step count is unchanged
+        steps = record_cocg_steps(monkeypatch)
+        grid = GridDomain(extent=1.0, m_per_axis=17)
+        med = OpticalMedium.from_expressions(grid, apriori(), mu_a="1 + 0.1*sin(x1 + x2)", mu_s="1")
+        mask = grid.annulus_interior_mask(np.zeros(3), 0.15, 0.45)
+        op = assemble(med, grid, interior_mask=mask)
+        solve_dirichlet(op, np.cos(grid.points[op.boundary_idx, 0]))
+        assert steps == [57]
+
+
 class TestCocgBreakdown:
     @pytest.mark.parametrize(
         "coupling, b, product",
-        [(0.0, [1.0, 1.0j], "r^T D^-1 r = 0"), (1.0, [1.0, -1.0], "p^T A p = 0")],
+        [(0.0, [1.0, 1.0j], "r^T M^-1 r = 0"), (1.0, [1.0, -1.0], "p^T A p = 0")],
         ids=["rho", "pAp"],
     )
     def test_vanishing_bilinear_product_fails_the_residual_check(self, coupling, b, product):
