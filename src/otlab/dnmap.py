@@ -5,16 +5,19 @@ matrix A partitioned into interior/boundary blocks, nodal boundary data f
 maps to the boundary rows of A applied to the discrete solution, the Schur
 complement product
 
-    S f = A_BB f - A_BI A_II^{-1} A_IB f      (``_dn_product``, one solve),
+    S f = A_BB f - A_BI A_II^{-1} A_IB f      (``_dn_product``, one solve).
 
-which ``assemble_dn`` applies to the identity, one column block at a time,
-for the dense references of the tests (otlab itself forms no such matrix).
+``assemble_dn`` forms S itself, one column block at a time, from the LU of
+A_II, for the dense references of the tests: otlab itself forms no such
+matrix, and the reference comes from a solver independent of the products
+it checks.
 S is complex symmetric (bilinear symmetry <Lf, conj(g)> = <Lg, conj(f)>),
 not Hermitian.  The pairing convention is <Lambda f, conj(g)> = g^T S f
 with the plain (unconjugated) dot product.  The solves with A_II belong to
 ``solver``: this module takes them from ``DiscreteOperator.extension``
-(f -> -A_II^{-1} A_IB f) and ``interior_solver``, which factor A_II once
-and check every solve's residual, and A_BI from ``boundary_coupling``.
+(f -> -A_II^{-1} A_IB f) and ``interior_solver``, which solve by
+preconditioned COCG, one right-hand side at a time, and check every solve's
+residual, and A_BI from ``boundary_coupling``.
 
 H^{1/2} and its dual are realized spectrally on the boundary surface grid:
 a face-wise five-point graph Laplacian S_b stitched across cube edges, a
@@ -61,10 +64,11 @@ hence S2 - S1 = H1^T E H2, applied as
 One product costs one solve with A2_II and one with A1_II and forms no
 boundary-sized matrix, and the difference comes without the cancellation of
 subtracting two O(1) matrices.  A Lanczos step, one product T^H T v, costs
-four solves.  Along a sweep's amplitude ladder T(eps) is nearly eps T', so
-its top singular vector barely moves: each amplitude's iteration starts from
-the previous amplitude's top Ritz vector plus a small seeded random part,
-and needs about half the steps of a random start.
+four COCG solves and factors nothing.  Along a sweep's amplitude ladder
+T(eps) is nearly eps T', so its top singular vector barely moves: each
+amplitude's iteration starts from the previous amplitude's top Ritz vector
+plus a small seeded random part, and needs about half the steps of a random
+start.
 """
 
 from __future__ import annotations
@@ -76,9 +80,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .errors import FactorizationError
 from .grid import GridDomain
 from .medium import OpticalMedium
-from .solver import DiscreteOperator, assemble
+from .solver import SOLVE_RTOL, DiscreteOperator, assemble
 
 DN_CHUNK = 64
 # Lanczos operator norms: Ritz residual relative to the Ritz value
@@ -204,12 +209,16 @@ class SobolevScale:
         return V
 
 
+def _boundary_block(op: DiscreteOperator) -> sp.csr_matrix:
+    """A_BB, the boundary rows and columns of the energy matrix."""
+    return op.matrix[op.boundary_idx][:, op.boundary_idx].tocsr()
+
+
 def _dn_product(op: DiscreteOperator):
     """f -> S f for one vector or a block of columns f, the D-N map of ``op``,
-    through ``op.extension`` (one factorization, every solve residual-checked);
+    through ``op.extension`` (COCG, every column residual-checked);
     ``label`` names the solve in its errors."""
-    A_BB = op.matrix[op.boundary_idx][:, op.boundary_idx].tocsr()
-    A_BI, extend = op.boundary_coupling(), op.extension()
+    A_BB, A_BI, extend = _boundary_block(op), op.boundary_coupling(), op.extension()
 
     def product(f, label="D-N extension solve"):
         return A_BB @ f + A_BI @ extend(f, label)
@@ -223,16 +232,25 @@ def assemble_dn(
     operator: DiscreteOperator | None = None,
 ) -> np.ndarray:
     """Dense Nb x Nb Dirichlet-to-Neumann matrix on the nodal boundary basis,
-    boundary nodes in ascending flat order: ``_dn_product`` applied to the
-    identity in column blocks of ``DN_CHUNK``, with one factorization for all."""
+    boundary nodes in ascending flat order: A_BB - A_BI A_II^{-1} A_IB, solved
+    with the LU of ``DiscreteOperator.factorization`` in column blocks of
+    ``DN_CHUNK``, each block residual-checked at ``SOLVE_RTOL``.  The tests'
+    dense reference, apart from the COCG solves of ``_dn_product``."""
     op = operator if operator is not None else assemble(medium, grid or medium.grid)
-    product = _dn_product(op)
+    A_IB, A_BI, A_BB = op._interior_blocks()[1], op.boundary_coupling(), _boundary_block(op)
+    lu = op.factorization()
     nb = len(op.boundary_idx)
     S = np.empty((nb, nb), dtype=complex)
     for start in range(0, nb, DN_CHUNK):
         stop = min(start + DN_CHUNK, nb)
-        columns = np.eye(nb, stop - start, -start)  # columns start..stop-1 of the identity
-        S[:, start:stop] = product(columns, f"D-N column block {start}..{stop - 1}")
+        label = f"D-N column block {start}..{stop - 1}"
+        rhs = -A_IB[:, start:stop].toarray()
+        try:
+            U = lu.solve(rhs)
+        except RuntimeError as exc:
+            raise FactorizationError(f"{label} failed: {exc}") from exc
+        op._check_residual(U, rhs, SOLVE_RTOL, f"{label}: residual")
+        S[:, start:stop] = A_BB[:, start:stop].toarray() + A_BI @ U
     return S
 
 
@@ -277,9 +295,9 @@ def _whitened(product, scale: SobolevScale):
 
 def _difference_product(base: DiscreteOperator, op: DiscreteOperator, E: sp.csr_matrix):
     """f -> H1^T E H2 f = (S(op) - S(base)) f for E = op.matrix - base.matrix,
-    from the solves of ``base.interior_solver`` and ``op.extension``.  The
-    base is factored first, once for a base shared by a sweep, and every
-    solve is residual-checked."""
+    from the COCG solves of ``base.interior_solver`` and ``op.extension``.
+    Each operator builds its preconditioner once, the base once for a whole
+    sweep, and every solve is residual-checked."""
     i_idx, b_idx = base.interior_idx, base.boundary_idx
     solve1, A1_BI = base.interior_solver(), base.boundary_coupling()
     extend2 = op.extension()
@@ -303,7 +321,7 @@ def difference_norm(
 ) -> tuple[float, np.ndarray | None]:
     """H^{1/2} -> H^{-1/2} norm of S(op) - S(base) and its top Ritz vector:
     ``sobolev_operator_norm`` of ``_difference_product``.  Returns
-    (0.0, guess) without factoring when the two matrices are equal."""
+    (0.0, guess) without a solve when the two matrices are equal."""
     E = _difference(base, op)
     if E.nnz == 0:
         return 0.0, guess

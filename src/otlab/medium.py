@@ -283,8 +283,9 @@ def _symmetric_inverse(S: np.ndarray) -> np.ndarray:
     Each S is first divided by its trace, so det neither under- nor
     overflows for entries far from one.  The six cofactors are written in
     place into one (6, N) array: N-sized temporaries left on the heap
-    between a sweep's amplitudes fragment it, so that the next LU grows the
-    heap, and the entry-by-entry form raised the m=17 sweep's peak RSS.
+    between a sweep's amplitudes fragment it, and the entry-by-entry form
+    raised the m=17 sweep's peak RSS (measured while each amplitude still
+    built an LU).
     """
     t = np.trace(S, axis1=1, axis2=2)
     a, b, c, d, e, f = S[:, [0, 1, 2, 0, 1, 0], [0, 1, 2, 1, 2, 2]].T / t

@@ -6,34 +6,34 @@ centered differences for the cross terms, and trapezoid mass terms.  The
 resulting complex matrix A is symmetric (not Hermitian), and strong
 ellipticity makes its real part Re A positive definite on the unknowns.
 Every solve with A_II lives here; ``dnmap`` takes its solves from
-``DiscreteOperator``.  The interior system A_II u = rhs is solved one of
-two ways, chosen by the number of solves with one A_II:
+``DiscreteOperator``.  The interior system A_II u = rhs is solved by COCG,
+the conjugate-orthogonal conjugate gradient method for complex symmetric
+systems (van der Vorst & Melissen 1990, IEEE Trans. Magn. 26(2):706-708),
+one right-hand side at a time: the single solves of ``solve_dirichlet`` as
+well as the repeated ones of ``DiscreteOperator.interior_solver`` and the
+harmonic extension of ``extension`` (the Schur products of
+``dnmap._dn_product``, the Lanczos products of ``otlab dn`` and the
+extension solves of ``dnmap.difference_norm``).  COCG is CG with the
+bilinear product x^T y in place of x^H y, so it keeps CG's short recurrence
+and one matrix-vector product per step, and it needs no fill: at m=33 the
+LU of A_II stores 13 M entries and takes 1.9-3.8 s.  On the whole strict
+interior it is preconditioned by the exact inverse of a constant-coefficient
+model of A_II, applied through the discrete sine transform
+(``_sine_inverse``).  The a-priori bounds keep the coefficients within fixed
+ratios, so the model is spectrally equivalent to A_II with constants free of
+h (Concus & Golub 1973, SIAM J. Numer. Anal. 10:1103-1120): 1 step on a
+constant medium and 7-11 on variable and anisotropic ones, at m=17 as at
+m=49, where Jacobi took 72-105 steps at m=17 and 214-311 at m=49.  Any other
+unknown set (an annulus) keeps the Jacobi preconditioner diag(A_II)^-1.  Each
+operator builds its preconditioner once, on its first solve.
 
-- Repeated solves factor A_II once as it stands, in complex arithmetic, and
-  reuse the LU for every solve (``DiscreteOperator.interior_solver`` and the
-  harmonic extension of ``extension``): the Schur products of
-  ``dnmap._dn_product`` (``assemble_dn``'s column blocks, the Lanczos
-  products of ``otlab dn``) and the extension solves of
-  ``dnmap.difference_norm``.  SuperLU orders A_II with minimum degree on
-  A^T + A and takes the pivots from the diagonal without row interchanges.
-  Such an LU exists under every symmetric permutation, with bounded growth,
-  because the Hermitian part of A_II is Re A_II (Golub & Van Loan 1979,
-  "Unsymmetric positive definite linear systems").
-- A single right-hand side (``solve_dirichlet``) is solved by COCG, the
-  conjugate-orthogonal conjugate gradient method for complex symmetric
-  systems (van der Vorst & Melissen 1990, IEEE Trans. Magn. 26(2):706-708),
-  which needs no fill: at m=25 the LU stores 3.3 M entries and its
-  factorization is most of the solve.  COCG is CG with the bilinear
-  product x^T y in place of x^H y, so it keeps CG's short recurrence and
-  one matrix-vector product per step.  On the whole strict interior it is
-  preconditioned by the exact inverse of a constant-coefficient model of
-  A_II, applied through the discrete sine transform (``_sine_inverse``).
-  The a-priori bounds keep the coefficients within fixed ratios, so the
-  model is spectrally equivalent to A_II with constants free of h (Concus
-  & Golub 1973, SIAM J. Numer. Anal. 10:1103-1120): 1 step on a constant
-  medium and 7-11 on variable and anisotropic ones, at m=17 as at m=49,
-  where Jacobi took 72-105 steps at m=17 and 214-311 at m=49.  Any other
-  unknown set (an annulus) keeps the Jacobi preconditioner diag(A_II)^-1.
+``DiscreteOperator.factorization`` keeps a sparse LU of A_II for the dense
+reference D-N matrix of ``dnmap.assemble_dn`` alone, a solver independent of
+the products it checks.  SuperLU orders A_II with minimum degree on A^T + A
+and takes the pivots from the diagonal without row interchanges.  Such an LU
+exists under every symmetric permutation, with bounded growth, because the
+Hermitian part of A_II is Re A_II (Golub & Van Loan 1979, "Unsymmetric
+positive definite linear systems").
 
 Every solve checks its residual explicitly; that check, not the iteration's
 own stopping test, decides whether the answer is accepted.
@@ -55,10 +55,11 @@ from .medium import ComplexTensorField, OpticalMedium, split_real_imag, verify_e
 
 MAX_POINTS_PER_AXIS = 49
 SOLVE_RTOL = 1e-10
-# COCG cap for one solve (one product with A_II per step): on the full cube
-# the sine preconditioner takes 1-11 steps at every grid; Jacobi, which the
-# annulus keeps, took 49-95 steps at m=17, 89-144 at m=25 and 176-287 at m=49
-# (isotropic and anisotropic media, with and without reaction)
+# COCG cap for one right-hand side (one product with A_II per step), every
+# solve alike: on the full cube the sine preconditioner takes 1-11 steps at
+# every grid; Jacobi, which the annulus keeps, took 49-95 steps at m=17,
+# 89-144 at m=25 and 176-287 at m=49 (isotropic and anisotropic media, with
+# and without reaction)
 SOLVE_MAX_ITERATIONS = 2000
 
 
@@ -100,9 +101,10 @@ class DiscreteOperator:
         return self._cache["blocks"]
 
     def factorization(self):
-        """Sparse LU of A_II, cached, for block solves: minimum degree on
-        A^T + A, diagonal pivots (see the module docstring for why they
-        suffice).  Single right-hand sides do not use it."""
+        """Sparse LU of A_II, cached: minimum degree on A^T + A, diagonal
+        pivots (see the module docstring for why they suffice).  Only the
+        dense reference of ``dnmap.assemble_dn`` uses it; every other solve
+        is by COCG."""
         if "lu" not in self._cache:
             try:
                 self._cache["lu"] = spla.splu(
@@ -114,6 +116,17 @@ class DiscreteOperator:
             except RuntimeError as exc:
                 raise FactorizationError(f"sparse LU failed: {exc}") from exc
         return self._cache["lu"]
+
+    def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
+        """r -> M^-1 r for COCG on A_II, built once: ``_sine_inverse`` when the
+        unknowns are the whole strict interior, Jacobi diag(A_II)^-1 otherwise."""
+        if "preconditioner" not in self._cache:
+            if self.interior_count == (self.grid.m_per_axis - 2) ** 3:
+                self._cache["preconditioner"] = _sine_inverse(self)
+            else:
+                inverse_diagonal = 1.0 / self._interior_blocks()[0].diagonal()
+                self._cache["preconditioner"] = partial(np.multiply, inverse_diagonal)
+        return self._cache["preconditioner"]
 
     def boundary_coupling(self) -> sp.csr_matrix:
         """A_BI = A_IB^T (A is symmetric), stored by rows, built once."""
@@ -131,19 +144,33 @@ class DiscreteOperator:
                 f"(grid {self.grid.m_per_axis}^3)"
             )
 
+    def solve(self, rhs: np.ndarray, rtol: float, label: str) -> np.ndarray:
+        """A_II^{-1} rhs for one vector by COCG with ``preconditioner``, from 0,
+        stopped at ``1e-3 * rtol``: the iteration's own residual is updated
+        recursively and can drift from the true one.  The answer is accepted
+        by ``_check_residual`` at ``rtol`` alone, whether the iteration hit
+        ``SOLVE_MAX_ITERATIONS``, broke down or converged."""
+        rhs_norm = np.linalg.norm(rhs)
+        if rhs_norm == 0.0:
+            return np.zeros_like(rhs)
+        # A_II is complex symmetric, so its transpose is A_II stored by rows
+        # (CSR, no copy), whose products are faster than the stored CSC's
+        u, steps, breakdown = _cocg(
+            self._interior_blocks()[0].T, rhs, self.preconditioner(),
+            1e-3 * rtol * rhs_norm, SOLVE_MAX_ITERATIONS,
+        )
+        broke = f"; COCG broke down ({breakdown})" if breakdown else ""
+        self._check_residual(u, rhs, rtol, label, f" after {steps} COCG iterations{broke}")
+        return u
+
     def interior_solver(self):
-        """(rhs, label) -> A_II^{-1} rhs for a vector or a block of columns, from
-        the LU of ``factorization`` (taken once, here), each solve checked by
-        ``_check_residual`` at SOLVE_RTOL; ``label`` names it in errors."""
-        lu = self.factorization()
+        """(rhs, label) -> A_II^{-1} rhs for a vector or a block of columns, each
+        column solved and checked on its own by ``solve`` at SOLVE_RTOL;
+        ``label`` names it in errors."""
 
         def solve(rhs, label):
-            try:
-                U = lu.solve(rhs)
-            except RuntimeError as exc:
-                raise FactorizationError(f"{label} failed: {exc}") from exc
-            self._check_residual(U, rhs, SOLVE_RTOL, f"{label}: residual")
-            return U
+            one = partial(self.solve, rtol=SOLVE_RTOL, label=f"{label}: residual")
+            return one(rhs) if rhs.ndim == 1 else np.column_stack([one(c) for c in rhs.T])
 
         return solve
 
@@ -275,11 +302,13 @@ def _sine_inverse(op: DiscreteOperator) -> Callable[[np.ndarray], np.ndarray]:
     couplings along axis d (Re a_d > 0 by ellipticity) and b the mean row sum
     of the full matrix over the unknowns, mean(q) h^3 (flux and cross terms
     cancel in each row; Re b >= 0, zero without reaction), so Re Lambda > 0.
-    S is applied as a dense n x n product along each axis.
+    S is applied as real n x n products along each axis, on the interleaved
+    real and imaginary parts (the last axis by S x I_2).
     """
     n = op.grid.m_per_axis - 2
     j = np.arange(1, n + 1)
     S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+    S_last = np.kron(S, np.eye(2))
     second_difference = 2.0 - 2.0 * np.cos(np.pi * j / (n + 1))
     # the unknowns are C-ordered, so axis d couples indices n^(2-d) apart; the
     # diagonal at that offset holds zeros where a line of unknowns wraps
@@ -294,10 +323,11 @@ def _sine_inverse(op: DiscreteOperator) -> Callable[[np.ndarray], np.ndarray]:
     )
 
     def transform(x):
-        # each contraction moves the transformed axis last: three restore the order
-        for _ in range(3):
-            x = np.tensordot(x, S, axes=(0, 0))
-        return x
+        # x is C-contiguous complex (n, n, n): as floats, (n, n, 2n) with the
+        # real and imaginary parts of the last axis interleaved
+        y = S @ x.view(float).reshape(n, 2 * n * n)
+        y = S @ y.reshape(n, n, 2 * n)
+        return (y.reshape(n * n, 2 * n) @ S_last).view(complex).reshape(n, n, n)
 
     return lambda r: transform(transform(r.reshape(n, n, n)) * inv_eig).ravel()
 
@@ -342,14 +372,13 @@ def solve_dirichlet(op: DiscreteOperator, g, f=None, rtol: float = SOLVE_RTOL) -
 
     ``g`` is indexed by ``op.boundary_idx`` (or given as a full nodal array);
     ``f`` is an interior source given as a full nodal array or an array over
-    ``op.interior_idx``.  The interior system is solved by COCG,
-    preconditioned by ``_sine_inverse`` on the whole strict interior and by
-    Jacobi on any other unknown set, stopped at ``1e-3 * rtol``; the relative
-    algebraic residual, recomputed from A_II, must then reach
-    ``rtol`` (1e-10 by default) or ResidualError is raised, whether the
-    iteration hit ``SOLVE_MAX_ITERATIONS``, broke down or converged.
+    ``op.interior_idx``.  The interior system is solved by
+    ``DiscreteOperator.solve``: COCG, preconditioned by ``_sine_inverse`` on
+    the whole strict interior and by Jacobi on any other unknown set, whose
+    relative algebraic residual, recomputed from A_II, must reach ``rtol``
+    (1e-10 by default) or ResidualError is raised.
     """
-    A_II, A_IB = op._interior_blocks()
+    A_IB = op._interior_blocks()[1]
     g_b = _restricted(op, g, op.boundary_idx, "boundary data", "boundary set")
     rhs = -A_IB @ g_b
     if f is not None:
@@ -358,24 +387,7 @@ def solve_dirichlet(op: DiscreteOperator, g, f=None, rtol: float = SOLVE_RTOL) -
 
     values = np.zeros(op.grid.num_points, dtype=complex)
     values[op.boundary_idx] = g_b
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return ComplexField(op.grid, values)
-
-    if len(op.interior_idx) == (op.grid.m_per_axis - 2) ** 3:
-        precondition = _sine_inverse(op)
-    else:  # Jacobi
-        precondition = partial(np.multiply, 1.0 / A_II.diagonal())
-    # the iteration's own residual is updated recursively and can drift from
-    # the true one, so it stops well below the residual the check requires
-    # A_II is complex symmetric, so its transpose is A_II stored by rows
-    # (CSR, no copy), whose products are faster than the stored CSC's
-    u, steps, breakdown = _cocg(
-        A_II.T, rhs, precondition, 1e-3 * rtol * rhs_norm, SOLVE_MAX_ITERATIONS
-    )
-    broke = f"; COCG broke down ({breakdown})" if breakdown else ""
-    op._check_residual(u, rhs, rtol, "solve residual", f" after {steps} COCG iterations{broke}")
-    values[op.interior_idx] = u
+    values[op.interior_idx] = op.solve(rhs, rtol, "solve residual")
     return ComplexField(op.grid, values)
 
 

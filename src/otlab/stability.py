@@ -7,15 +7,15 @@ compares it with boundary sup norms of the absorption difference and of its
 directional derivatives along the exterior non-tangential field.  The
 difference comes from the discrete Alessandrini identity S2 - S1 = H1^T E H2
 (``dnmap.difference_norm``), applied to vectors inside a Lanczos iteration:
-the base medium's interior LU, its sampled tensor and the boundary
-eigenbasis are built once per sweep, each amplitude factors its own
-interior block, and no boundary-sized (Nb x Nb) matrix is formed.  The
-amplitudes run from the largest down, and each amplitude's Lanczos
-iteration starts near the previous amplitude's top Ritz vector.  The
-theory gives one-sided inequalities (Lipschitz for the boundary values,
-Hoelder with exponent delta_h for h-th derivatives), so the report records
-inequality constants and observed slopes rather than asserting exact
-exponents.
+the base medium's COCG preconditioner, its sampled tensor and the boundary
+eigenbasis are built once per sweep, each amplitude builds the
+preconditioner of its own interior block, nothing is factored, and no
+boundary-sized (Nb x Nb) matrix is formed.  The amplitudes run from the
+largest down, and each amplitude's Lanczos iteration starts near the
+previous amplitude's top Ritz vector.  The theory gives one-sided
+inequalities (Lipschitz for the boundary values, Hoelder with exponent
+delta_h for h-th derivatives), so the report records inequality constants
+and observed slopes rather than asserting exact exponents.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def run_stability_experiment(
                 tensor_gap=tensor_derivative_gap(base, base_K, med2, K2, tensor_gap_order),
             )
         )
-        # freed before the next assembly, so the next LU reuses their memory
+        # freed before the next assembly, so the next amplitude reuses their memory
         del op2, K2
     if not any(r.dn_gap > 0 for r in rows):
         raise ValueError(f"every D-N gap is zero, at the amplitudes {eps_values}: nothing to fit")

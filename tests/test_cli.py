@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -394,20 +393,16 @@ class TestCliExitCodes:
         assert "every D-N gap is zero" in err and "1.7e-106" in err
         assert list(out.glob("stability_*")) == []
 
-    def test_foreign_interior_factor_exits_3(self, tmp_path, capsys, monkeypatch):
-        # a factor of 2 A_II in place of A_II fails the extension solves'
-        # residual check inside the sweep
-        real = otlab.solver.DiscreteOperator.factorization
-
-        def doubled(op):
-            return real(dataclasses.replace(op, matrix=2.0 * op.matrix, _cache={}))
-
-        monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", doubled)
-        path = small_config(tmp_path)
+    def test_unconverged_extension_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        # COCG capped at one step on a variable medium fails the extension
+        # solves' residual check inside the sweep, before any report is written
+        monkeypatch.setattr(otlab.solver, "SOLVE_MAX_ITERATIONS", 1)
+        path = small_config(tmp_path, **{"medium.mu_a": "1 + 0.1*sin(x1 + x2)"})
         out = tmp_path / "o"
         assert main(["stability", "--config", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure (ResidualError): perturbed extension solve: residual" in err
+        assert "after 1 COCG iterations" in err
         assert not (out / "stability_report.json").exists()
 
     @pytest.mark.parametrize("command", ["solve", "dn", "check"])
@@ -667,6 +662,23 @@ class TestCliCommands:
         monkeypatch.setattr(otlab.dnmap, "assemble_dn", no_matrix)
         path = small_config(tmp_path)
         assert main(["dn", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    def test_dn_factors_nothing_and_builds_one_preconditioner(self, tmp_path, monkeypatch):
+        def no_factor(op):
+            raise AssertionError("an operator was factored")
+
+        real = otlab.solver._sine_inverse
+        built = []
+
+        def recording(op):
+            built.append(op.medium_fingerprint)
+            return real(op)
+
+        monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", no_factor)
+        monkeypatch.setattr(otlab.solver, "_sine_inverse", recording)
+        path = small_config(tmp_path)
+        assert main(["dn", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 1
 
     def test_dn_leaves_the_dense_eigenbasis_unbuilt(self, tmp_path, monkeypatch):
         def no_dense_basis(scale):

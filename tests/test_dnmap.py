@@ -83,6 +83,20 @@ class TestAssembly:
         skewed = dn9 + np.triu(dn9, 1)
         assert symmetry_residual(lambda f: skewed @ f, nb) > 1e-3
 
+    @pytest.mark.parametrize("anisotropic", [False, True], ids=["variable", "anisotropic"])
+    def test_cocg_columns_match_the_lu_reference(self, grid9, anisotropic):
+        # the Schur product solves by COCG, assemble_dn by the LU of A_II:
+        # two independent solvers must give the same D-N matrix, column by column
+        if anisotropic:
+            med = medium_with_B(grid9, True)
+        else:
+            med = medium_on(grid9, mu_a="1 + 0.2*sin(2*x1)*cos(x2)")
+        op = assemble(med, grid9)
+        reference = assemble_dn(med, grid9)
+        columns = _dn_product(op)(np.eye(len(reference), dtype=complex))
+        gaps = np.linalg.norm(columns - reference, axis=0) / np.linalg.norm(reference, axis=0)
+        assert gaps.max() <= 1e-10
+
     def test_foreign_factor_fails_the_residual_check(self, grid9):
         # an LU of another medium solves the wrong system; the D-N column
         # solves must reject it instead of returning its answer
@@ -539,10 +553,11 @@ class TestPatchOperatorNorm:
         assert difference_norm(base, op2, scale9)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_equal_operators_factor_nothing(self, grid9, scale9, monkeypatch):
-        def no_factor(self):
-            raise AssertionError("an operator was factored")
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an operator was factored or solved with")
 
-        monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", no_factor)
+        monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", no_solve)
+        monkeypatch.setattr(otlab.solver.DiscreteOperator, "solve", no_solve)
         med = medium_on(grid9)
         assert difference_norm(assemble(med, grid9), assemble(med, grid9), scale9) == (0.0, None)
         guess = np.ones(len(scale9.boundary_idx), dtype=complex)
@@ -550,15 +565,14 @@ class TestPatchOperatorNorm:
         assert same[0] == 0.0 and same[1] is guess
 
     @pytest.mark.parametrize("which", ["base", "perturbed"])
-    @pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6], ids=["doubled", "corrupted"])
-    def test_foreign_factor_fails_the_residual_check(self, grid9, scale9, which, factor):
-        # an LU of c A_II in place of A_II solves the wrong system; the
-        # extension solves must reject it instead of returning its answer
+    def test_unconverged_solve_fails_the_residual_check(self, grid9, scale9, which):
+        # a preconditioner that maps every residual to zero stops COCG at its
+        # first step with a zero answer; the labelled extension solve of that
+        # operator must reject it instead of returning it
         spec = PerturbationSpec(medium_on(grid9), profile_order=0)
         ops = {"base": assemble(spec.base, grid9),
                "perturbed": assemble(spec.perturbed(0.2), grid9)}
-        op = ops[which]
-        scaled = dataclasses.replace(op, matrix=factor * op.matrix, _cache={})
-        op._cache["lu"] = scaled.factorization()
-        with pytest.raises(ResidualError, match=f"{which} extension solve: residual"):
+        ops[which]._cache["preconditioner"] = np.zeros_like
+        expected = f"{which} extension solve: residual .* after 0 COCG iterations; COCG broke down"
+        with pytest.raises(ResidualError, match=expected):
             difference_norm(ops["base"], ops["perturbed"], scale9)

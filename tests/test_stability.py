@@ -397,23 +397,26 @@ class TestStabilityExperiment:
             cold, _ = difference_norm(base, assemble(spec.perturbed(row.eps), grid), scale)
             assert row.dn_gap == pytest.approx(cold, rel=1e-12)
 
-    def test_base_interior_is_factored_once(self, monkeypatch):
-        # the base LU is cached on the base operator for the whole sweep;
-        # each amplitude factors its own interior block once
+    def test_sweep_builds_each_preconditioner_once(self, monkeypatch):
+        # every solve is by COCG: the base preconditioner is cached on the
+        # base operator for the whole sweep, each amplitude builds its own once
         import otlab.solver
+
+        def no_factor(op):
+            raise AssertionError("an operator was factored")
 
         grid = GridDomain(extent=1.0, m_per_axis=9)
         spec = PerturbationSpec(base_medium(grid), profile_order=0)
-        real = otlab.solver.DiscreteOperator.factorization
+        real = otlab.solver._sine_inverse
         built = []
 
         def recording(op):
-            if "lu" not in op._cache:
-                built.append(op.medium_fingerprint)
+            built.append(op.medium_fingerprint)
             return real(op)
 
-        monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", recording)
+        monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", no_factor)
+        monkeypatch.setattr(otlab.solver, "_sine_inverse", recording)
         run_stability_experiment(spec, 0, [0.2, 0.1, 0.05])
         assert len(built) == 4
-        assert built[0] == spec.base.fingerprint()
+        assert spec.base.fingerprint() in built
         assert len(set(built)) == 4
