@@ -565,6 +565,31 @@ class TestPatchOperatorNorm:
         assert same[0] == 0.0 and same[1] is guess
 
     @pytest.mark.parametrize("which", ["base", "perturbed"])
+    @pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6], ids=["doubled", "corrupted"])
+    def test_foreign_factor_fails_the_residual_check(self, grid9, scale9, monkeypatch,
+                                                     which, factor):
+        # an iteration that returns the answer of c A_II in place of A_II, from
+        # an LU of c A_II, and reports convergence solves the wrong system; the
+        # extension solves must reject it instead of returning its answer
+        spec = PerturbationSpec(medium_on(grid9), profile_order=0)
+        ops = {"base": assemble(spec.base, grid9),
+               "perturbed": assemble(spec.perturbed(0.2), grid9)}
+        op = ops[which]
+        scaled = dataclasses.replace(op, matrix=factor * op.matrix, _cache={})
+        foreign, target = scaled.factorization(), op.preconditioner()
+        cocg = otlab.solver._cocg
+
+        def foreign_cocg(A, b, precondition, atol, maxiter):
+            if precondition is target:
+                return foreign.solve(b), 1, None
+            return cocg(A, b, precondition, atol, maxiter)
+
+        monkeypatch.setattr(otlab.solver, "_cocg", foreign_cocg)
+        expected = f"{which} extension solve: residual .* after 1 COCG iterations \\("
+        with pytest.raises(ResidualError, match=expected):
+            difference_norm(ops["base"], ops["perturbed"], scale9)
+
+    @pytest.mark.parametrize("which", ["base", "perturbed"])
     def test_unconverged_solve_fails_the_residual_check(self, grid9, scale9, which):
         # a preconditioner that maps every residual to zero stops COCG at its
         # first step with a zero answer; the labelled extension solve of that
