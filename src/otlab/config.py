@@ -180,9 +180,9 @@ class RunConfig:
     def grid(self, m_per_axis: int | None = None) -> GridDomain:
         section = _require(self.raw, "grid", "/grid")
         extent = _number(_require(section, "extent", "/grid/extent"), "/grid/extent")
-        m = m_per_axis or _number(
-            _require(section, "m_per_axis", "/grid/m_per_axis"), "/grid/m_per_axis", int
-        )
+        m = m_per_axis
+        if m is None:
+            m = _number(_require(section, "m_per_axis", "/grid/m_per_axis"), "/grid/m_per_axis", int)
         try:
             grid = GridDomain(extent=extent, m_per_axis=m)
         except ValueError as exc:

@@ -13,11 +13,11 @@ matrix, and the reference comes from a solver independent of the products
 it checks.
 S is complex symmetric (bilinear symmetry <Lf, conj(g)> = <Lg, conj(f)>),
 not Hermitian.  The pairing convention is <Lambda f, conj(g)> = g^T S f
-with the plain (unconjugated) dot product.  The solves with A_II belong to
-``solver``: this module takes them from ``DiscreteOperator.extension``
-(f -> -A_II^{-1} A_IB f) and ``interior_solver``, which solve by
-preconditioned COCG, one right-hand side at a time, and check every solve's
-residual, and A_BI from ``boundary_coupling``.
+with the plain (unconjugated) dot product.  The partition and the solves
+with A_II belong to ``solver``: this module takes the blocks A_IB, A_BI and
+A_BB of ``DiscreteOperator`` and its ``solve``, which solves by
+preconditioned COCG, one right-hand side at a time, and checks every
+solve's residual.
 
 H^{1/2} and its dual are realized spectrally on the boundary surface grid:
 a face-wise five-point graph Laplacian S_b stitched across cube edges, a
@@ -106,7 +106,7 @@ def symmetry_bases(grid: GridDomain) -> list[sp.csr_matrix]:
     nb = len(b_idx)
     m = grid.m_per_axis
     half = (m - 1) // 2
-    ijk = grid.multi_index()[b_idx].T
+    ijk = grid.multi_index[b_idx].T
     folded = np.minimum(ijk, m - 1 - ijk)
     _, orbit = np.unique(
         np.ravel_multi_index(folded, (half + 1,) * 3), return_inverse=True
@@ -173,7 +173,7 @@ class SobolevScale:
         # half the transverse width from each of the two faces through it
         pairs = []
         for d, stride in enumerate(grid.strides):
-            p = b_idx[grid.multi_index()[b_idx, d] < grid.m_per_axis - 1]
+            p = b_idx[grid.multi_index[b_idx, d] < grid.m_per_axis - 1]
             p = p[grid.boundary_mask[p + stride]]
             pairs.append((pos[p], pos[p + stride]))
         i, j = (np.concatenate(side) for side in zip(*pairs))
@@ -209,19 +209,13 @@ class SobolevScale:
         return V
 
 
-def _boundary_block(op: DiscreteOperator) -> sp.csr_matrix:
-    """A_BB, the boundary rows and columns of the energy matrix."""
-    return op.matrix[op.boundary_idx][:, op.boundary_idx].tocsr()
-
-
 def _dn_product(op: DiscreteOperator):
-    """f -> S f for one vector or a block of columns f, the D-N map of ``op``,
-    through ``op.extension`` (COCG, every column residual-checked);
-    ``label`` names the solve in its errors."""
-    A_BB, A_BI, extend = _boundary_block(op), op.boundary_coupling(), op.extension()
+    """f -> S f = A_BB f - A_BI A_II^{-1} A_IB f for one vector or a block of
+    columns f, the D-N map of ``op``, each column solved and residual-checked
+    by ``op.solve``."""
 
-    def product(f, label="D-N extension solve"):
-        return A_BB @ f + A_BI @ extend(f, label)
+    def product(f):
+        return op.A_BB @ f + op.A_BI @ op.solve(-(op.A_IB @ f), "D-N extension solve: residual")
 
     return product
 
@@ -237,20 +231,19 @@ def assemble_dn(
     ``DN_CHUNK``, each block residual-checked at ``SOLVE_RTOL``.  The tests'
     dense reference, apart from the COCG solves of ``_dn_product``."""
     op = operator if operator is not None else assemble(medium, grid or medium.grid)
-    A_IB, A_BI, A_BB = op._interior_blocks()[1], op.boundary_coupling(), _boundary_block(op)
     lu = op.factorization()
     nb = len(op.boundary_idx)
     S = np.empty((nb, nb), dtype=complex)
     for start in range(0, nb, DN_CHUNK):
         stop = min(start + DN_CHUNK, nb)
         label = f"D-N column block {start}..{stop - 1}"
-        rhs = -A_IB[:, start:stop].toarray()
+        rhs = -op.A_IB[:, start:stop].toarray()
         try:
             U = lu.solve(rhs)
         except RuntimeError as exc:
             raise FactorizationError(f"{label} failed: {exc}") from exc
         op._check_residual(U, rhs, SOLVE_RTOL, f"{label}: residual")
-        S[:, start:stop] = A_BB[:, start:stop].toarray() + A_BI @ U
+        S[:, start:stop] = op.A_BB[:, start:stop].toarray() + op.A_BI @ U
     return S
 
 
@@ -295,19 +288,17 @@ def _whitened(product, scale: SobolevScale):
 
 def _difference_product(base: DiscreteOperator, op: DiscreteOperator, E: sp.csr_matrix):
     """f -> H1^T E H2 f = (S(op) - S(base)) f for E = op.matrix - base.matrix,
-    from the COCG solves of ``base.interior_solver`` and ``op.extension``.
-    Each operator builds its preconditioner once, the base once for a whole
-    sweep, and every solve is residual-checked."""
+    from the COCG solves of ``op.solve`` (the extension of f) and
+    ``base.solve``.  Each operator builds its preconditioner once, the base
+    once for a whole sweep, and every solve is residual-checked."""
     i_idx, b_idx = base.interior_idx, base.boundary_idx
-    solve1, A1_BI = base.interior_solver(), base.boundary_coupling()
-    extend2 = op.extension()
     u = np.empty(base.grid.num_points, dtype=complex)
 
     def product(f):
         u[b_idx] = f
-        u[i_idx] = extend2(f, "perturbed extension solve")
+        u[i_idx] = op.solve(-(op.A_IB @ f), "perturbed extension solve: residual")
         y = E @ u
-        return y[b_idx] - A1_BI @ solve1(y[i_idx], "base extension solve")
+        return y[b_idx] - base.A_BI @ base.solve(y[i_idx], "base extension solve: residual")
 
     return product
 

@@ -7,7 +7,8 @@ centres are grid points).  Nodes are flattened in C order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import hashlib
 
 import numpy as np
@@ -17,7 +18,6 @@ import numpy as np
 class GridDomain:
     extent: float = 1.0
     m_per_axis: int = 17
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m_per_axis < 9 or self.m_per_axis % 2 == 0:
@@ -33,43 +33,32 @@ class GridDomain:
     def num_points(self) -> int:
         return self.m_per_axis**3
 
-    @property
+    @cached_property
     def axis(self) -> np.ndarray:
-        if "axis" not in self._cache:
-            self._cache["axis"] = np.linspace(
-                -self.extent / 2.0, self.extent / 2.0, self.m_per_axis
-            )
-        return self._cache["axis"]
+        return np.linspace(-self.extent / 2.0, self.extent / 2.0, self.m_per_axis)
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
         """All node coordinates, shape (num_points, 3), C-ordered."""
-        if "points" not in self._cache:
-            g = np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
-            self._cache["points"] = np.stack([c.ravel() for c in g], axis=1)
-        return self._cache["points"]
+        g = np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
+        return np.stack([c.ravel() for c in g], axis=1)
 
     @property
     def strides(self) -> tuple[int, int, int]:
         m = self.m_per_axis
         return (m * m, m, 1)
 
-    @property
+    @cached_property
     def rim(self) -> np.ndarray:
         """(num_points, 3) bool, shared read-only: whether a node lies on the
         first or last plane of each axis, so a node on c faces has c flags."""
-        if "rim" not in self._cache:
-            midx = self.multi_index()
-            rim = (midx == 0) | (midx == self.m_per_axis - 1)
-            rim.flags.writeable = False
-            self._cache["rim"] = rim
-        return self._cache["rim"]
+        rim = (self.multi_index == 0) | (self.multi_index == self.m_per_axis - 1)
+        rim.flags.writeable = False
+        return rim
 
-    @property
+    @cached_property
     def boundary_mask(self) -> np.ndarray:
-        if "bmask" not in self._cache:
-            self._cache["bmask"] = self.rim.any(axis=1)
-        return self._cache["bmask"]
+        return self.rim.any(axis=1)
 
     @property
     def interior_mask(self) -> np.ndarray:
@@ -83,26 +72,23 @@ class GridDomain:
     def interior_indices(self) -> np.ndarray:
         return np.flatnonzero(self.interior_mask)
 
-    @property
+    @cached_property
     def trapezoid_fraction(self) -> np.ndarray:
         """Per-node trapezoid-rule fraction (1 interior, 1/2 face, 1/4 edge, 1/8 corner)."""
-        if "trap" not in self._cache:
-            self._cache["trap"] = 0.5 ** self.rim.sum(axis=1)
-        return self._cache["trap"]
+        return 0.5 ** self.rim.sum(axis=1)
 
     @property
     def volume_weights(self) -> np.ndarray:
         """Trapezoid volume quadrature weights, shape (num_points,)."""
         return self.h**3 * self.trapezoid_fraction
 
+    @cached_property
     def multi_index(self) -> np.ndarray:
         """Integer index triples, shape (num_points, 3), shared read-only."""
-        if "midx" not in self._cache:
-            m = self.m_per_axis
-            midx = np.indices((m, m, m)).reshape(3, -1).T
-            midx.flags.writeable = False
-            self._cache["midx"] = midx
-        return self._cache["midx"]
+        m = self.m_per_axis
+        midx = np.indices((m, m, m)).reshape(3, -1).T
+        midx.flags.writeable = False
+        return midx
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """Second-order discrete gradient of a nodal field, shape (num_points, 3).
@@ -139,6 +125,7 @@ class GridDomain:
         return self.interior_mask & (r > r_min) & (r < r_max)
 
     def fingerprint(self) -> str:
-        # the "3" is the space dimension, kept so saved D-N files still match
+        # the "3" is the space dimension, kept because dropping it would
+        # change every report's grid_fingerprint
         key = f"grid:3:{self.extent!r}:{self.m_per_axis}"
         return hashlib.sha256(key.encode()).hexdigest()[:16]

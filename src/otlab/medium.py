@@ -13,13 +13,14 @@ two-sided ellipticity bounds they satisfy under the a-priori assumptions,
 and the admissible wave-number intervals of the boundary-stability theory.
 
 Writing u = u_R + i u_I turns the complex equation into a real system for
-(u_R, u_I) with the 2n x 2n block coefficient [[K_R, -K_I], [K_I, K_R]]
-and the reaction block [[mu_a, k], [-k, mu_a]].  Their quadratic forms see
-only K_R and mu_a, which is why ``verify_ellipticity`` audits the spectrum
-of K_R alone; no code path builds the blocks.  The pointwise tensor K,
-its sensitivity dK/dmu_a = -n K^2 and the audited spectra are checked in
-the tests against numpy's inverse of n (M - ik I) and ``eigvalsh`` of the
-sampled K_R and K_I.
+(u_R, u_I) with the 2n x 2n block coefficient [[K_R, -K_I], [K_I, K_R]],
+K_R = Re K and K_I = Im K, and the reaction block [[mu_a, k], [-k, mu_a]].
+Their quadratic forms see only K_R and mu_a, which is why
+``verify_ellipticity`` audits the spectrum of K_R alone; no code path
+builds the blocks.  The pointwise tensor K, its sensitivity
+dK/dmu_a = -n K^2 and the audited spectra are checked in the tests against
+numpy's inverse of n (M - ik I) and ``eigvalsh`` of the real and imaginary
+parts of the sampled K.
 """
 
 from __future__ import annotations
@@ -249,31 +250,16 @@ class OpticalMedium:
 
 @dataclass
 class ComplexTensorField:
-    """Sampled diffusion tensor with its real/imaginary split and reaction terms.
+    """Sampled diffusion tensor K and reaction coefficient q = mu_a - i k.
 
     ``eig_M`` holds the ascending eigenvalues of M = ``base_matrix`` per
-    node; K_R and K_I are rational functions of the symmetric M, so they
+    node; Re K and Im K are rational functions of the symmetric M, so they
     share its eigenvectors and their spectra follow from these.
     """
 
     K: np.ndarray       # (N, 3, 3) complex
     eig_M: np.ndarray   # (N, 3) real, ascending
-    q_R: np.ndarray     # (N,)
-    q_I: np.ndarray     # (N,)
-    k: float
-    n: int
-
-    @property
-    def K_R(self) -> np.ndarray:
-        return self.K.real
-
-    @property
-    def K_I(self) -> np.ndarray:
-        return self.K.imag
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.q_R + 1j * self.q_I
+    q: np.ndarray       # (N,) complex
 
 
 def _symmetric_inverse(S: np.ndarray) -> np.ndarray:
@@ -309,19 +295,19 @@ def _symmetric_inverse(S: np.ndarray) -> np.ndarray:
 
 
 def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
-    """Sample K, K_R, K_I, the eigenvalues of M and q over the whole grid.
+    """Sample K, the eigenvalues of M and q over the whole grid.
 
-    K_R and K_I come from their closed forms
+    K = K_R + i K_I comes from the closed forms of its two parts
 
         K_R = (1/n) (M^2 + k^2 I)^{-1} M,    K_I = (k/n) (M^2 + k^2 I)^{-1},
 
     M = ``base_matrix``, with (M^2 + k^2 I)^{-1} from the symmetric 3 x 3
-    adjugate, and K = K_R + i K_I, which matches the direct complex inverse
-    of n (M - ik I) to round-off.  One batched ``eigvalsh`` of M gives
-    ``eig_M`` for ``verify_ellipticity``.  The grid is the 3-D cube, so the
-    tensor must be 3 x 3 (n = 3); anything else raises ValueError.  Both
-    read one triangle of M, so a B that is not symmetric (max |B - B^T|
-    above ``B_SYMMETRY_ATOL``) raises ValueError too.
+    adjugate, which matches the direct complex inverse of n (M - ik I) to
+    round-off.  One batched ``eigvalsh`` of M gives ``eig_M`` for
+    ``verify_ellipticity``.  The grid is the 3-D cube, so the tensor must be
+    3 x 3 (n = 3); anything else raises ValueError.  Both read one triangle
+    of M, so a B that is not symmetric (max |B - B^T| above
+    ``B_SYMMETRY_ATOL``) raises ValueError too.
     """
     a = medium.apriori
     n, k = a.n, a.k
@@ -340,10 +326,7 @@ def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
     return ComplexTensorField(
         K=(core @ M) / n + 1j * ((k / n) * core),
         eig_M=np.linalg.eigvalsh(M),
-        q_R=medium.mu_a.copy(),
-        q_I=np.full_like(medium.mu_a, -k),
-        k=k,
-        n=n,
+        q=medium.mu_a - 1j * k,
     )
 
 
@@ -392,9 +375,9 @@ def verify_ellipticity(tensor: ComplexTensorField, apriori: AprioriData) -> Elli
     lower_I = k / n / (hi * hi + k * k)
     upper = (hi * hi + k * k) / (n * n) / (lo * lo + k * k) ** 2
 
-    denom = tensor.n * (tensor.eig_M**2 + tensor.k**2)
+    denom = n * (tensor.eig_M**2 + k**2)
     eigs_R = tensor.eig_M / denom
-    eigs_I = tensor.k / denom
+    eigs_I = k / denom
     min_R, min_I = eigs_R.min(axis=1), eigs_I.min(axis=1)
     norm_sq = np.abs(eigs_R).max(axis=1) ** 2 + eigs_I.max(axis=1) ** 2
 
@@ -407,10 +390,11 @@ def verify_ellipticity(tensor: ComplexTensorField, apriori: AprioriData) -> Elli
     for idx in np.flatnonzero(norm_sq > upper + tol):
         violations.append((int(idx), "norm upper bound", float(norm_sq[idx]), upper))
     # reaction positivity: q xi . xi = mu_a |xi|^2 must stay in [1/lam, lam]
-    for idx in np.flatnonzero(tensor.q_R < 1.0 / lam - tol):
-        violations.append((int(idx), "reaction lower bound", float(tensor.q_R[idx]), 1.0 / lam))
-    for idx in np.flatnonzero(tensor.q_R > lam + tol):
-        violations.append((int(idx), "reaction upper bound", float(tensor.q_R[idx]), lam))
+    mu_a = tensor.q.real
+    for idx in np.flatnonzero(mu_a < 1.0 / lam - tol):
+        violations.append((int(idx), "reaction lower bound", float(mu_a[idx]), 1.0 / lam))
+    for idx in np.flatnonzero(mu_a > lam + tol):
+        violations.append((int(idx), "reaction upper bound", float(mu_a[idx]), lam))
 
     # the 2n x 2n block C satisfies C xi . xi = K_R xi1 . xi1 + K_R xi2 . xi2,
     # so the sandwich constant is governed by the spectrum of K_R alone

@@ -192,7 +192,6 @@ class PotentialRule:
 
 @dataclass
 class PotentialInfo:
-    value: complex
     tolerance_estimate: float
     inner_shells: int
 
@@ -444,7 +443,7 @@ def _potential(f, nu, x, radius, rule, memo):
     err += abs(outer_full - outer_low)
 
     err += 1e-12 * abs(total)
-    return total, PotentialInfo(value=total, tolerance_estimate=err, inner_shells=shells)
+    return total, PotentialInfo(tolerance_estimate=err, inner_shells=shells)
 
 
 def _outer_contribution(f, nu, x, radius, delta, rule, n_theta, n_phi, memo):

@@ -5,17 +5,17 @@ flux terms for the diagonal tensor entries, node-centered products of
 centered differences for the cross terms, and trapezoid mass terms.  The
 resulting complex matrix A is symmetric (not Hermitian), and strong
 ellipticity makes its real part Re A positive definite on the unknowns.
-Every solve with A_II lives here; ``dnmap`` takes its solves from
-``DiscreteOperator``.  The interior system A_II u = rhs is solved by COCG,
+``DiscreteOperator`` owns the partition of A into unknowns (I) and
+Dirichlet nodes (B), its four blocks and every solve with A_II; ``dnmap``
+takes both from it.  ``DiscreteOperator.solve`` solves A_II u = rhs by COCG,
 the conjugate-orthogonal conjugate gradient method for complex symmetric
 systems (van der Vorst & Melissen 1990, IEEE Trans. Magn. 26(2):706-708),
 one right-hand side at a time: the single solves of ``solve_dirichlet`` as
-well as the repeated ones of ``DiscreteOperator.interior_solver`` and the
-harmonic extension of ``extension`` (the Schur products of
-``dnmap._dn_product``, the Lanczos products of ``otlab dn`` and the
-extension solves of ``dnmap.difference_norm``).  COCG is CG with the
-bilinear product x^T y in place of x^H y, so it keeps CG's short recurrence
-and one matrix-vector product per step, and it needs no fill: at m=33 the
+well as the repeated ones of the harmonic extensions behind
+``dnmap._dn_product`` (the Lanczos products of ``otlab dn``) and
+``dnmap.difference_norm``.  COCG is CG with the bilinear product x^T y in
+place of x^H y, so it keeps CG's short recurrence and one matrix-vector
+product per step, and it needs no fill: at m=33 the
 LU of A_II stores 13 M entries and takes 1.9-3.8 s.  On the whole strict
 interior it is preconditioned by the exact inverse of a constant-coefficient
 model of A_II, applied through the discrete sine transform
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,105 +80,92 @@ class ComplexField:
 
 @dataclass
 class DiscreteOperator:
+    """The energy matrix and its partition into unknowns (I) and Dirichlet
+    nodes (B): the blocks, the preconditioner and every solve with A_II."""
+
     grid: GridDomain
     matrix: sp.csr_matrix          # full complex symmetric energy matrix
     interior_idx: np.ndarray       # unknown nodes
     boundary_idx: np.ndarray       # Dirichlet nodes (complement, ascending)
-    medium_fingerprint: str
-    _cache: dict = field(default_factory=dict, repr=False)
+    _lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
 
     @property
     def interior_count(self) -> int:
         return len(self.interior_idx)
 
-    def _interior_blocks(self):
-        """(A_II, A_IB): the rows of the unknowns, split by column set."""
-        if "blocks" not in self._cache:
-            rows = self.matrix[self.interior_idx]
-            A_II = rows[:, self.interior_idx].tocsc()
-            A_IB = rows[:, self.boundary_idx].tocsc()
-            self._cache["blocks"] = (A_II, A_IB)
-        return self._cache["blocks"]
+    @cached_property
+    def A_II(self) -> sp.csc_matrix:
+        return self.matrix[self.interior_idx][:, self.interior_idx].tocsc()
+
+    @cached_property
+    def A_IB(self) -> sp.csc_matrix:
+        return self.matrix[self.interior_idx][:, self.boundary_idx].tocsc()
+
+    @cached_property
+    def A_BI(self) -> sp.csr_matrix:
+        """A_IB^T (A is symmetric), stored by rows."""
+        return self.A_IB.T.tocsr()
+
+    @cached_property
+    def A_BB(self) -> sp.csr_matrix:
+        return self.matrix[self.boundary_idx][:, self.boundary_idx].tocsr()
 
     def factorization(self):
         """Sparse LU of A_II, cached: minimum degree on A^T + A, diagonal
         pivots (see the module docstring for why they suffice).  Only the
         dense reference of ``dnmap.assemble_dn`` uses it; every other solve
         is by COCG."""
-        if "lu" not in self._cache:
+        if self._lu is None:
             try:
-                self._cache["lu"] = spla.splu(
-                    self._interior_blocks()[0],
+                self._lu = spla.splu(
+                    self.A_II,
                     permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True},
                 )
             except RuntimeError as exc:
                 raise FactorizationError(f"sparse LU failed: {exc}") from exc
-        return self._cache["lu"]
+        return self._lu
 
+    @cached_property
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
-        """r -> M^-1 r for COCG on A_II, built once: ``_sine_inverse`` when the
-        unknowns are the whole strict interior, Jacobi diag(A_II)^-1 otherwise."""
-        if "preconditioner" not in self._cache:
-            if self.interior_count == (self.grid.m_per_axis - 2) ** 3:
-                self._cache["preconditioner"] = _sine_inverse(self)
-            else:
-                inverse_diagonal = 1.0 / self._interior_blocks()[0].diagonal()
-                self._cache["preconditioner"] = partial(np.multiply, inverse_diagonal)
-        return self._cache["preconditioner"]
-
-    def boundary_coupling(self) -> sp.csr_matrix:
-        """A_BI = A_IB^T (A is symmetric), stored by rows, built once."""
-        if "A_BI" not in self._cache:
-            self._cache["A_BI"] = self._interior_blocks()[1].T.tocsr()
-        return self._cache["A_BI"]
+        """r -> M^-1 r for COCG on A_II: ``_sine_inverse`` when the unknowns
+        are the whole strict interior, Jacobi diag(A_II)^-1 otherwise."""
+        if self.interior_count == (self.grid.m_per_axis - 2) ** 3:
+            return _sine_inverse(self)
+        return partial(np.multiply, 1.0 / self.A_II.diagonal())
 
     def _check_residual(self, u, rhs, rtol: float, label: str, detail: str = ""):
         """Raise ResidualError unless ||A_II u - rhs|| <= rtol ||rhs||, the one test
         that accepts an interior solve, as "<label> <residual> exceeds <rtol><detail>"."""
-        gap, rhs_norm = np.linalg.norm(self._interior_blocks()[0] @ u - rhs), np.linalg.norm(rhs)
+        gap, rhs_norm = np.linalg.norm(self.A_II @ u - rhs), np.linalg.norm(rhs)
         if not gap <= rtol * rhs_norm:
             raise ResidualError(
                 f"{label} {gap / rhs_norm:.3e} exceeds {rtol:.1e}{detail} "
                 f"(grid {self.grid.m_per_axis}^3)"
             )
 
-    def solve(self, rhs: np.ndarray, rtol: float, label: str) -> np.ndarray:
-        """A_II^{-1} rhs for one vector by COCG with ``preconditioner``, from 0,
-        stopped at ``1e-3 * rtol``: the iteration's own residual is updated
-        recursively and can drift from the true one.  The answer is accepted
-        by ``_check_residual`` at ``rtol`` alone, whether the iteration hit
-        ``SOLVE_MAX_ITERATIONS``, broke down or converged."""
+    def solve(self, rhs: np.ndarray, label: str, rtol: float = SOLVE_RTOL) -> np.ndarray:
+        """A_II^{-1} rhs for a vector, or for each column of a block on its own,
+        by COCG with ``preconditioner``, from 0, stopped at ``1e-3 * rtol``:
+        the iteration's own residual is updated recursively and can drift from
+        the true one.  Each answer is accepted by ``_check_residual`` at
+        ``rtol`` alone, whether the iteration hit ``SOLVE_MAX_ITERATIONS``,
+        broke down or converged; ``label`` opens its error message."""
+        if rhs.ndim == 2:
+            return np.column_stack([self.solve(column, label, rtol) for column in rhs.T])
         rhs_norm = np.linalg.norm(rhs)
         if rhs_norm == 0.0:
             return np.zeros_like(rhs)
         # A_II is complex symmetric, so its transpose is A_II stored by rows
         # (CSR, no copy), whose products are faster than the stored CSC's
         u, steps, breakdown = _cocg(
-            self._interior_blocks()[0].T, rhs, self.preconditioner(),
+            self.A_II.T, rhs, self.preconditioner,
             1e-3 * rtol * rhs_norm, SOLVE_MAX_ITERATIONS,
         )
         broke = f"; COCG broke down ({breakdown})" if breakdown else ""
         self._check_residual(u, rhs, rtol, label, f" after {steps} COCG iterations{broke}")
         return u
-
-    def interior_solver(self):
-        """(rhs, label) -> A_II^{-1} rhs for a vector or a block of columns, each
-        column solved and checked on its own by ``solve`` at SOLVE_RTOL;
-        ``label`` names it in errors."""
-
-        def solve(rhs, label):
-            one = partial(self.solve, rtol=SOLVE_RTOL, label=f"{label}: residual")
-            return one(rhs) if rhs.ndim == 1 else np.column_stack([one(c) for c in rhs.T])
-
-        return solve
-
-    def extension(self):
-        """(f, label) -> -A_II^{-1} A_IB f: the unknowns' values of the discrete
-        harmonic extension of boundary data f, by ``interior_solver``."""
-        A_IB, solve = self._interior_blocks()[1], self.interior_solver()
-        return lambda f, label: solve(-(A_IB @ f), label)
 
 
 def assemble(
@@ -213,7 +200,7 @@ def assemble(
     N = grid.num_points
     m = grid.m_per_axis
     strides = grid.strides
-    midx = grid.multi_index()
+    midx = grid.multi_index
 
     rows, cols, vals = [], [], []
 
@@ -274,7 +261,6 @@ def assemble(
         matrix=A,
         interior_idx=interior_idx,
         boundary_idx=boundary_idx,
-        medium_fingerprint=medium.fingerprint(),
     )
 
 
@@ -312,8 +298,7 @@ def _sine_inverse(op: DiscreteOperator) -> Callable[[np.ndarray], np.ndarray]:
     second_difference = 2.0 - 2.0 * np.cos(np.pi * j / (n + 1))
     # the unknowns are C-ordered, so axis d couples indices n^(2-d) apart; the
     # diagonal at that offset holds zeros where a line of unknowns wraps
-    A_II = op._interior_blocks()[0]
-    a = [-A_II.diagonal(n ** (2 - d)).sum() / (n * n * (n - 1)) for d in range(3)]
+    a = [-op.A_II.diagonal(n ** (2 - d)).sum() / (n * n * (n - 1)) for d in range(3)]
     b = (op.matrix @ np.ones(op.grid.num_points))[op.interior_idx].mean()
     inv_eig = 1.0 / (
         a[0] * second_difference[:, None, None]
@@ -378,16 +363,15 @@ def solve_dirichlet(op: DiscreteOperator, g, f=None, rtol: float = SOLVE_RTOL) -
     relative algebraic residual, recomputed from A_II, must reach ``rtol``
     (1e-10 by default) or ResidualError is raised.
     """
-    A_IB = op._interior_blocks()[1]
     g_b = _restricted(op, g, op.boundary_idx, "boundary data", "boundary set")
-    rhs = -A_IB @ g_b
+    rhs = -op.A_IB @ g_b
     if f is not None:
         f_int = _restricted(op, f, op.interior_idx, "interior source", "unknown set")
         rhs = rhs + f_int * op.grid.volume_weights[op.interior_idx]
 
     values = np.zeros(op.grid.num_points, dtype=complex)
     values[op.boundary_idx] = g_b
-    values[op.interior_idx] = op.solve(rhs, rtol, "solve residual")
+    values[op.interior_idx] = op.solve(rhs, "solve residual", rtol)
     return ComplexField(op.grid, values)
 
 

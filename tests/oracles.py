@@ -310,8 +310,8 @@ def direct_diffusion_tensor(mu_a, mu_s, B, k: float, n: int = 3) -> np.ndarray:
 def sampled_spectra(tensor: ComplexTensorField):
     """(min eig K_R, min eig K_I, max|eig K_R|^2 + max|eig K_I|^2) per node,
     from ``eigvalsh`` of the sampled K_R and K_I."""
-    eigs_R = np.linalg.eigvalsh(tensor.K_R)
-    eigs_I = np.linalg.eigvalsh(tensor.K_I)
+    eigs_R = np.linalg.eigvalsh(tensor.K.real)
+    eigs_I = np.linalg.eigvalsh(tensor.K.imag)
     norm_sq = np.abs(eigs_R).max(axis=1) ** 2 + np.abs(eigs_I).max(axis=1) ** 2
     return eigs_R[:, 0], eigs_I[:, 0], norm_sq
 

@@ -452,6 +452,14 @@ class TestCliExitCodes:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "MemoryBudgetError" in capsys.readouterr().err
 
+    def test_grid_override_of_zero_exits_2(self, tmp_path, capsys):
+        # 0 used to fall through to the config's grid and exit 0
+        path = small_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out), "--grid", "0"]) == 2
+        assert "configuration error: /grid: m_per_axis must be odd and >= 9, got 0" in capsys.readouterr().err
+        assert not (out / "solve_report.json").exists()
+
     def test_bad_rtol_exits_2_before_solving(self, tmp_path, capsys):
         path = small_config(tmp_path, solver={"rtol": -1})
         out = tmp_path / "o"
@@ -671,7 +679,7 @@ class TestCliCommands:
         built = []
 
         def recording(op):
-            built.append(op.medium_fingerprint)
+            built.append(op)
             return real(op)
 
         monkeypatch.setattr(otlab.solver.DiscreteOperator, "factorization", no_factor)

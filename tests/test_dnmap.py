@@ -102,7 +102,7 @@ class TestAssembly:
         # solves must reject it instead of returning its answer
         op = assemble(medium_on(grid9), grid9)
         other = assemble(medium_on(grid9, mu_a="1.4", mu_s="0.8"), grid9)
-        op._cache["lu"] = other.factorization()
+        op._lu = other.factorization()
         with pytest.raises(ResidualError, match=r"D-N column block 0\.\.63"):
             assemble_dn(medium_on(grid9), grid9, operator=op)
 
@@ -117,7 +117,7 @@ class TestAssembly:
         op = assemble(med, grid9)
         tensor = split_real_imag(med)
         m, h = grid9.m_per_axis, grid9.h
-        midx = grid9.multi_index()
+        midx = grid9.multi_index
         on_border = (midx == 0) | (midx == m - 1)
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -130,7 +130,7 @@ class TestAssembly:
                 q = p + grid9.strides[d]
                 transverse = [e for e in range(3) if e != d]
                 w_t = 0.5 ** on_border[p][:, transverse].sum(axis=1)
-                coef = 0.5 * (tensor.K_R[p, d, d] + tensor.K_R[q, d, d]) * h * w_t
+                coef = 0.5 * (tensor.K.real[p, d, d] + tensor.K.real[q, d, d]) * h * w_t
                 rhs += np.sum(coef * np.abs(u[q] - u[p]) ** 2)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -472,9 +472,8 @@ def interior_anisotropic_B(grid):
 def dense_difference(base, op2):
     """H1^T E H2 = S2 - S1 from dense solves with the two interior blocks."""
     def extension(op):
-        A_II, A_IB = op._interior_blocks()
-        return np.vstack([-np.linalg.solve(A_II.toarray(), A_IB.toarray()),
-                          np.eye(A_IB.shape[1])])
+        return np.vstack([-np.linalg.solve(op.A_II.toarray(), op.A_IB.toarray()),
+                          np.eye(op.A_IB.shape[1])])
 
     order = np.concatenate([base.interior_idx, base.boundary_idx])
     E = (op2.matrix - base.matrix)[order][:, order].toarray()
@@ -575,8 +574,8 @@ class TestPatchOperatorNorm:
         ops = {"base": assemble(spec.base, grid9),
                "perturbed": assemble(spec.perturbed(0.2), grid9)}
         op = ops[which]
-        scaled = dataclasses.replace(op, matrix=factor * op.matrix, _cache={})
-        foreign, target = scaled.factorization(), op.preconditioner()
+        scaled = dataclasses.replace(op, matrix=factor * op.matrix)
+        foreign, target = scaled.factorization(), op.preconditioner
         cocg = otlab.solver._cocg
 
         def foreign_cocg(A, b, precondition, atol, maxiter):
@@ -597,7 +596,7 @@ class TestPatchOperatorNorm:
         spec = PerturbationSpec(medium_on(grid9), profile_order=0)
         ops = {"base": assemble(spec.base, grid9),
                "perturbed": assemble(spec.perturbed(0.2), grid9)}
-        ops[which]._cache["preconditioner"] = np.zeros_like
+        ops[which].preconditioner = np.zeros_like
         expected = f"{which} extension solve: residual .* after 0 COCG iterations; COCG broke down"
         with pytest.raises(ResidualError, match=expected):
             difference_norm(ops["base"], ops["perturbed"], scale9)

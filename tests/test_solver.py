@@ -38,8 +38,7 @@ def constant_medium(grid, k=1.0):
 def real_block(op):
     """The real block form [[Re A_II, -Im A_II], [Im A_II, Re A_II]] of the
     interior system, shape (2 Ni, 2 Ni): the 2n x 2n energy form of u_R, u_I."""
-    A_II = op._interior_blocks()[0]
-    re, im = A_II.real, A_II.imag
+    re, im = op.A_II.real, op.A_II.imag
     return sp.bmat([[re, -im], [im, re]], format="csc")
 
 
@@ -177,7 +176,7 @@ class TestOperatorStructure:
         # reference form: unit diffusion tensor and unit reaction
         ref_rows, ref_cols, ref_vals = [], [], []
         m, h = grid.m_per_axis, grid.h
-        midx = grid.multi_index()
+        midx = grid.multi_index
         for d in range(3):
             p = np.flatnonzero(midx[:, d] < m - 1)
             q = p + grid.strides[d]
@@ -348,7 +347,6 @@ class TestCocgBreakdown:
             matrix=matrix.tocsr(),
             interior_idx=interior,
             boundary_idx=np.setdiff1d(np.arange(grid.num_points), interior),
-            medium_fingerprint="two unknowns",
         )
         f = np.array(b) / grid.volume_weights[interior]
         expected = "after 0 COCG iterations; COCG broke down " + re.escape(f"({product})")
