@@ -16,6 +16,7 @@ from .errors import (
     ResidualError,
     QuadratureBudgetError,
     InadmissibleWaveNumberError,
+    InadmissibleAmplitudeError,
     MemoryBudgetError,
     SingularityError,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "ResidualError",
     "QuadratureBudgetError",
     "InadmissibleWaveNumberError",
+    "InadmissibleAmplitudeError",
     "MemoryBudgetError",
     "SingularityError",
 ]

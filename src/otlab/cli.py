@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .errors import ConfigError, OtlabError
+from .errors import ConfigError, InadmissibleAmplitudeError, InadmissibleWaveNumberError, OtlabError
 from .dnmap import SobolevScale, _dn_product, sobolev_operator_norm, symmetry_residual
 from .expressions import Expression, ExpressionError
 from .gegenbauer import MAX_DEGREE, GegenbauerSpec, coefficient_table, endpoint_values
@@ -31,7 +31,7 @@ from .singular import (
     SingularityPoint, SingularSolutionSpec, b_vanishes_near_pole, correction_w, leading_term
 )
 from .solver import apply_operator, assemble, solve_dirichlet
-from .stability import PerturbationSpec, run_stability_experiment
+from .stability import PROFILE_SMOOTHNESS, PerturbationSpec, run_stability_experiment
 from .svgplot import loglog_svg
 
 
@@ -287,10 +287,10 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
         )
     if count < 1:
         raise ConfigError("/experiments/stability", f"eps_count must be at least 1, got {count}")
-    if not 0 <= h_order <= PerturbationSpec.smoothness:
+    if not 0 <= h_order <= PROFILE_SMOOTHNESS:
         raise ConfigError(
             "/experiments/stability",
-            f"h must lie in 0..{PerturbationSpec.smoothness} (the smoothness of the "
+            f"h must lie in 0..{PROFILE_SMOOTHNESS} (the smoothness of the "
             f"perturbation family), got {h_order}",
         )
     apriori = config.apriori(alpha=args.alpha, k=args.k)
@@ -305,34 +305,17 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
     except ValueError as exc:
         raise ConfigError("/experiments/stability", str(exc)) from exc
     eps = [eps0 / 2**i for i in range(count)]
-    violations = [pspec.violations(e) for e in eps]
-    if all(violations):
-        raise ConfigError(
-            "/experiments/stability",
-            f"every amplitude {eps} breaks admissibility, none is left to sweep "
-            f"(at eps={eps[-1]:g}: {violations[-1][0]})",
-        )
-    report = run_stability_experiment(pspec, h_order, eps, seed=config.seed)
+    try:
+        report = run_stability_experiment(pspec, h_order, eps, seed=config.seed)
+    except InadmissibleAmplitudeError as exc:
+        raise ConfigError("/experiments/stability", str(exc)) from exc
+    except InadmissibleWaveNumberError as exc:
+        raise ConfigError("/apriori/k", str(exc)) from exc
 
     columns = report.table()
     _write_csv(out / "stability_rows.csv", _comments(config), columns)
-    payload = {
-        **_stamp(config),
-        "alpha": report.alpha,
-        "derivative_order": report.derivative_order,
-        "tensor_gap_order": report.tensor_gap_order,
-        "predicted_exponents": report.predicted_exponents,
-        "observed_slopes": report.observed_slopes,
-        "inequality_constants": report.inequality_constants,
-        "violations": report.violations,
-        "dropped_amplitudes": report.dropped_amplitudes,
-        "skipped_boundary_samples": report.skipped_boundary_samples,
-        "comparability_constant": report.comparability,
-        "tau0": report.tau0,
-        "base_fingerprint": report.base_fingerprint,
-        "grid_fingerprint": report.grid_fingerprint,
-        "seed": config.seed,
-    }
+    fields = {name: value for name, value in vars(report).items() if name != "rows"}
+    payload = {**_stamp(config), **fields, "seed": config.seed}
     _write_json(out / "stability_report.json", payload)
 
     gaps = columns["dn_gap"]

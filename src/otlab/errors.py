@@ -41,6 +41,10 @@ class InadmissibleWaveNumberError(OtlabError):
     """Wave number outside the admissible intervals for the experiment."""
 
 
+class InadmissibleAmplitudeError(OtlabError, ValueError):
+    """No nonzero perturbation amplitude keeps the medium admissible."""
+
+
 class MemoryBudgetError(OtlabError):
     """Requested grid exceeds the configured memory cap."""
 

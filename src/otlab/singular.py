@@ -491,13 +491,15 @@ def _ball_patch(f, x, delta, rule):
     return np.sum(wq * kern * f(pts))
 
 
-def shell_source_exponent(f, radius: float, p: float = 4.0, num_shells: int = 6) -> float:
+def shell_source_exponent(f, radius: float) -> float:
     """Fitted singularity rate s of a source from its dyadic-shell L^p sizes.
 
     With (int_{r<|y|<2r} |f|^p)^{1/p} ~ r^{3/p - s}, the slope of the shell
-    norms on a log-log ladder recovers s.  Used to check numerically that a
-    source is compatible with a requested truncation order.
+    norms (p = 4, six shells below radius / 2) on a log-log ladder recovers
+    s.  Used to check numerically that a source is compatible with a
+    requested truncation order.
     """
+    p, num_shells = 4.0, 6
     sph, wsph = _sphere_nodes(12, 24)
     radii, norms = [], []
     hi = radius / 2.0

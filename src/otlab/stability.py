@@ -10,8 +10,10 @@ difference comes from the discrete Alessandrini identity S2 - S1 = H1^T E H2
 the base medium's COCG preconditioner, its sampled tensor and the boundary
 eigenbasis are built once per sweep, each amplitude builds the
 preconditioner of its own interior block, nothing is factored, and no
-boundary-sized (Nb x Nb) matrix is formed.  The amplitudes run from the
-largest down, and each amplitude's Lanczos iteration starts near the
+boundary-sized (Nb x Nb) matrix is formed.  ``run_stability_experiment``
+owns the amplitude ladder: it builds and audits each amplitude's medium
+once, drops the inadmissible ones before any solve, runs the rest from the
+largest down, and starts each amplitude's Lanczos iteration near the
 previous amplitude's top Ritz vector.  The theory gives one-sided
 inequalities (Lipschitz for the boundary values, Hoelder with exponent
 delta_h for h-th derivatives), so the report records inequality constants
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dnmap import SobolevScale, difference_norm
-from .errors import InadmissibleWaveNumberError
+from .errors import InadmissibleAmplitudeError, InadmissibleWaveNumberError
 from .grid import GridDomain
 from .medium import OpticalMedium, base_matrix, is_wave_number_admissible, split_real_imag
 from .solver import assemble, loglog_fit
@@ -146,6 +148,11 @@ def normal_derivative_sup(evaluate, nu_field: NonTangentialField, order: int):
     return (float(np.abs(derivs).max()) if derivs.size else 0.0), skipped
 
 
+# the bump polynomial is C^3 at its rims: profile orders and derivative
+# orders up to 3 are meaningful
+PROFILE_SMOOTHNESS = 3
+
+
 @dataclass
 class PerturbationSpec:
     """Boundary patch perturbation of the absorption coefficient.
@@ -153,29 +160,22 @@ class PerturbationSpec:
     The difference behaves like (d / depth)^profile_order times a smooth
     tangential bump of the given width, where d is the distance to the face
     z = +extent/2, centred on that face's centre (kept away from the cube
-    edges where the exterior field is blended).  The bump
-    polynomial is C^3 at its rims, so orders up to 3 are meaningful.
-
-    Each amplitude's medium is built once and audited once, on first use, and
-    kept: the command line's check of the ladder, the sweep's and its rows
-    share them.
+    edges where the exterior field is blended).  The bump polynomial is
+    C^``PROFILE_SMOOTHNESS`` at its rims.
     """
 
     base: OpticalMedium
     profile_order: int
     width: float = 0.3
     depth: float = 0.4
-    smoothness: int = 3
-    _media: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _audits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.profile_order < 0:
             raise ValueError("profile order must be >= 0")
-        if self.profile_order > self.smoothness:
+        if self.profile_order > PROFILE_SMOOTHNESS:
             raise ValueError(
                 f"profile order {self.profile_order} exceeds the C^{{h,alpha}} "
-                f"smoothness {self.smoothness} of the bump family"
+                f"smoothness {PROFILE_SMOOTHNESS} of the bump family"
             )
         half = self.base.grid.extent / 2.0
         if not 0 < self.width < half or not 0 < self.depth <= 2 * half:
@@ -203,19 +203,8 @@ class PerturbationSpec:
 
     def perturbed(self, eps: float) -> OpticalMedium:
         """The base medium with absorption mu_a + eps * profile."""
-        if eps not in self._media:
-            delta = eps * self.profile(self.base.grid.points)
-            self._media[eps] = self.base.with_absorption(self.base.mu_a + delta)
-        return self._media[eps]
-
-    def violations(self, eps: float) -> list[str]:
-        """``admissibility_violations`` of the medium at amplitude eps."""
-        if eps not in self._audits:
-            self._audits[eps] = self.perturbed(eps).admissibility_violations()
-        return self._audits[eps]
-
-    def admissible_amplitude(self, eps: float) -> bool:
-        return not self.violations(eps)
+        delta = eps * self.profile(self.base.grid.points)
+        return self.base.with_absorption(self.base.mu_a + delta)
 
 
 @dataclass
@@ -241,7 +230,7 @@ class StabilityReport:
     inequality_constants: dict
     violations: list
     skipped_boundary_samples: int
-    comparability: float
+    comparability_constant: float
     tau0: float
     base_fingerprint: str
     grid_fingerprint: str
@@ -310,11 +299,21 @@ def run_stability_experiment(
     pspec: PerturbationSpec,
     derivative_order: int,
     eps_values,
-    scale: SobolevScale | None = None,
     seed: int = 0,
 ) -> StabilityReport:
     """Sweep the perturbation amplitude and confront the D-N gaps with the
     boundary norms the stability theory controls.
+
+    This is the one owner of the amplitude ladder: the amplitudes are sorted
+    by |eps| from the largest down and de-duplicated, zeros are dropped, and
+    each remaining amplitude's medium is built and audited once, before any
+    solve.  An amplitude whose medium breaks admissibility is dropped with a
+    warning and listed in the report; a ladder with no nonzero admissible
+    amplitude raises ``InadmissibleAmplitudeError`` (a ValueError) naming
+    the dropped amplitudes and the first violation of the smallest one.
+    Amplitudes of both signs, and a sweep in which every D-N gap is zero,
+    raise ValueError; a wave number outside the admissible intervals raises
+    ``InadmissibleWaveNumberError``.
 
     For each admissible eps the report row holds ||L1 - L2||_*, the boundary
     sup of the absorption difference, its directional-derivative sups up to
@@ -322,16 +321,13 @@ def run_stability_experiment(
     log(norm) against log(D-N gap); the inequality constants are the largest
     observed ratios norm / gap^{delta_j}.  The tensor gap is taken at order
     min(derivative_order, 1), the highest ``tensor_derivative_gap`` has, and
-    the report records that order.  Amplitudes of both signs, a ladder with
-    no nonzero admissible amplitude and a ``scale`` built on another grid
-    raise ValueError, and so does a sweep in which every D-N gap is zero.
+    the report records that order.
 
-    The amplitudes run from the largest |eps| down, and each amplitude's
-    Lanczos iteration starts from the previous amplitude's top Ritz vector
-    plus a random part drawn with ``seed``; the first amplitude starts from
-    the random vector alone.  An amplitude with a zero gap yields no vector,
-    and the next one starts from the last vector there was.  Each medium's
-    tensor is sampled once per sweep.
+    Each amplitude's Lanczos iteration starts from the previous amplitude's
+    top Ritz vector plus a random part drawn with ``seed``; the first
+    amplitude starts from the random vector alone.  An amplitude with a zero
+    gap yields no vector, and the next one starts from the last vector there
+    was.  Each medium's tensor is sampled once per sweep.
     """
     base = pspec.base
     grid = base.grid
@@ -342,28 +338,29 @@ def run_stability_experiment(
         )
     if derivative_order >= 1 and not base.supp_B_interior:
         raise ValueError("derivative experiments require supp(B) interior to the domain")
-    if derivative_order > pspec.smoothness:
+    if derivative_order > PROFILE_SMOOTHNESS:
         raise ValueError("derivative order exceeds the perturbation smoothness")
     eps_values = sorted(set(float(e) for e in eps_values), key=abs, reverse=True)
     if any(e > 0.0 for e in eps_values) and any(e < 0.0 for e in eps_values):
         raise ValueError(f"amplitudes must share one sign, got {eps_values}")
 
-    if scale is not None and scale.grid != grid:
-        raise ValueError(
-            f"the Sobolev scale was built on a {scale.grid.m_per_axis}^3 grid "
-            f"(extent {scale.grid.extent}), the medium lives on a {grid.m_per_axis}^3 "
-            f"grid (extent {grid.extent})"
+    ladder, dropped, cause = [], [], ""
+    for eps in (e for e in eps_values if e != 0.0):
+        medium = pspec.perturbed(eps)
+        violations = medium.admissibility_violations()
+        if violations:
+            warnings.warn(f"amplitude eps={eps} breaks admissibility; dropped", stacklevel=2)
+            dropped.append(eps)
+            cause = f"; at eps={eps:g}: {violations[0]}"
+        else:
+            ladder.append((eps, medium))
+    if not ladder:
+        raise InadmissibleAmplitudeError(
+            f"no nonzero admissible amplitude is left (dropped: {dropped}{cause})"
         )
 
-    dropped = [e for e in eps_values if e != 0.0 and not pspec.admissible_amplitude(e)]
-    for e in dropped:
-        warnings.warn(f"amplitude eps={e} breaks admissibility; dropped", stacklevel=2)
-    eps_values = [e for e in eps_values if e != 0.0 and e not in dropped]
-    if not eps_values:
-        raise ValueError(f"no nonzero admissible amplitude is left (dropped: {dropped})")
-
     nu_field = build_nu_tilde(grid)
-    scale = scale or SobolevScale.build(grid)
+    scale = SobolevScale.build(grid)
     base_op, base_K = _assemble_sampled(base, grid)
     tensor_gap_order = min(derivative_order, 1)
 
@@ -371,8 +368,7 @@ def run_stability_experiment(
     deriv_sups, skipped = [sup for sup, _ in sups], sups[0][1]
 
     rows, guess = [], None
-    for eps in eps_values:
-        med2 = pspec.perturbed(eps)
+    for eps, med2 in ladder:
         op2, K2 = _assemble_sampled(med2, grid)
         dn_gap, guess = difference_norm(base_op, op2, scale, seed=seed, guess=guess)
         rows.append(
@@ -387,6 +383,7 @@ def run_stability_experiment(
         # freed before the next assembly, so the next amplitude reuses their memory
         del op2, K2
     if not any(r.dn_gap > 0 for r in rows):
+        eps_values = [eps for eps, _ in ladder]
         raise ValueError(f"every D-N gap is zero, at the amplitudes {eps_values}: nothing to fit")
 
     # linear-regime flags: deviation from the power law fitted on the two
@@ -434,7 +431,7 @@ def run_stability_experiment(
         inequality_constants=constants,
         violations=violations,
         skipped_boundary_samples=skipped,
-        comparability=nu_field.comparability,
+        comparability_constant=nu_field.comparability,
         tau0=nu_field.tau0,
         base_fingerprint=base.fingerprint(),
         grid_fingerprint=grid.fingerprint(),

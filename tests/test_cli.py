@@ -200,19 +200,47 @@ class TestCliExitCodes:
     def test_ladder_without_admissible_amplitude_exits_2(self, tmp_path, capsys, monkeypatch):
         # mu_a + eps * profile leaves [1/lam, lam] at eps 5 and 2.5: no
         # amplitude is left, which is a configuration error found before
-        # the sweep starts and before any report is written
+        # any operator is assembled and before any report is written
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr(otlab.cli, "run_stability_experiment", no_sweep)
+        monkeypatch.setattr(otlab.stability, "assemble", no_sweep)
+        monkeypatch.setattr(otlab.stability.SobolevScale, "build", no_sweep)
         stability = {"profile_order": 0, "h": 0, "eps_start": 5.0, "eps_count": 2,
                      "width": 0.3, "depth": 0.4}
         path = small_config(tmp_path, **{"experiments.stability": stability})
         out = tmp_path / "o"
-        assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
+        with pytest.warns(UserWarning, match="breaks admissibility"):
+            assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "configuration error: /experiments/stability:" in err
         assert "[5.0, 2.5]" in err and "[1/lam, lam]" in err
+        assert list(out.iterdir()) == []
+
+    def test_partially_admissible_ladder_sweeps_the_rest(self, tmp_path):
+        # eps = 0.8 lifts mu_a past lam = 1.5 and is dropped with a warning;
+        # 0.4 and 0.2 stay admissible and are swept
+        stability = {"profile_order": 0, "h": 0, "eps_start": 0.8, "eps_count": 3,
+                     "width": 0.3, "depth": 0.4}
+        path = small_config(tmp_path, **{"experiments.stability": stability})
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match=r"eps=0\.8 breaks admissibility"):
+            assert main(["stability", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "stability_report.json").read_text())
+        assert report["dropped_amplitudes"] == [0.8]
+        lines = [l for l in (out / "stability_rows.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        col = lines[0].split(",").index("eps")
+        assert [float(l.split(",")[col]) for l in lines[1:]] == [0.4, 0.2]
+
+    def test_inadmissible_wave_number_exits_2(self, tmp_path, capsys):
+        # k = 1 lies outside both admissible intervals of the bundled a-priori
+        # data: a flag fault found before any work
+        path = small_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["stability", "--config", str(path), "--out", str(out), "--k", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: /apriori/k:" in err and "k=1.0" in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -13,30 +13,6 @@ def load_script(name):
     return module
 
 
-def test_stability_sweep_prints_the_table(capsys, monkeypatch):
-    script = load_script("run_stability_sweep")
-    real = script.run_stability_experiment
-    seeds = []
-
-    def recording(*args, **kwargs):
-        seeds.append(kwargs.get("seed"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(script, "run_stability_experiment", recording)
-    script.main(["--grid", "9", "--eps-count", "3", "--seed", "7"])
-    assert seeds == [7]
-
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["eps", "dn_gap", "sup_mu", "sup_d0"]
-    table = np.array([[float(cell) for cell in line.split()] for line in lines[1:4]])
-    np.testing.assert_allclose(table[:, 0], [0.2, 0.1, 0.05], rtol=1e-15)
-    gaps = table[:, 1]
-    assert np.all(gaps > 0) and np.all(np.diff(gaps) < 0)
-    assert lines[4].startswith("observed slopes: {")
-    assert lines[5].startswith("predicted exponents: [1.0]")
-    assert lines[6].startswith("inequality constants: {")
-
-
 def test_convergence_study_prints_second_order(capsys):
     load_script("run_convergence_study").main(["--grids", "9", "13", "17"])
     lines = capsys.readouterr().out.splitlines()

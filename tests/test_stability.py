@@ -146,8 +146,8 @@ class TestPerturbationSpec:
     def test_amplitude_admissibility(self):
         grid = GridDomain(extent=1.0, m_per_axis=9)
         spec = PerturbationSpec(base_medium(grid), profile_order=0)
-        assert spec.admissible_amplitude(0.25)
-        assert not spec.admissible_amplitude(0.8)  # exceeds lam = 1.5
+        assert spec.perturbed(0.25).admissibility_violations() == []
+        assert spec.perturbed(0.8).admissibility_violations()  # exceeds lam = 1.5
 
     def test_profile_without_grid_support_rejected(self):
         grid = GridDomain(extent=1.0, m_per_axis=9)
@@ -332,20 +332,21 @@ class TestStabilityExperiment:
         assert [r.linear_regime for r in rep.rows] == [True, True, False]
         assert np.isfinite(rep.observed_slopes["boundary_values"])
 
-    def test_scale_from_another_grid_is_rejected(self):
-        grid = GridDomain(extent=1.0, m_per_axis=9)
-        spec = PerturbationSpec(base_medium(grid), profile_order=0)
-        scale = SobolevScale.build(GridDomain(extent=1.0, m_per_axis=11))
-        with pytest.raises(ValueError, match=r"11\^3 grid .* 9\^3 grid"):
-            run_stability_experiment(spec, 0, [0.2, 0.1], scale=scale)
+    def test_sweep_leaves_the_dense_eigenbasis_unbuilt(self, monkeypatch):
+        real = SobolevScale.build
+        scales = []
 
-    def test_sweep_leaves_the_dense_eigenbasis_unbuilt(self):
+        def recording(grid):
+            scales.append(real(grid))
+            return scales[-1]
+
+        monkeypatch.setattr(SobolevScale, "build", staticmethod(recording))
         grid = GridDomain(extent=1.0, m_per_axis=9)
         spec = PerturbationSpec(base_medium(grid), profile_order=0)
-        scale = SobolevScale.build(grid)
-        rep = run_stability_experiment(spec, 0, [0.2, 0.1, 0.05], scale=scale)
+        rep = run_stability_experiment(spec, 0, [0.2, 0.1, 0.05])
         assert all(r.dn_gap > 0.0 for r in rep.rows)
-        assert "eigenvectors" not in vars(scale)
+        assert len(scales) == 1
+        assert "eigenvectors" not in vars(scales[0])
 
     def test_each_medium_is_sampled_once(self, monkeypatch):
         # one split_real_imag per medium: the base and each amplitude, shared
@@ -388,10 +389,10 @@ class TestStabilityExperiment:
         monkeypatch.setattr(otlab.dnmap, "_largest_singular_value", counted)
         grid = GridDomain(extent=1.0, m_per_axis=9)
         spec = PerturbationSpec(base_medium(grid), profile_order=0)
-        scale = SobolevScale.build(grid)
-        rep = run_stability_experiment(spec, 0, [0.2 / 2**i for i in range(4)], scale=scale)
+        rep = run_stability_experiment(spec, 0, [0.2 / 2**i for i in range(4)])
         assert len(products) == 4
         assert sum(products) < 0.8 * 4 * products[0]
+        scale = SobolevScale.build(grid)
         base = assemble(spec.base, grid)
         for row in rep.rows:
             cold, _ = difference_norm(base, assemble(spec.perturbed(row.eps), grid), scale)
