@@ -8,7 +8,8 @@ CLI flags as overrides).
 Exit codes: 0 success; 2 a ``ConfigError``: a bad config or flag, found
 before any work and named by a JSON pointer; 3 a numerical or internal
 failure, a failed allocation (``MemoryError``), or a ``check`` that finds
-violations.
+violations.  A ``UserWarning``, such as a dropped sweep amplitude, goes to
+stderr as the one line ``warning: <message>``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -415,26 +418,38 @@ COMMANDS = {
 }
 
 
+def _show_warning(default, message, category, *args, **kwargs):
+    """A UserWarning as the one stderr line "warning: <message>", without the
+    source path and line Python's format adds; any other warning by
+    ``default``."""
+    if issubclass(category, UserWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        default(message, category, *args, **kwargs)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = _load_config(args.config)
-        if args.seed is not None:
-            config.raw["seed"] = args.seed
-            config.seed = args.seed
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](config, out, args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (OtlabError, ValueError) as exc:
-        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"out of memory (MemoryError): {str(exc) or 'an allocation failed'}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = partial(_show_warning, warnings.showwarning)
+        try:
+            config = _load_config(args.config)
+            if args.seed is not None:
+                config.raw["seed"] = args.seed
+                config.seed = args.seed
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            return COMMANDS[args.command](config, out, args)
+        except ConfigError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except (OtlabError, ValueError) as exc:
+            print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+            return 3
+        except MemoryError as exc:
+            print(f"out of memory (MemoryError): {str(exc) or 'an allocation failed'}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -41,10 +41,13 @@ V, D, and is taken one way, by ``sobolev_operator_norm``: a Lanczos
 iteration on T^H T, which needs T only as a product.  ``_whitened`` makes
 x -> T x from a boundary product z = Delta f, block by block:
 
-    f = V W x                       (sum over chi of B_chi U_chi (W x)_chi)
-    T x = W V^T z                   ((V^T z)_chi = U_chi^T B_chi^T z)
+    f = V W x                       (B c, c_chi = U_chi (W x)_chi)
+    T x = W V^T z                   ((V^T z)_chi = U_chi^T (B^T z)_chi)
 
-with B_chi = M_b^{-1/2} Q_chi, so the dense V is never formed.  Delta is
+with B = [B_chi] the eight B_chi = M_b^{-1/2} Q_chi side by side, one sparse
+Nb x Nb matrix with at most 8 nonzeros per row (``stacked_transpose`` holds
+B^T, built once per ``SobolevScale``): one sparse product each way and eight dense
+block products, so the dense V is never formed.  Delta is
 complex symmetric on every route, so T is too and T^H v = conj(T conj(v)).
 ``otlab dn`` takes Delta = S as the Schur product, with a start drawn with
 seed 0.
@@ -201,6 +204,14 @@ class SobolevScale:
         return cls(grid, b_idx, mass, S, np.maximum(lam[order], 0.0), tuple(blocks))
 
     @cached_property
+    def stacked_transpose(self) -> sp.csr_matrix:
+        """B^T, stored by rows, for the Nb x Nb B = [M_b^{-1/2} Q_chi], the
+        blocks' bases side by side in ``blocks`` order: one sparse product per
+        direction for every block of the whitening, B^T z and, through the
+        transpose view (no copy), B c."""
+        return sp.vstack([block.basis.T for block in self.blocks], format="csr")
+
+    @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Dense V with V^T diag(mass) V = I, columns in ascending eigenvalue order."""
         V = np.empty((len(self.boundary_idx),) * 2)
@@ -265,22 +276,24 @@ def _real_times(U: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _whitened(product, scale: SobolevScale):
     """x -> W V^T product(V W x), W = (I + D)^{-1/4}: the whitened matrix whose
     spectral norm is the H^{1/2} -> H^{-1/2} norm of the boundary map
-    ``product``, applied block by block over ``scale.blocks`` (module
-    docstring), so no Nb x Nb array is formed."""
+    ``product``, applied block by block over ``scale.blocks`` through the
+    stacked basis of ``scale.stacked_transpose`` (module docstring), so no
+    dense Nb x Nb array is formed."""
     w = (1.0 + scale.eigenvalues) ** -0.25
-    # transposed once: a sparse transpose per product cost more than the product
-    transposed = [block.basis.T.tocsr() for block in scale.blocks]
+    Bt = scale.stacked_transpose
+    B = Bt.T  # stored by columns: a view, no copy
+    offsets = np.cumsum([0] + [len(block.positions) for block in scale.blocks])
+    spans = [(block, slice(a, b)) for block, a, b in zip(scale.blocks, offsets, offsets[1:])]
 
     def apply(x):
         wx = w * x
-        f = sum(
-            block.basis @ _real_times(block.vectors, wx[block.positions])
-            for block in scale.blocks
-        )
-        z = product(f)
+        coefficients = np.empty_like(wx)
+        for block, span in spans:
+            coefficients[span] = _real_times(block.vectors, wx[block.positions])
+        z = Bt @ product(B @ coefficients)
         out = np.empty_like(wx)
-        for block, Bt in zip(scale.blocks, transposed):
-            out[block.positions] = _real_times(block.vectors.T, Bt @ z)
+        for block, span in spans:
+            out[block.positions] = _real_times(block.vectors.T, z[span])
         return w * out
 
     return apply

@@ -16,16 +16,20 @@ well as the repeated ones of the harmonic extensions behind
 ``dnmap.difference_norm``.  COCG is CG with the bilinear product x^T y in
 place of x^H y, so it keeps CG's short recurrence and one matrix-vector
 product per step, and it needs no fill: at m=33 the
-LU of A_II stores 13 M entries and takes 1.9-3.8 s.  On the whole strict
-interior it is preconditioned by the exact inverse of a constant-coefficient
-model of A_II, applied through the discrete sine transform
-(``_sine_inverse``).  The a-priori bounds keep the coefficients within fixed
-ratios, so the model is spectrally equivalent to A_II with constants free of
-h (Concus & Golub 1973, SIAM J. Numer. Anal. 10:1103-1120): 1 step on a
-constant medium and 7-11 on variable and anisotropic ones, at m=17 as at
-m=49, where Jacobi took 72-105 steps at m=17 and 214-311 at m=49.  Any other
-unknown set (an annulus) keeps the Jacobi preconditioner diag(A_II)^-1.  Each
-operator builds its preconditioner once, on its first solve.
+LU of A_II stores 13 M entries and takes 1.9-3.8 s.  A_II is stored by rows
+(CSR), the one layout its products and residual checks use.  On the whole
+strict interior COCG is preconditioned by the exact inverse of a diagonally
+scaled constant-coefficient model of A_II, D^{1/2} M^ D^{1/2} with
+D = diag(A_II) and M^ fitted to D^{-1/2} A_II D^{-1/2}, applied through the
+discrete sine transform (``_sine_inverse``).  The a-priori bounds keep the
+coefficients within fixed ratios, so the model is spectrally equivalent to
+A_II with constants free of h, and the scaling takes the coefficient's
+variation off the constant model (Concus & Golub 1973, SIAM J. Numer. Anal.
+10:1103-1120): 1 step on a constant medium and 4-8 on variable and
+anisotropic ones, at m=17 as at m=49, where the unscaled model took 8-13 and
+Jacobi 72-105 at m=17 and 214-311 at m=49.  Any other unknown set (an
+annulus) keeps the Jacobi preconditioner diag(A_II)^-1.  Each operator builds
+its preconditioner once, on its first solve.
 
 ``DiscreteOperator.factorization`` keeps a sparse LU of A_II for the dense
 reference D-N matrix of ``dnmap.assemble_dn`` alone, a solver independent of
@@ -56,8 +60,8 @@ from .medium import ComplexTensorField, OpticalMedium, split_real_imag, verify_e
 MAX_POINTS_PER_AXIS = 49
 SOLVE_RTOL = 1e-10
 # COCG cap for one right-hand side (one product with A_II per step), every
-# solve alike: on the full cube the sine preconditioner takes 1-11 steps at
-# every grid; Jacobi, which the annulus keeps, took 49-95 steps at m=17,
+# solve alike: on the full cube the scaled sine preconditioner takes 1-8 steps
+# at every grid; Jacobi, which the annulus keeps, took 49-95 steps at m=17,
 # 89-144 at m=25 and 176-287 at m=49 (isotropic and anisotropic media, with
 # and without reaction)
 SOLVE_MAX_ITERATIONS = 2000
@@ -94,8 +98,10 @@ class DiscreteOperator:
         return len(self.interior_idx)
 
     @cached_property
-    def A_II(self) -> sp.csc_matrix:
-        return self.matrix[self.interior_idx][:, self.interior_idx].tocsc()
+    def A_II(self) -> sp.csr_matrix:
+        """The unknowns' block, stored by rows: COCG's products and the
+        residual check use it as it is."""
+        return self.matrix[self.interior_idx][:, self.interior_idx].tocsr()
 
     @cached_property
     def A_IB(self) -> sp.csc_matrix:
@@ -118,7 +124,7 @@ class DiscreteOperator:
         if self._lu is None:
             try:
                 self._lu = spla.splu(
-                    self.A_II,
+                    self.A_II.tocsc(),
                     permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True},
@@ -157,10 +163,8 @@ class DiscreteOperator:
         rhs_norm = np.linalg.norm(rhs)
         if rhs_norm == 0.0:
             return np.zeros_like(rhs)
-        # A_II is complex symmetric, so its transpose is A_II stored by rows
-        # (CSR, no copy), whose products are faster than the stored CSC's
         u, steps, breakdown = _cocg(
-            self.A_II.T, rhs, self.preconditioner,
+            self.A_II, rhs, self.preconditioner,
             1e-3 * rtol * rhs_norm, SOLVE_MAX_ITERATIONS,
         )
         broke = f"; COCG broke down ({breakdown})" if breakdown else ""
@@ -278,34 +282,44 @@ def _restricted(op: DiscreteOperator, values, idx: np.ndarray, what: str, where:
 
 
 def _sine_inverse(op: DiscreteOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """r -> M^-1 r for the constant-coefficient model M = sum_d a_d L_d + b I of
-    A_II, the unknowns being the whole strict interior, n = m - 2 per axis.
+    """r -> M^-1 r for the diagonally scaled constant-coefficient model
+    M = D^{1/2} M^ D^{1/2} of A_II, D = diag(A_II), the unknowns being the
+    whole strict interior, n = m - 2 per axis (Concus & Golub 1973).
 
+    M^ = sum_d a_d L_d + b I models A^ = s A_II s, s = D^{-1/2} on the
+    principal branch (Re D > 0 by ellipticity), whose diagonal is one: the
+    scaling takes the variation of the coefficient off the constant model.
     L_d is the second difference [-1, 2, -1] along axis d with zero Dirichlet
     ends; all three are diagonalised by the orthonormal DST-I matrix S (real,
-    symmetric, S^2 = I), so M^-1 = S3 diag(1 / Lambda) S3 with S3 = S x S x S,
-    which is complex symmetric, as COCG needs.  a_d is minus the mean of A_II's
-    couplings along axis d (Re a_d > 0 by ellipticity) and b the mean row sum
-    of the full matrix over the unknowns, mean(q) h^3 (flux and cross terms
-    cancel in each row; Re b >= 0, zero without reaction), so Re Lambda > 0.
-    S is applied as real n x n products along each axis, on the interleaved
-    real and imaginary parts (the last axis by S x I_2).
+    symmetric, S^2 = I), so M^-1 = s S3 diag(1 / Lambda) S3 s with
+    S3 = S x S x S, which is complex symmetric, as COCG needs.  a_d is minus
+    the mean of A^'s couplings along axis d (near 1/6 and nearly real: A^ has
+    a unit diagonal, and the scaling takes off most of the couplings' phase)
+    and b the mean over the unknowns of the full matrix's row sum times s^2,
+    the reaction q h^3 / D (flux and cross terms cancel in each row; zero
+    without reaction).  On a constant medium D is constant and M is the
+    unscaled model.  S is applied as real n x n products along each axis, on
+    the interleaved real and imaginary parts (the last axis by S x I_2).
     """
     n = op.grid.m_per_axis - 2
     j = np.arange(1, n + 1)
     S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
     S_last = np.kron(S, np.eye(2))
     second_difference = 2.0 - 2.0 * np.cos(np.pi * j / (n + 1))
-    # the unknowns are C-ordered, so axis d couples indices n^(2-d) apart; the
-    # diagonal at that offset holds zeros where a line of unknowns wraps
-    a = [-op.A_II.diagonal(n ** (2 - d)).sum() / (n * n * (n - 1)) for d in range(3)]
-    b = (op.matrix @ np.ones(op.grid.num_points))[op.interior_idx].mean()
+    inv_diagonal = 1.0 / op.A_II.diagonal()
+    s = np.sqrt(inv_diagonal)
+    # the unknowns are C-ordered, so axis d couples indices k = n^(2-d)
+    # apart; the diagonal at that offset holds zeros where a line of unknowns
+    # wraps, and A^ at (i, i + k) is s_i A_II[i, i + k] s_{i+k}
+    a = [-(s[:-k] * op.A_II.diagonal(k)) @ s[k:] / (n * n * (n - 1)) for k in (n * n, n, 1)]
+    b = (op.matrix @ np.ones(op.grid.num_points))[op.interior_idx] @ inv_diagonal / n**3
     inv_eig = 1.0 / (
         a[0] * second_difference[:, None, None]
         + a[1] * second_difference[None, :, None]
         + a[2] * second_difference[None, None, :]
         + b
     )
+    s = s.reshape(n, n, n)
 
     def transform(x):
         # x is C-contiguous complex (n, n, n): as floats, (n, n, 2n) with the
@@ -314,7 +328,7 @@ def _sine_inverse(op: DiscreteOperator) -> Callable[[np.ndarray], np.ndarray]:
         y = S @ y.reshape(n, n, 2 * n)
         return (y.reshape(n * n, 2 * n) @ S_last).view(complex).reshape(n, n, n)
 
-    return lambda r: transform(transform(r.reshape(n, n, n)) * inv_eig).ravel()
+    return lambda r: (s * transform(transform(s * r.reshape(n, n, n)) * inv_eig)).ravel()
 
 
 def _cocg(

@@ -210,22 +210,26 @@ class TestCliExitCodes:
                      "width": 0.3, "depth": 0.4}
         path = small_config(tmp_path, **{"experiments.stability": stability})
         out = tmp_path / "o"
-        with pytest.warns(UserWarning, match="breaks admissibility"):
-            assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
+        assert err.splitlines()[:2] == [
+            "warning: amplitude eps=5.0 breaks admissibility; dropped",
+            "warning: amplitude eps=2.5 breaks admissibility; dropped",
+        ]
         assert "configuration error: /experiments/stability:" in err
         assert "[5.0, 2.5]" in err and "[1/lam, lam]" in err
         assert list(out.iterdir()) == []
 
-    def test_partially_admissible_ladder_sweeps_the_rest(self, tmp_path):
-        # eps = 0.8 lifts mu_a past lam = 1.5 and is dropped with a warning;
-        # 0.4 and 0.2 stay admissible and are swept
+    def test_partially_admissible_ladder_sweeps_the_rest(self, tmp_path, capsys):
+        # eps = 0.8 lifts mu_a past lam = 1.5 and is dropped with a one-line
+        # warning, which names no source path; 0.4 and 0.2 stay admissible
+        # and are swept
         stability = {"profile_order": 0, "h": 0, "eps_start": 0.8, "eps_count": 3,
                      "width": 0.3, "depth": 0.4}
         path = small_config(tmp_path, **{"experiments.stability": stability})
         out = tmp_path / "o"
-        with pytest.warns(UserWarning, match=r"eps=0\.8 breaks admissibility"):
-            assert main(["stability", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: amplitude eps=0.8 breaks admissibility; dropped\n"
         report = json.loads((out / "stability_report.json").read_text())
         assert report["dropped_amplitudes"] == [0.8]
         lines = [l for l in (out / "stability_rows.csv").read_text().splitlines()
