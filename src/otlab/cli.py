@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from functools import partial
@@ -31,7 +32,13 @@ from .expressions import Expression, ExpressionError
 from .gegenbauer import MAX_DEGREE, GegenbauerSpec, coefficient_table, endpoint_values
 from .medium import k_admissible_ranges, is_wave_number_admissible, split_real_imag, verify_ellipticity
 from .singular import (
-    SingularityPoint, SingularSolutionSpec, b_vanishes_near_pole, correction_w, leading_term
+    POTENTIAL_DECAY_RATES,
+    SingularityPoint,
+    SingularSolutionSpec,
+    b_vanishes_near_pole,
+    correction_w,
+    leading_term,
+    potential_decay_fit,
 )
 from .solver import apply_operator, assemble, solve_dirichlet
 from .stability import PROFILE_SMOOTHNESS, PerturbationSpec, run_stability_experiment
@@ -190,6 +197,32 @@ def cmd_dn(config: RunConfig, out: Path, args) -> int:
     return 0
 
 
+def _potential_decay() -> list:
+    """The truncated-potential decay fit of each source |y|^-s Y_1 with s in
+    ``POTENTIAL_DECAY_RATES`` and truncation order floor(s) - 3, against the
+    lemma's exponent 2 - s."""
+    entries = []
+    for s in POTENTIAL_DECAY_RATES:
+        nu = math.floor(s) - 3
+
+        def source(pts, s=s):
+            r = np.linalg.norm(pts, axis=1)
+            return r ** (-s) * pts[:, 2] / r
+
+        fit = potential_decay_fit(
+            source, nu, [2.0**-j for j in range(5, 11)], 1.0, direction=(0.36, 0.48, 0.8)
+        )
+        entries.append({
+            "s": s,
+            "nu": nu,
+            "exponent": float(fit.exponent),
+            "expected": 2.0 - s,
+            "fit_residual": float(fit.fit_residual),
+            "source_exponent": float(fit.source_exponent),
+        })
+    return entries
+
+
 def cmd_singular(config: RunConfig, out: Path, args) -> int:
     section = config.experiment("singular", m=args.m)
     m, r_max = section["m"], section["r_max"]
@@ -220,6 +253,7 @@ def cmd_singular(config: RunConfig, out: Path, args) -> int:
     )
     spec = SingularSolutionSpec(m, at)
     result = correction_w(medium, spec, r_min, r_max)
+    potential = _potential_decay()
 
     dist = np.linalg.norm(grid.points - center, axis=1)
     sup_um = []
@@ -249,6 +283,7 @@ def cmd_singular(config: RunConfig, out: Path, args) -> int:
         "fit_residual": result.fit_residual,
         "flagged": result.flagged,
         "candidate_exponents": result.candidate_exponents,
+        "potential_decay": potential,
     }
     _write_json(out / "singular_report.json", payload)
     svg = loglog_svg(
@@ -275,6 +310,8 @@ def cmd_singular(config: RunConfig, out: Path, args) -> int:
         f"singular: m={m}, fitted |w| exponent {result.exponent_w:.3f} "
         f"(candidates {result.candidate_exponents})"
     )
+    fits = ", ".join(f"s={e['s']:g}: {e['exponent']:.3f} (2-s={e['expected']:g})" for e in potential)
+    print(f"singular: potential decay exponents {fits}")
     return 0
 
 
@@ -290,6 +327,12 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
         )
     if count < 1:
         raise ConfigError("/experiments/stability", f"eps_count must be at least 1, got {count}")
+    # halving is exact down to the smallest normal float, so each amplitude is eps0 / 2**i
+    if math.ldexp(eps0, 1 - count) < sys.float_info.min:
+        raise ConfigError(
+            "/experiments/stability",
+            f"eps_count {count} halves eps_start {eps0} below the smallest normal float",
+        )
     if not 0 <= h_order <= PROFILE_SMOOTHNESS:
         raise ConfigError(
             "/experiments/stability",
@@ -307,7 +350,7 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError("/experiments/stability", str(exc)) from exc
-    eps = [eps0 / 2**i for i in range(count)]
+    eps = [math.ldexp(eps0, -i) for i in range(count)]
     try:
         report = run_stability_experiment(pspec, h_order, eps, seed=config.seed)
     except InadmissibleAmplitudeError as exc:
@@ -389,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("dn", parents=[common], help="norm and symmetry of the Dirichlet-to-Neumann map")
 
-    p_sing = sub.add_parser("singular", parents=[common], help="annulus correction decay study")
+    p_sing = sub.add_parser(
+        "singular", parents=[common], help="annulus correction and truncated-potential decay studies"
+    )
     p_sing.add_argument("--m", type=int, help="singularity order")
 
     p_stab = sub.add_parser("stability", parents=[common], help="boundary stability sweep")
@@ -436,8 +481,7 @@ def main(argv=None) -> int:
         try:
             config = _load_config(args.config)
             if args.seed is not None:
-                config.raw["seed"] = args.seed
-                config.seed = args.seed
+                config = RunConfig.from_dict({**config.raw, "seed": args.seed})
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             return COMMANDS[args.command](config, out, args)

@@ -100,7 +100,8 @@ class RunConfig:
     defaults to the homogeneous unit medium.  A key that no section knows
     (``SECTIONS``, ``TOP_LEVEL``, ``EXPERIMENTS``) is an error at its
     pointer, except a top-level ``threads``, which older configs and the
-    benchmark set and which is ignored.  ``solver.grid_cap`` may lower the
+    benchmark set and which is ignored.  ``seed`` is a non-negative integer,
+    as numpy's generators take.  ``solver.grid_cap`` may lower the
     built-in grid cap; every grid the config hands out is checked against
     it.  ``solver.rtol`` is the residual ``otlab solve`` requires, a number
     in (0, 1).  The medium's B must be symmetric at every node (max
@@ -123,6 +124,8 @@ class RunConfig:
             if isinstance(data.get(name), dict):
                 _known_keys(data[name], known, f"/{name}")
         seed = _number(data.get("seed", 0), "/seed", int)
+        if seed < 0:
+            raise ConfigError("/seed", f"expected a non-negative integer, got {seed}")
         solver = data.get("solver", {})
         if not isinstance(solver, dict):
             raise ConfigError("/solver", "expected an object")

@@ -603,6 +603,12 @@ def potential_decay_fit(
     )
 
 
+# the rates s of the sources |y|^-s Y_1 whose decay fits `otlab singular`
+# reports (truncation order floor(s) - 3, probes 2^-5..2^-10 along the ray
+# (0.36, 0.48, 0.8)); criterion 05 fits the same family
+POTENTIAL_DECAY_RATES = (4.5, 5.25)
+
+
 # ---------------------------------------------------------------------------
 # discrete annulus correction
 

@@ -163,8 +163,12 @@ class TestCliExitCodes:
             assert name in err
         assert not (out / "stability_rows.csv").exists()
 
+    # 0.2 / 2**1019 is the last normal float of the 0.2 ladder; at 1100 amplitudes
+    # the old ladder eps0 / 2**i raised OverflowError past i = 1023
     @pytest.mark.parametrize(
-        "field, value", [("eps_start", 0.0), ("eps_start", -0.2), ("eps_count", 0)]
+        "field, value",
+        [("eps_start", 0.0), ("eps_start", -0.2), ("eps_count", 0), ("eps_count", 1021),
+         ("eps_count", 1100)],
     )
     def test_non_positive_amplitude_ladder_exits_2(self, tmp_path, capsys, field, value):
         stability = {"profile_order": 0, "h": 0, "eps_start": 0.2, "eps_count": 3,
@@ -173,8 +177,40 @@ class TestCliExitCodes:
         out = tmp_path / "o"
         assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "/experiments/stability" in err and field in err
+        assert "/experiments/stability" in err and field in err and "Traceback" not in err
         assert not (out / "stability_rows.csv").exists()
+
+    def test_ladder_halves_exactly_down_to_the_normal_floats(self, tmp_path, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def record(pspec, h_order, eps, seed):
+            seen.append(eps)
+            raise Stop
+
+        monkeypatch.setattr(otlab.cli, "run_stability_experiment", record)
+        stability = {"profile_order": 0, "h": 0, "eps_start": 0.2, "eps_count": 1020,
+                     "width": 0.3, "depth": 0.4}
+        path = small_config(tmp_path, **{"experiments.stability": stability})
+        with pytest.raises(Stop):
+            main(["stability", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert seen[0] == [0.2 / 2**i for i in range(1020)]
+        assert seen[0][-1] >= sys.float_info.min
+
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_negative_seed_exits_2_before_any_work(self, tmp_path, capsys, route):
+        # numpy's generators reject a negative seed; it used to surface as a
+        # numerical failure (exit 3) once the sweep drew its start vector
+        if route == "config":
+            path, flags = small_config(tmp_path, seed=-1), []
+        else:
+            path, flags = small_config(tmp_path), ["--seed", "-1"]
+        out = tmp_path / "o"
+        assert main(["stability", "--config", str(path), "--out", str(out)] + flags) == 2
+        assert capsys.readouterr().err.startswith("configuration error: /seed:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("h", [-1, 4])
     def test_derivative_order_outside_the_smoothness_exits_2(
@@ -742,11 +778,20 @@ class TestCliCommands:
         cfg["experiments"]["singular"] = {"m": 0, "r_min_cells": 3, "r_max": 0.45}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        out = tmp_path / "out"
-        assert main(["singular", "--config", str(path), "--out", str(out)]) == 0
-        report = json.loads((out / "singular_report.json").read_text())
-        assert "exponent_w" in report and "candidate_exponents" in report
-        assert (out / "singular_decay.svg").exists()
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            assert main(["singular", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((outs[0] / "singular_report.json").read_text())
+        assert np.isfinite(report["exponent_w"]) and "candidate_exponents" in report
+        assert (outs[0] / "singular_decay.svg").exists()
+        # the potential lemma: |u| ~ |x|^(2-s) for the sources |y|^-s Y_1
+        fits = report["potential_decay"]
+        assert [fit["s"] for fit in fits] == [4.5, 5.25]
+        for fit in fits:
+            assert fit["nu"] == int(fit["s"]) - 3 and fit["expected"] == 2.0 - fit["s"]
+            assert abs(fit["exponent"] - fit["expected"]) <= 0.1
+        for name in ("singular_report.json", "singular_decay.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         path = small_config(tmp_path)

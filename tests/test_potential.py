@@ -208,7 +208,7 @@ class TestPotentialQuadrature:
 class TestTabulatedKernels:
     """The tabulated kernels against the direct truncated kernel, on the nodes
     the default rule uses for the decay probes (|x| = 2^-5 .. 2^-10 along
-    the scripts' ray, delta = |x|/4)."""
+    criterion 05's ray (0.36, 0.48, 0.8), delta = |x|/4)."""
 
     RULE = PotentialRule()
     DIRECTION = np.array([0.36, 0.48, 0.8])

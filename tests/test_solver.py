@@ -77,6 +77,7 @@ class TestBasicSolves:
             h, e = mms_error(m)
             hs.append(h)
             errs.append(e)
+        assert np.all(np.diff(errs) < 0)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.3)
 
