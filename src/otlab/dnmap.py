@@ -359,15 +359,19 @@ def _largest_singular_value(
     if guess is not None:
         v = guess + np.sqrt(rtol) * v
         v /= np.linalg.norm(v)
-    basis, alpha, beta = [v], [], []
+    # the basis vectors are the rows of a buffer that doubles when full, so
+    # a step neither copies nor conjugates the basis: Q^H w = conj(Q conj(w))
+    basis = np.empty((min(n, 64), n), dtype=complex)
+    basis[0] = v
+    alpha, beta = [], []
     while True:
         w = gram(v)
         alpha.append(float(np.real(np.vdot(v, w))))
-        Q = np.array(basis)
-        for _ in range(2):
-            w -= Q.T @ (Q.conj() @ w)
-        b = float(np.linalg.norm(w))
         k = len(alpha)
+        Q = basis[:k]
+        for _ in range(2):
+            w -= Q.T @ np.conj(Q @ np.conj(w))
+        b = float(np.linalg.norm(w))
         (theta,), s = scipy.linalg.eigh_tridiagonal(
             alpha, beta, select="i", select_range=(k - 1, k - 1)
         )
@@ -378,7 +382,9 @@ def _largest_singular_value(
             return float(np.sqrt(theta)), y / np.linalg.norm(y)
         beta.append(b)
         v = w / b
-        basis.append(v)
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])[:n]
+        basis[k] = v
 
 
 def sobolev_operator_norm(

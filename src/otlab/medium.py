@@ -211,8 +211,9 @@ class OpticalMedium:
         a = self.apriori
         out = []
         for name, f in (("mu_a", self.mu_a), ("mu_s", self.mu_s)):
-            if f.min() < 1.0 / a.lam - 1e-12 or f.max() > a.lam + 1e-12:
-                bad = int(np.argmax((f < 1.0 / a.lam) | (f > a.lam)))
+            outside = (f < 1.0 / a.lam - 1e-12) | (f > a.lam + 1e-12)
+            if outside.any():
+                bad = int(np.argmax(outside))
                 out.append(
                     f"{name} out of [1/lam, lam] = [{1 / a.lam:.6g}, {a.lam:.6g}] "
                     f"at node {bad} (value {f[bad]:.6g})"
@@ -375,11 +376,14 @@ def verify_ellipticity(tensor: ComplexTensorField, apriori: AprioriData) -> Elli
     lower_I = k / n / (hi * hi + k * k)
     upper = (hi * hi + k * k) / (n * n) / (lo * lo + k * k) ** 2
 
-    denom = n * (tensor.eig_M**2 + k**2)
-    eigs_R = tensor.eig_M / denom
+    # one row per ascending eigenvalue, so each extreme is an elementwise
+    # pick among three rows, not a reduction along a short axis of length 3
+    eig_M = np.ascontiguousarray(tensor.eig_M.T)
+    denom = n * (eig_M**2 + k**2)
+    eigs_R = eig_M / denom
     eigs_I = k / denom
-    min_R, min_I = eigs_R.min(axis=1), eigs_I.min(axis=1)
-    norm_sq = np.abs(eigs_R).max(axis=1) ** 2 + eigs_I.max(axis=1) ** 2
+    min_R, min_I = np.minimum.reduce(eigs_R), np.minimum.reduce(eigs_I)
+    norm_sq = np.maximum.reduce(np.abs(eigs_R)) ** 2 + np.maximum.reduce(eigs_I) ** 2
 
     tol = 1e-12
     violations = []

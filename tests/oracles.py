@@ -12,6 +12,8 @@ transcription error:
   the gradient lower bracket;
 - the truncated Laplace kernel evaluated directly (against the tabulated
   series of the potential quadrature);
+- the energy matrix as COO triplets summed by the CSR conversion (against
+  the diagonal-by-diagonal build of ``solver._stencil``);
 - the diffusion tensor K = (n (M - ik I))^{-1} by a direct complex
   inverse, and the spectra of K_R and K_I by ``eigvalsh`` of the sampled
   parts (against the adjugate closed form of ``split_real_imag`` and the
@@ -30,10 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from otlab.dnmap import SobolevScale, _dn_product
 from otlab.errors import SingularityError
 from otlab.gegenbauer import GegenbauerSpec, _recurrence, gegenbauer_eval, sum_coefficients
+from otlab.grid import GridDomain
 from otlab.medium import ComplexTensorField, OpticalMedium, base_matrix, split_real_imag
 from otlab.singular import (
     SingularSolutionSpec,
@@ -314,6 +318,61 @@ def sampled_spectra(tensor: ComplexTensorField):
     eigs_I = np.linalg.eigvalsh(tensor.K.imag)
     norm_sq = np.abs(eigs_R).max(axis=1) ** 2 + np.abs(eigs_I).max(axis=1) ** 2
     return eigs_R[:, 0], eigs_I[:, 0], norm_sq
+
+
+def coo_energy_matrix(grid: GridDomain, tensor: ComplexTensorField, include_reaction: bool = True):
+    """The energy matrix of ``solver._stencil`` built as COO triplets, one
+    per coupling and node, with the duplicates summed by the CSR conversion:
+    the face-averaged flux terms, the node-centred cross terms and the
+    trapezoid mass terms written out index by index."""
+    h = grid.h
+    N = grid.num_points
+    m = grid.m_per_axis
+    strides = grid.strides
+    midx = grid.multi_index
+
+    rows, cols, vals = [], [], []
+
+    # face-averaged flux terms for the diagonal tensor entries; the
+    # transverse trapezoid fraction keeps the boundary energy functional
+    # second-order and leaves every interior equation untouched (faces
+    # incident to interior unknowns always carry weight one)
+    for d in range(3):
+        has_next = midx[:, d] < m - 1
+        p = np.flatnonzero(has_next)
+        q = p + strides[d]
+        transverse = [e for e in range(3) if e != d]
+        w_t = 0.5 ** grid.rim[p][:, transverse].sum(axis=1)
+        coef = 0.5 * (tensor.K[p, d, d] + tensor.K[q, d, d]) * h * w_t
+        rows += [p, q, p, q]
+        cols += [p, q, q, p]
+        vals += [coef, coef, -coef, -coef]
+
+    # node-centered cross terms (only present for anisotropic B)
+    for d in range(3):
+        for e in range(d + 1, 3):
+            if not np.any(tensor.K[:, d, e]):
+                continue
+            p = np.flatnonzero(~(grid.rim[:, d] | grid.rim[:, e]))
+            coef = tensor.K[p, d, e] * h * grid.trapezoid_fraction[p] / 4.0
+            for s1 in (-1, 1):
+                for s2 in (-1, 1):
+                    sign = s1 * s2
+                    rows += [p + s1 * strides[e], p + s1 * strides[d]]
+                    cols += [p + s2 * strides[d], p + s2 * strides[e]]
+                    vals += [sign * coef, sign * coef]
+
+    if include_reaction:
+        p = np.arange(N)
+        rows.append(p)
+        cols.append(p)
+        vals.append(tensor.q * grid.volume_weights)
+
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N, N),
+        dtype=complex,
+    ).tocsr()
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,34 @@ class TestClosedForms:
         split_real_imag(med)
 
 
+class TestAuditColumns:
+    """``verify_ellipticity`` picks its extremes from the three ascending
+    columns of eig_M elementwise; the fields equal the reductions along
+    axis 1 of the (N, 3) eigenvalue arrays bitwise."""
+
+    def test_fields_equal_the_row_reductions(self):
+        # k lies between the smallest and largest eigenvalue of M, where
+        # m -> m / (n (m^2 + k^2)) peaks, so at many nodes the largest
+        # eigenvalue of K_R comes from the middle column
+        med = random_anisotropic_medium(9, 1.9)
+        mu_a = med.mu_a.copy()
+        mu_a[40] = 3.0
+        med = med.with_absorption(mu_a)
+        field = split_real_imag(med)
+        a = med.apriori
+        denom = a.n * (field.eig_M**2 + a.k**2)
+        eigs_R, eigs_I = field.eig_M / denom, a.k / denom
+        assert np.count_nonzero(np.abs(eigs_R).argmax(axis=1) == 1) > 0
+        report = verify_ellipticity(field, a)
+        assert report.min_eig_K_R.tobytes() == eigs_R.min(axis=1).tobytes()
+        assert report.min_eig_K_I.tobytes() == eigs_I.min(axis=1).tobytes()
+        norm_sq = np.abs(eigs_R).max(axis=1) ** 2 + eigs_I.max(axis=1) ** 2
+        assert report.norm_sq_sum.tobytes() == norm_sq.tobytes()
+        at_40 = {v[1]: v[2] for v in report.violations if v[0] == 40}
+        assert at_40["K_R lower bound"] == eigs_R[40].min()
+        assert at_40["reaction upper bound"] == 3.0
+
+
 class TestOneFormula:
     """split_real_imag (assembly) and SingularityPoint.from_coefficients
     (``otlab singular``) both start from base_matrix; their tensors must be
@@ -282,6 +310,17 @@ class TestEllipticity:
         report = verify_ellipticity(split_real_imag(med2), med2.apriori)
         assert not report.admissible
         assert any(v[0] == 5 and "reaction" in v[1] for v in report.violations)
+
+    def test_violation_names_the_node_outside_the_tolerance(self):
+        # node 3 is below 1/lam by less than the 1e-12 tolerance, so the
+        # message must name node 10, the one that violates the bound
+        grid = small_grid()
+        med = OpticalMedium.from_expressions(grid, default_apriori(lam=2.0), mu_a="1", mu_s="1")
+        bad = med.mu_a.copy()
+        bad[3] = 0.5 - 1e-13
+        bad[10] = 0.4
+        (message,) = med.with_absorption(bad).admissibility_violations()
+        assert message.endswith("at node 10 (value 0.4)")
 
     def test_lower_bound_is_attained_at_constant_coefficients(self):
         # mu_a = mu_s = lam = cal_e = 1, k = 1: min eig K_R = 2/15 equals the bound

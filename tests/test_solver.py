@@ -11,6 +11,8 @@ from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium, split_real_imag
 from otlab.solver import ComplexField, DiscreteOperator, apply_operator, assemble, solve_dirichlet
 
+from oracles import coo_energy_matrix
+
 
 def apriori(**kw):
     base = dict(n=3, p=4.0, lam=1.5, E=10.0, cal_e=1.2, k=0.12, alpha=0.2)
@@ -201,6 +203,41 @@ class TestOperatorStructure:
             ref_energy = v1 @ (ref_ii @ v1) + v2 @ (ref_ii @ v2)
             ratio = energy / ref_energy
             assert 1.0 / c2 <= ratio <= c2
+
+
+class TestStencilOracle:
+    """The diagonal-by-diagonal stencil of ``assemble`` against the COO
+    triplet build of ``tests/oracles.py``: the same sparsity pattern once the
+    triplets' exact zeros are dropped, and the same entries up to the order
+    in which the diagonal's terms are summed."""
+
+    @pytest.mark.parametrize(
+        "medium, annulus, include_reaction",
+        [("variable", False, True), ("anisotropic", False, True),
+         ("anisotropic", True, True), ("variable", False, False)],
+        ids=["variable", "cross-terms", "annulus", "no-reaction"],
+    )
+    def test_matches_the_triplet_build(self, medium, annulus, include_reaction):
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        med = OpticalMedium.from_expressions(grid, apriori(), **VARIABLE_MEDIA[medium])
+        mask = grid.annulus_interior_mask(np.zeros(3), 0.15, 0.45) if annulus else None
+        op = assemble(med, grid, include_reaction=include_reaction, interior_mask=mask)
+        ref = coo_energy_matrix(grid, split_real_imag(med), include_reaction)
+        ref.eliminate_zeros()
+        ref.sort_indices()
+        tol = 1e-15 * np.abs(ref.data).max()
+        ii, bb = op.interior_idx, op.boundary_idx
+        blocks = [(op.matrix, ref), (op.A_II, ref[ii][:, ii]), (op.A_IB, ref[ii][:, bb]),
+                  (op.A_BI, ref[bb][:, ii]), (op.A_BB, ref[bb][:, bb])]
+        for found, expected in blocks:
+            found, expected = found.tocsr(), expected.tocsr()
+            found.sort_indices()
+            expected.sort_indices()
+            assert np.array_equal(found.indptr, expected.indptr)
+            assert np.array_equal(found.indices, expected.indices)
+            assert np.abs(found.data - expected.data).max() <= tol
+        # every row of the anisotropic medium reaches its 12 cross-term offsets
+        assert (np.diff(op.matrix.indptr).max() == 19) == (medium == "anisotropic")
 
 
 class TestComplexFactor:
