@@ -37,7 +37,6 @@ from .singular import (
     SingularSolutionSpec,
     b_vanishes_near_pole,
     correction_w,
-    leading_term,
     potential_decay_fit,
 )
 from .solver import apply_operator, assemble, solve_dirichlet
@@ -254,15 +253,9 @@ def cmd_singular(config: RunConfig, out: Path, args) -> int:
     spec = SingularSolutionSpec(m, at)
     result = correction_w(medium, spec, r_min, r_max)
     potential = _potential_decay()
-
-    dist = np.linalg.norm(grid.points - center, axis=1)
-    sup_um = []
-    for radius in result.shell_radii:
-        shell = (dist >= radius / 1.3) & (dist <= radius * 1.3) & grid.interior_mask
-        sup_um.append(float(np.abs(leading_term(spec, grid.points[shell])).max()))
     columns = {
         "radius": result.shell_radii.tolist(),
-        "sup_um": sup_um,
+        "sup_um": result.sup_um.tolist(),
         "sup_w": result.sup_w.tolist(),
         "sup_dw": result.sup_dw.tolist(),
         "sup_r_dw": result.sup_r_dw.tolist(),

@@ -33,7 +33,9 @@ at most 8 nonzeros; nodes on a mid-plane have smaller orbits and carry
 fewer characters, and the column counts sum to Nb.  The eigenbasis is
 V = [M_b^{-1/2} Q_chi U_chi] from eight symmetric eigenproblems of about
 Nb/8 each, Q_chi^T M_b^{-1/2} S_b M_b^{-1/2} Q_chi = U_chi D_chi U_chi^T,
-which costs about 1/64 of one dense Nb x Nb eigh.
+which costs about 1/64 of one dense Nb x Nb eigh.  The eigenpairs stay in
+block order: block chi is one contiguous slice of the spectrum D, ascending
+within the block, and nothing re-sorts them.
 
 Every H^{1/2} -> H^{-1/2} norm is the spectral norm of the whitened
 T = W V^T Delta V W, W = (I + D)^{-1/4}, in the M_b-orthonormal eigenbasis
@@ -46,11 +48,11 @@ x -> T x from a boundary product z = Delta f, block by block:
 
 with B = [B_chi] the eight B_chi = M_b^{-1/2} Q_chi side by side, one sparse
 Nb x Nb matrix with at most 8 nonzeros per row (``stacked_transpose`` holds
-B^T, built once per ``SobolevScale``): one sparse product each way and eight dense
-block products, so the dense V is never formed.  Delta is
-complex symmetric on every route, so T is too and T^H v = conj(T conj(v)).
-``otlab dn`` takes Delta = S as the Schur product, with a start drawn with
-seed 0.
+B^T, built once per ``SobolevScale``), and (.)_chi the slice of block chi:
+one sparse product each way and eight dense block products on contiguous
+slices, so the dense V is never formed.  Delta is complex symmetric on
+every route, so T is too and T^H v = conj(T conj(v)).  ``otlab dn`` takes
+Delta = S as the Schur product, with a start drawn with seed 0.
 
 Stability sweeps take Delta = S2 - S1 for two media from the discrete
 Alessandrini identity instead of subtracting two assembled matrices.  Write
@@ -76,6 +78,7 @@ start.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,35 +135,28 @@ def symmetry_bases(grid: GridDomain) -> list[sp.csr_matrix]:
 
 
 @dataclass
-class SymmetryBlock:
-    """One Z_2^3 block of the boundary eigenbasis: V_chi = ``basis`` @
-    ``vectors``, whose columns sit at ``positions`` of the ascending
-    spectrum."""
-
-    basis: sp.csr_matrix   # (Nb, n_chi) M_b^{-1/2} Q_chi
-    vectors: np.ndarray    # (n_chi, n_chi) eigenvectors U_chi of the block
-    positions: np.ndarray  # (n_chi,) indices into SobolevScale.eigenvalues
-
-
-@dataclass
 class SobolevScale:
     """Boundary mass, graph Laplacian and eigenbasis backing the H^{±1/2} norms.
 
     S_b and M_b are invariant under the three coordinate reflections of the
     cube, so M_b^{-1/2} S_b M_b^{-1/2} is block diagonal in the bases Q_chi
-    of ``symmetry_bases``; ``blocks`` holds the eight blocks' eigenpairs.
-    ``eigenvectors`` is the dense V = [M_b^{-1/2} Q_chi U_chi] in ascending
-    eigenvalue order, built on first use only.  otlab itself works block by
-    block and never forms it; it is kept for the tests' dense references and
-    the benchmark's dense-SVD check.
+    of ``symmetry_bases``.  The eigenpairs are kept in block order: block
+    chi, in ``symmetry_bases`` order, holds the contiguous slice
+    ``slices[chi]`` of ``eigenvalues`` (ascending within the block) and of
+    the rows of ``stacked_transpose``, and ``vectors[chi]`` is its U_chi.
+    ``eigenvectors`` is the dense V = [M_b^{-1/2} Q_chi U_chi] in the same
+    order, built on first use only.  otlab itself works block by block and
+    never forms it; it is kept for the tests' dense references and the
+    benchmark's dense-SVD check.
     """
 
     grid: GridDomain
     boundary_idx: np.ndarray
-    mass: np.ndarray            # (Nb,) trapezoid surface weights
-    stiffness: sp.csr_matrix    # (Nb, Nb) SPSD, kernel = constants
-    eigenvalues: np.ndarray     # ascending, >= 0
-    blocks: tuple               # SymmetryBlock per sign character
+    mass: np.ndarray                  # (Nb,) trapezoid surface weights
+    stiffness: sp.csr_matrix          # (Nb, Nb) SPSD, kernel = constants
+    eigenvalues: np.ndarray           # (Nb,) >= 0, block by block
+    vectors: tuple                    # (n_chi, n_chi) U_chi per sign character
+    stacked_transpose: sp.csr_matrix  # (Nb, Nb) B^T, B = [M_b^{-1/2} Q_chi]
 
     @classmethod
     def build(cls, grid: GridDomain) -> "SobolevScale":
@@ -189,35 +185,25 @@ class SobolevScale:
         # and V_chi = B U_chi satisfies V^T M_b V = I
         d = sp.diags(mass**-0.5)
         bases = [(d @ Q).tocsr() for Q in symmetry_bases(grid)]
-        pairs = [
+        lam, vectors = zip(*(
             scipy.linalg.eigh((B.T @ S @ B).toarray(), overwrite_a=True, driver="evd")
             for B in bases
-        ]
-        lam = np.concatenate([p[0] for p in pairs])
-        order = np.argsort(lam, kind="stable")
-        rank = np.empty(nb, dtype=int)
-        rank[order] = np.arange(nb)
-        blocks, start = [], 0
-        for B, (block_lam, U) in zip(bases, pairs):
-            blocks.append(SymmetryBlock(B, U, rank[start : start + len(block_lam)]))
-            start += len(block_lam)
-        return cls(grid, b_idx, mass, S, np.maximum(lam[order], 0.0), tuple(blocks))
+        ))
+        Bt = sp.vstack([B.T for B in bases], format="csr")
+        return cls(grid, b_idx, mass, S, np.maximum(np.concatenate(lam), 0.0), vectors, Bt)
 
     @cached_property
-    def stacked_transpose(self) -> sp.csr_matrix:
-        """B^T, stored by rows, for the Nb x Nb B = [M_b^{-1/2} Q_chi], the
-        blocks' bases side by side in ``blocks`` order: one sparse product per
-        direction for every block of the whitening, B^T z and, through the
-        transpose view (no copy), B c."""
-        return sp.vstack([block.basis.T for block in self.blocks], format="csr")
+    def slices(self) -> tuple:
+        """Each block's slice of ``eigenvalues`` and of the rows of
+        ``stacked_transpose``, from the block sizes."""
+        stops = list(itertools.accumulate(len(U) for U in self.vectors))
+        return tuple(slice(a, b) for a, b in zip([0] + stops, stops))
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """Dense V with V^T diag(mass) V = I, columns in ascending eigenvalue order."""
-        V = np.empty((len(self.boundary_idx),) * 2)
-        for block in self.blocks:
-            V[:, block.positions] = block.basis @ block.vectors
-        return V
+        """Dense V with V^T diag(mass) V = I, columns in ``eigenvalues`` order."""
+        Bt = self.stacked_transpose
+        return np.hstack([Bt[s].T @ U for s, U in zip(self.slices, self.vectors)])
 
 
 def _dn_product(op: DiscreteOperator):
@@ -276,24 +262,23 @@ def _real_times(U: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _whitened(product, scale: SobolevScale):
     """x -> W V^T product(V W x), W = (I + D)^{-1/4}: the whitened matrix whose
     spectral norm is the H^{1/2} -> H^{-1/2} norm of the boundary map
-    ``product``, applied block by block over ``scale.blocks`` through the
-    stacked basis of ``scale.stacked_transpose`` (module docstring), so no
-    dense Nb x Nb array is formed."""
+    ``product``, applied block by block on the contiguous ``scale.slices``
+    through the stacked basis of ``scale.stacked_transpose`` (module
+    docstring), so no dense Nb x Nb array is formed."""
     w = (1.0 + scale.eigenvalues) ** -0.25
     Bt = scale.stacked_transpose
     B = Bt.T  # stored by columns: a view, no copy
-    offsets = np.cumsum([0] + [len(block.positions) for block in scale.blocks])
-    spans = [(block, slice(a, b)) for block, a, b in zip(scale.blocks, offsets, offsets[1:])]
+    blocks = list(zip(scale.slices, scale.vectors))
 
     def apply(x):
         wx = w * x
         coefficients = np.empty_like(wx)
-        for block, span in spans:
-            coefficients[span] = _real_times(block.vectors, wx[block.positions])
+        for s, U in blocks:
+            coefficients[s] = _real_times(U, wx[s])
         z = Bt @ product(B @ coefficients)
         out = np.empty_like(wx)
-        for block, span in spans:
-            out[block.positions] = _real_times(block.vectors.T, z[span])
+        for s, U in blocks:
+            out[s] = _real_times(U.T, z[s])
         return w * out
 
     return apply

@@ -624,6 +624,7 @@ class CorrectionResult:
 
     w: ComplexField
     shell_radii: np.ndarray
+    sup_um: np.ndarray
     sup_w: np.ndarray
     sup_dw: np.ndarray
     sup_r_dw: np.ndarray
@@ -655,7 +656,8 @@ def correction_w(
     which is why only decay exponents are reported.  Shell sups of |w| and
     |x-z| |Dw| are fitted log-log over at most ``ANNULUS_SHELLS`` shells; the
     fit is flagged when its RMS residual exceeds ``FIT_RMS_THRESHOLD`` (log
-    units).
+    units).  ``sup_um`` is max |u_m| over the annulus nodes of the same
+    shells, for comparison.
     """
     grid = medium.grid
     z = spec.at.z
@@ -685,12 +687,13 @@ def correction_w(
         ok[s:-s] &= mask[: -2 * s] & mask[2 * s :]
 
     edges = np.geomspace(r_min, r_max, num_shells + 1)
-    mids, sup_w, sup_dw, sup_rdw = [], [], [], []
+    mids, sup_um, sup_w, sup_dw, sup_rdw = [], [], [], [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         shell = mask & (dist >= lo) & (dist < hi)
         if not shell.any():
             continue
         mids.append(math.sqrt(lo * hi))
+        sup_um.append(np.abs(u_m[shell]).max())
         sup_w.append(np.abs(w[shell]).max())
         shell_g = shell & ok
         if shell_g.any():
@@ -701,6 +704,7 @@ def correction_w(
             sup_dw.append(np.nan)
             sup_rdw.append(np.nan)
     mids = np.asarray(mids)
+    sup_um = np.asarray(sup_um)
     sup_w = np.asarray(sup_w)
     sup_dw = np.asarray(sup_dw)
     sup_rdw = np.asarray(sup_rdw)
@@ -718,6 +722,7 @@ def correction_w(
     return CorrectionResult(
         w=w_field,
         shell_radii=mids,
+        sup_um=sup_um,
         sup_w=sup_w,
         sup_dw=sup_dw,
         sup_r_dw=sup_rdw,

@@ -308,11 +308,13 @@ def run_stability_experiment(
     by |eps| from the largest down and de-duplicated, zeros are dropped, and
     each remaining amplitude's medium is built and audited once, before any
     solve.  An amplitude whose medium breaks admissibility is dropped with a
-    warning and listed in the report; a ladder with no nonzero admissible
-    amplitude raises ``InadmissibleAmplitudeError`` (a ValueError) naming
-    the dropped amplitudes and the first violation of the smallest one.
-    Amplitudes of both signs, and a sweep in which every D-N gap is zero,
-    raise ValueError; a wave number outside the admissible intervals raises
+    warning and listed in the report; a ladder whose nonzero amplitudes all
+    break admissibility raises ``InadmissibleAmplitudeError`` (a ValueError)
+    naming the dropped amplitudes and the first violation of the smallest
+    one.  A derivative order outside 0..``PROFILE_SMOOTHNESS``, a ladder with
+    no nonzero amplitude, amplitudes of both signs, and a sweep in which
+    every D-N gap is zero raise ValueError, the first three before any work;
+    a wave number outside the admissible intervals raises
     ``InadmissibleWaveNumberError``.
 
     For each admissible eps the report row holds ||L1 - L2||_*, the boundary
@@ -338,11 +340,16 @@ def run_stability_experiment(
         )
     if derivative_order >= 1 and not base.supp_B_interior:
         raise ValueError("derivative experiments require supp(B) interior to the domain")
-    if derivative_order > PROFILE_SMOOTHNESS:
-        raise ValueError("derivative order exceeds the perturbation smoothness")
+    if not 0 <= derivative_order <= PROFILE_SMOOTHNESS:
+        raise ValueError(
+            f"derivative order must lie in 0..{PROFILE_SMOOTHNESS} (the perturbation "
+            f"smoothness), got {derivative_order}"
+        )
     eps_values = sorted(set(float(e) for e in eps_values), key=abs, reverse=True)
     if any(e > 0.0 for e in eps_values) and any(e < 0.0 for e in eps_values):
         raise ValueError(f"amplitudes must share one sign, got {eps_values}")
+    if not any(eps_values):
+        raise ValueError(f"the amplitude ladder {eps_values} holds no nonzero amplitude")
 
     ladder, dropped, cause = [], [], ""
     for eps in (e for e in eps_values if e != 0.0):

@@ -793,6 +793,22 @@ class TestCliCommands:
         for name in ("singular_report.json", "singular_decay.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_singular_reports_sup_um_on_every_fitted_shell(self, tmp_path):
+        # at m=11 the annulus shell [0.022, 0.100) holds the nodes at 0.1,
+        # while [r/1.3, 1.3 r] around its mid-radius r = 0.047 holds none:
+        # sup |u_m| is taken on the annulus shells themselves
+        cfg = default_config_dict()
+        cfg["grid"]["m_per_axis"] = 11
+        cfg["experiments"]["singular"].update({"r_min_cells": 0.05, "r_max": 0.45})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["singular", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / "singular_decay.csv").read_text().splitlines()
+        rows = [l.split(",") for l in lines if not l.startswith("#")]
+        column = rows[0].index("sup_um")
+        assert len(rows) > 1 and all(np.isfinite(float(row[column])) for row in rows[1:])
+
     def test_byte_identical_reruns(self, tmp_path):
         path = small_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

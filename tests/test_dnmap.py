@@ -9,7 +9,6 @@ import otlab.solver
 
 from otlab.dnmap import (
     SobolevScale,
-    SymmetryBlock,
     LANCZOS_RTOL,
     _difference,
     _difference_product,
@@ -218,14 +217,17 @@ class TestSobolevScale:
         # generalized problem S v = lambda M v is the reference
         lam, V = scipy.linalg.eigh(scale9.stiffness.toarray(), np.diag(scale9.mass))
         lam = np.maximum(lam, 0.0)
-        np.testing.assert_allclose(scale9.eigenvalues, lam, rtol=1e-12, atol=1e-12 * lam.max())
+        np.testing.assert_allclose(
+            np.sort(scale9.eigenvalues), lam, rtol=1e-12, atol=1e-12 * lam.max()
+        )
         W = scale9.eigenvectors
         gram = W.T @ (scale9.mass[:, None] * W)
         assert np.abs(gram - np.eye(len(lam))).max() <= 1e-12
-        # the reference scale is one block holding the generalized basis
+        # the reference scale is one identity block holding the generalized basis
         nb = len(lam)
-        whole = SymmetryBlock(sp.identity(nb, format="csr"), V, np.arange(nb))
-        reference = dataclasses.replace(scale9, eigenvalues=lam, blocks=(whole,))
+        reference = dataclasses.replace(
+            scale9, eigenvalues=lam, vectors=(V,), stacked_transpose=sp.identity(nb, format="csr")
+        )
         other = assemble_dn(medium_on(grid9, mu_a="1 + 0.15*cos(x2)"), grid9)
         delta = other - dn9
         assert matrix_norm(delta, scale9) == pytest.approx(matrix_norm(delta, reference), rel=1e-12)
@@ -283,15 +285,19 @@ class TestSymmetryBlocks:
     def test_block_sizes_sum_to_nb(self, dense_oracle):
         scale, _, _ = dense_oracle
         nb = len(scale.boundary_idx)
-        assert len(scale.blocks) == 8
-        assert sum(block.basis.shape[1] for block in scale.blocks) == nb
-        positions = np.concatenate([block.positions for block in scale.blocks])
-        assert np.array_equal(np.sort(positions), np.arange(nb))
+        sizes = [len(U) for U in scale.vectors]
+        assert len(sizes) == 8 and sum(sizes) == nb
+        assert scale.stacked_transpose.shape == (nb, nb)
+        assert [(s.start, s.stop) for s in scale.slices] == list(
+            zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes))
+        )
 
     def test_eigenvalues_match_the_dense_problem(self, dense_oracle):
+        # block order: ascending within each block, the dense spectrum as a whole
         scale, lam, _ = dense_oracle
-        assert np.all(np.diff(scale.eigenvalues) >= 0.0)
-        assert np.abs(scale.eigenvalues - lam).max() <= 1e-12 * lam.max()
+        for s in scale.slices:
+            assert np.all(np.diff(scale.eigenvalues[s]) >= 0.0)
+        assert np.abs(np.sort(scale.eigenvalues) - lam).max() <= 1e-12 * lam.max()
 
     def test_eigenvectors_are_mass_orthonormal(self, dense_oracle):
         scale, _, _ = dense_oracle

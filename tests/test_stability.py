@@ -3,11 +3,12 @@ import pytest
 
 import otlab.dnmap
 from otlab.dnmap import SobolevScale, difference_norm
-from otlab.errors import InadmissibleWaveNumberError
+from otlab.errors import InadmissibleAmplitudeError, InadmissibleWaveNumberError
 from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium, split_real_imag
 from otlab.solver import assemble
 from otlab.stability import (
+    PROFILE_SMOOTHNESS,
     PerturbationSpec,
     build_nu_tilde,
     finite_difference_weights,
@@ -282,6 +283,27 @@ class TestStabilityExperiment:
         spec = PerturbationSpec(base_medium(grid), profile_order=0)
         with pytest.warns(UserWarning), pytest.raises(ValueError, match="no nonzero admissible"):
             run_stability_experiment(spec, 0, [5.0, 2.5, 0.0])
+
+    @pytest.mark.parametrize("order", [-1, PROFILE_SMOOTHNESS + 1])
+    def test_derivative_order_outside_the_smoothness_rejected_before_any_work(
+        self, order, monkeypatch
+    ):
+        def no_build(grid):
+            raise AssertionError("the boundary eigenbasis was built")
+
+        monkeypatch.setattr(SobolevScale, "build", staticmethod(no_build))
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        with pytest.raises(ValueError, match=f"derivative order must lie in 0..{PROFILE_SMOOTHNESS}"):
+            run_stability_experiment(spec, order, [0.2, 0.1, 0.05])
+
+    @pytest.mark.parametrize("eps", [[], [0.0]], ids=["empty", "zero"])
+    def test_ladder_without_nonzero_amplitude_rejected(self, eps):
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        spec = PerturbationSpec(base_medium(grid), profile_order=0)
+        with pytest.raises(ValueError, match="holds no nonzero amplitude") as info:
+            run_stability_experiment(spec, 0, eps)
+        assert not isinstance(info.value, InadmissibleAmplitudeError)
 
     def test_determinism(self, small_experiment):
         grid = GridDomain(extent=1.0, m_per_axis=9)
