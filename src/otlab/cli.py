@@ -3,18 +3,19 @@
 Every run reads one JSON config (a bundled default is used when none is
 given), writes its artifacts into the output directory, and embeds the
 config fingerprint and module versions into every file it produces.
-User input is typed in ``otlab.config`` (``RunConfig.experiment`` takes the
-CLI flags as overrides).
+Each CLI flag writes the config key at the JSON pointer that is its argparse
+``dest``, so ``otlab.config`` validates and fingerprints it like the file.
 Exit codes: 0 success; 2 a ``ConfigError``: a bad config or flag, found
 before any work and named by a JSON pointer; 3 a numerical or internal
 failure, a failed allocation (``MemoryError``), or a ``check`` that finds
-violations.  A ``UserWarning``, such as a dropped sweep amplitude, goes to
+violations.  Every warning, such as a dropped sweep amplitude, goes to
 stderr as the one line ``warning: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
@@ -44,8 +45,19 @@ from .stability import PROFILE_SMOOTHNESS, PerturbationSpec, run_stability_exper
 from .svgplot import loglog_svg
 
 
-def _load_config(path: str | None) -> RunConfig:
-    return RunConfig.default() if path is None else RunConfig.from_file(path)
+def _load_config(args) -> RunConfig:
+    """The validated config with each given flag written at its ``dest`` pointer, revalidated."""
+    config = RunConfig.default() if args.config is None else RunConfig.from_file(args.config)
+    raw = copy.deepcopy(config.raw)
+    for pointer, value in vars(args).items():
+        if pointer.startswith("/") and value is not None:
+            *parents, key = pointer[1:].split("/")
+            node = raw
+            for name in parents:
+                node = node.get(name) if isinstance(node, dict) else None
+            if isinstance(node, dict):
+                node[key] = value
+    return RunConfig.from_dict(raw)
 
 
 def _stamp(config: RunConfig) -> dict:
@@ -82,7 +94,7 @@ def _comments(config: RunConfig) -> list:
     return [f"config_fingerprint={config.fingerprint()}", f"otlab_version={__version__}"]
 
 
-def cmd_check(config: RunConfig, out: Path, args) -> int:
+def cmd_check(config: RunConfig, out: Path) -> int:
     apriori = config.apriori()
     grid = config.grid()
     medium = config.medium(grid, apriori)
@@ -114,13 +126,13 @@ def cmd_check(config: RunConfig, out: Path, args) -> int:
     return 0 if ok else 3
 
 
-def cmd_solve(config: RunConfig, out: Path, args) -> int:
-    section = config.experiment("solve", no_reaction=args.no_reaction, dump_slice=args.dump_slice)
+def cmd_solve(config: RunConfig, out: Path) -> int:
+    section = config.experiment("solve")
     try:
         g_expr = Expression(section["boundary_data"])
     except ExpressionError as exc:
         raise ConfigError("/experiments/solve/boundary_data", str(exc)) from exc
-    grid = config.grid(m_per_axis=args.grid)
+    grid = config.grid()
     slice_spec = section["dump_slice"]
     if slice_spec:
         axis_name, _, value = slice_spec.partition("=")
@@ -175,7 +187,7 @@ def cmd_solve(config: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def cmd_dn(config: RunConfig, out: Path, args) -> int:
+def cmd_dn(config: RunConfig, out: Path) -> int:
     grid = config.grid()
     medium = config.medium(grid)
     product = _dn_product(assemble(medium, grid))
@@ -222,8 +234,8 @@ def _potential_decay() -> list:
     return entries
 
 
-def cmd_singular(config: RunConfig, out: Path, args) -> int:
-    section = config.experiment("singular", m=args.m)
+def cmd_singular(config: RunConfig, out: Path) -> int:
+    section = config.experiment("singular")
     m, r_max = section["m"], section["r_max"]
     grid = config.grid()
     r_min = section["r_min_cells"] * grid.h
@@ -308,11 +320,8 @@ def cmd_singular(config: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def cmd_stability(config: RunConfig, out: Path, args) -> int:
-    section = config.experiment(
-        "stability",
-        profile_order=args.profile_order, h=args.h, eps_start=args.eps_start, eps_count=args.eps_count,
-    )
+def cmd_stability(config: RunConfig, out: Path) -> int:
+    section = config.experiment("stability")
     h_order, eps0, count = section["h"], section["eps_start"], section["eps_count"]
     if eps0 <= 0.0:
         raise ConfigError(
@@ -332,9 +341,8 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
             f"h must lie in 0..{PROFILE_SMOOTHNESS} (the smoothness of the "
             f"perturbation family), got {h_order}",
         )
-    apriori = config.apriori(alpha=args.alpha, k=args.k)
     grid = config.grid()
-    medium = config.medium(grid, apriori)
+    medium = config.medium(grid)
     if h_order >= 1 and not medium.supp_B_interior:
         raise ConfigError("/medium/supp_B_interior", f"h = {h_order} needs supp(B) interior to the domain")
     try:
@@ -378,8 +386,8 @@ def cmd_stability(config: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def cmd_gegenbauer_table(config: RunConfig, out: Path, args) -> int:
-    section = config.experiment("gegenbauer_table", max_m=args.max_m, n=args.n)
+def cmd_gegenbauer_table(config: RunConfig, out: Path) -> int:
+    section = config.experiment("gegenbauer_table")
     max_m, n = section["max_m"], section["n"]
     try:
         GegenbauerSpec(max_m, n)
@@ -405,44 +413,54 @@ def cmd_gegenbauer_table(config: RunConfig, out: Path, args) -> int:
     return 0
 
 
+class _FlagHelp(argparse.HelpFormatter):
+    """Shows each flag with the config key it writes: ``--k K -> /apriori/k``."""
+
+    def _get_default_metavar_for_optional(self, action):
+        return action.dest.rsplit("/", 1)[-1].upper()
+
+    def _format_action_invocation(self, action):
+        text = super()._format_action_invocation(action)
+        return f"{text} -> {action.dest}" if action.dest.startswith("/") else text
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration (bundled default if omitted)")
     common.add_argument("--out", default="otlab_out", help="output directory")
-    common.add_argument("--seed", type=int, help="override the config seed")
+    common.add_argument("--seed", type=int, dest="/seed", help="override the config seed")
     parser = argparse.ArgumentParser(
         prog="otlab",
         description="Numerical laboratory for time-harmonic diffuse optical tomography.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = partial(sub.add_parser, parents=[common], formatter_class=_FlagHelp)
 
-    sub.add_parser("check", parents=[common], help="admissibility and ellipticity audit")
+    command("check", help="admissibility and ellipticity audit")
 
-    p_solve = sub.add_parser("solve", parents=[common], help="one Dirichlet solve")
-    p_solve.add_argument("--grid", type=int, help="points per axis override")
-    p_solve.add_argument("--no-reaction", action="store_true", default=None)
-    p_solve.add_argument("--dump-slice", help="plane dump, e.g. z=0.0")
-
-    sub.add_parser("dn", parents=[common], help="norm and symmetry of the Dirichlet-to-Neumann map")
-
-    p_sing = sub.add_parser(
-        "singular", parents=[common], help="annulus correction and truncated-potential decay studies"
+    p_solve = command("solve", help="one Dirichlet solve")
+    p_solve.add_argument("--grid", type=int, dest="/grid/m_per_axis", help="points per axis override")
+    p_solve.add_argument(
+        "--no-reaction", action="store_true", default=None, dest="/experiments/solve/no_reaction"
     )
-    p_sing.add_argument("--m", type=int, help="singularity order")
+    p_solve.add_argument("--dump-slice", dest="/experiments/solve/dump_slice", help="plane dump, e.g. z=0.0")
 
-    p_stab = sub.add_parser("stability", parents=[common], help="boundary stability sweep")
-    p_stab.add_argument("--profile-order", type=int, dest="profile_order")
-    p_stab.add_argument("--h", type=int, help="highest derivative order")
-    p_stab.add_argument("--alpha", type=float)
-    p_stab.add_argument("--eps-start", type=float, dest="eps_start")
-    p_stab.add_argument("--eps-count", type=int, dest="eps_count")
-    p_stab.add_argument("--k", type=float)
+    command("dn", help="norm and symmetry of the Dirichlet-to-Neumann map")
 
-    p_geg = sub.add_parser(
-        "gegenbauer-table", parents=[common], help="dump polynomial coefficient tables"
-    )
-    p_geg.add_argument("--max-m", type=int, dest="max_m")
-    p_geg.add_argument("--n", type=int)
+    p_sing = command("singular", help="annulus correction and truncated-potential decay studies")
+    p_sing.add_argument("--m", type=int, dest="/experiments/singular/m", help="singularity order")
+
+    p_stab = command("stability", help="boundary stability sweep")
+    p_stab.add_argument("--profile-order", type=int, dest="/experiments/stability/profile_order")
+    p_stab.add_argument("--h", type=int, dest="/experiments/stability/h", help="highest derivative order")
+    p_stab.add_argument("--alpha", type=float, dest="/apriori/alpha")
+    p_stab.add_argument("--eps-start", type=float, dest="/experiments/stability/eps_start")
+    p_stab.add_argument("--eps-count", type=int, dest="/experiments/stability/eps_count")
+    p_stab.add_argument("--k", type=float, dest="/apriori/k")
+
+    p_geg = command("gegenbauer-table", help="dump polynomial coefficient tables")
+    p_geg.add_argument("--max-m", type=int, dest="/experiments/gegenbauer_table/max_m")
+    p_geg.add_argument("--n", type=int, dest="/experiments/gegenbauer_table/n")
     return parser
 
 
@@ -456,32 +474,19 @@ COMMANDS = {
 }
 
 
-def _show_warning(default, message, category, *args, **kwargs):
-    """A UserWarning as the one stderr line "warning: <message>", without the
-    source path and line Python's format adds; any other warning by
-    ``default``."""
-    if issubclass(category, UserWarning):
-        print(f"warning: {message}", file=sys.stderr)
-    else:
-        default(message, category, *args, **kwargs)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
-        warnings.showwarning = partial(_show_warning, warnings.showwarning)
+        warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}", file=sys.stderr)
         try:
-            config = _load_config(args.config)
-            if args.seed is not None:
-                config = RunConfig.from_dict({**config.raw, "seed": args.seed})
+            config = _load_config(args)
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            return COMMANDS[args.command](config, out, args)
+            return COMMANDS[args.command](config, out)
         except ConfigError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
-        except (OtlabError, ValueError) as exc:
+        except (OtlabError, ValueError, ArithmeticError) as exc:
             print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
             return 3
         except MemoryError as exc:

@@ -93,7 +93,7 @@ def _typed(value: Any, default: Any, pointer: str):
 
 @dataclass
 class RunConfig:
-    """Validated run configuration with a content fingerprint.
+    """Validated run configuration with a fingerprint of ``raw``, which CLI flags edit.
 
     Explicit configs must be complete: the grid and every a-priori constant
     are required (no silent defaulting), the medium section is optional and
@@ -165,8 +165,7 @@ class RunConfig:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    def apriori(self, **overrides) -> AprioriData:
-        """The a-priori data; ``overrides`` that are not None replace config values."""
+    def apriori(self) -> AprioriData:
         section = _require(self.raw, "apriori", "/apriori")
         kwargs = {}
         for json_key, (attr, kind) in APRIORI_KEYS.items():
@@ -174,18 +173,15 @@ class RunConfig:
             kwargs[attr] = _number(value, f"/apriori/{json_key}", kind)
         if kwargs["n"] != 3:
             raise ConfigError("/apriori/n", f"the grid is the 3-D cube, so n must be 3, got {kwargs['n']}")
-        kwargs.update({key: value for key, value in overrides.items() if value is not None})
         try:
             return AprioriData(**kwargs)
         except ValueError as exc:
             raise ConfigError("/apriori", str(exc)) from exc
 
-    def grid(self, m_per_axis: int | None = None) -> GridDomain:
+    def grid(self) -> GridDomain:
         section = _require(self.raw, "grid", "/grid")
         extent = _number(_require(section, "extent", "/grid/extent"), "/grid/extent")
-        m = m_per_axis
-        if m is None:
-            m = _number(_require(section, "m_per_axis", "/grid/m_per_axis"), "/grid/m_per_axis", int)
+        m = _number(_require(section, "m_per_axis", "/grid/m_per_axis"), "/grid/m_per_axis", int)
         try:
             grid = GridDomain(extent=extent, m_per_axis=m)
         except ValueError as exc:
@@ -228,14 +224,13 @@ class RunConfig:
             raise ConfigError("/medium/B", f"B must be symmetric, got max |B - B^T| = {asymmetry:.3e}")
         return medium
 
-    def experiment(self, name: str, **overrides) -> dict:
-        """Every key of ``EXPERIMENTS[name]``, typed, from ``/experiments/<name>``
-        or its default; ``overrides`` (CLI flags) that are not None win."""
+    def experiment(self, name: str) -> dict:
+        """Every key of ``EXPERIMENTS[name]``, typed, from ``/experiments/<name>`` or its default."""
         pointer = f"/experiments/{name}"
         section = _require(self.raw.get("experiments", {}), name, pointer)
         if not isinstance(section, dict):
             raise ConfigError(pointer, "expected an object")
         defaults = EXPERIMENTS[name]
-        _known_keys(section.keys() | overrides.keys(), defaults, pointer)
-        values = {**defaults, **section, **{k: v for k, v in overrides.items() if v is not None}}
+        _known_keys(section, defaults, pointer)
+        values = {**defaults, **section}
         return {key: _typed(values[key], default, f"{pointer}/{key}") for key, default in defaults.items()}

@@ -86,7 +86,7 @@ def build_nu_tilde(grid: GridDomain) -> NonTangentialField:
         z = pts + tau * dirs
         dist = grid.distance_to_boundary(z)
         if np.any(dist > tau * (1.0 + 1e-12)):
-            raise AssertionError("exterior distance exceeded tau; field not outward")
+            raise ValueError("exterior distance exceeded tau; field not outward")
         comparability = min(comparability, float(dist.min() / tau))
     return NonTangentialField(
         grid=grid, points=pts, directions=dirs, tau0=tau0, comparability=comparability

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -283,6 +285,44 @@ class TestCliExitCodes:
         assert "configuration error: /apriori/k:" in err and "k=1.0" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_k_flag_exits_2_like_the_file(self, tmp_path, capsys, value):
+        # the flag is written into the config and read by the same finite-number
+        # check; it used to bypass it and end in a ZeroDivisionError traceback
+        path, out = small_config(tmp_path), tmp_path / "o"
+        assert main(["stability", "--config", str(path), "--out", str(out), f"--k={value}"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: /apriori/k: expected a finite number")
+        assert not out.exists()
+
+    def test_flag_without_its_section_exits_2_at_the_section(self, tmp_path, capsys):
+        # a flag is written only where its parent is an object, so a missing
+        # section fails where the command reads it, flag or no flag
+        cfg = default_config_dict()
+        del cfg["experiments"]["gegenbauer_table"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["gegenbauer-table", "--config", str(path), "--out", str(out), "--max-m", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: /experiments/gegenbauer_table: required field is missing\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, edits, error",
+        [("check", {"apriori.k": 1e300}, "OverflowError"),
+         ("stability", {"grid.extent": 1e200}, "ValueError")],
+        ids=["k-squared-overflows", "extent-overflows"],
+    )
+    def test_arithmetic_failure_exits_3_on_one_line(self, tmp_path, capsys, command, edits, error):
+        # k**2 overflows in the ellipticity audit; at extent 1e200 the exterior
+        # field is no longer outward.  Both used to exit 1 with a traceback, and
+        # numpy's warnings on the way named the source file and line
+        path = small_config(tmp_path, **edits)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith(f"numerical failure ({error})")
+        assert all(line.startswith("warning: ") and ".py:" not in line for line in lines[:-1])
+
     @pytest.mark.parametrize(
         "command, section, fields, pointer, cause",
         [
@@ -423,7 +463,7 @@ class TestCliExitCodes:
     def test_internal_value_error_exits_3(self, tmp_path, capsys, monkeypatch):
         # only a ConfigError means "fix the input"; a ValueError from inside
         # the program is an internal failure
-        def broken(config, out, args):
+        def broken(config, out):
             raise ValueError("an internal fault")
 
         monkeypatch.setitem(otlab.cli.COMMANDS, "check", broken)
@@ -817,3 +857,70 @@ class TestCliCommands:
                 assert main([command, "--config", str(path), "--out", str(out)]) == 0
         for name in ("check_report.json", "gegenbauer_coefficients.csv", "dn_report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# every flag: its command, the grid it runs on, its argv, the key it writes and
+# that key's value as JSON reads it (0.1, not 1, so both routes write "0.1")
+FLAGS = [
+    ("check", 9, ["--seed", "3"], "seed", 3),
+    ("solve", 9, ["--grid", "11"], "grid.m_per_axis", 11),
+    ("solve", 9, ["--no-reaction"], "experiments.solve.no_reaction", True),
+    ("solve", 9, ["--dump-slice", "z=0.25"], "experiments.solve.dump_slice", "z=0.25"),
+    ("singular", 17, ["--m", "2"], "experiments.singular.m", 2),
+    ("stability", 9, ["--profile-order", "1"], "experiments.stability.profile_order", 1),
+    ("stability", 9, ["--h", "2"], "experiments.stability.h", 2),
+    ("stability", 9, ["--alpha", "0.22"], "apriori.alpha", 0.22),
+    ("stability", 9, ["--eps-start", "0.1"], "experiments.stability.eps_start", 0.1),
+    ("stability", 9, ["--eps-count", "3"], "experiments.stability.eps_count", 3),
+    ("stability", 9, ["--k", "0.11"], "apriori.k", 0.11),
+    ("gegenbauer-table", 9, ["--max-m", "3"], "experiments.gegenbauer_table.max_m", 3),
+    ("gegenbauer-table", 9, ["--n", "4"], "experiments.gegenbauer_table.n", 4),
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, grid, flag, key, value", FLAGS, ids=[f[2][0] for f in FLAGS])
+    def test_flag_equals_the_config_edit_and_is_stamped(
+        self, tmp_path, capsys, command, grid, flag, key, value
+    ):
+        # a flag writes its key into the config before validation, so the run
+        # and its fingerprint are those of a config file holding the value;
+        # --help names that key's pointer
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        pointer = "/" + key.replace(".", "/")
+        assert re.search(rf"^  {re.escape(flag[0])} .*-> {pointer}\b", capsys.readouterr().out, re.M)
+        cfg = default_config_dict()
+        cfg["grid"]["m_per_axis"] = grid
+        cfg["experiments"]["stability"].update(h=1, eps_count=2)
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(cfg))
+        *parents, leaf = key.split(".")
+        node = cfg
+        for name in parents:
+            node = node[name]
+        assert node.get(leaf) != value
+        node[leaf] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(cfg))
+
+        flagged_out, edited_out = tmp_path / "flagged", tmp_path / "edited"
+        assert main([command, "--config", str(base), "--out", str(flagged_out)] + flag) == 0
+        assert main([command, "--config", str(edited), "--out", str(edited_out)]) == 0
+        names = sorted(path.name for path in flagged_out.iterdir())
+        assert names == sorted(path.name for path in edited_out.iterdir())
+        stamp, flagless = RunConfig.from_file(edited).fingerprint(), RunConfig.from_file(base).fingerprint()
+        assert stamp != flagless
+        for name in names:
+            artifact = (flagged_out / name).read_bytes()
+            assert artifact == (edited_out / name).read_bytes(), name
+            assert stamp.encode() in artifact and flagless.encode() not in artifact, name
+
+    def test_every_readme_cli_line_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("otlab ")]
+        assert len(lines) >= 6
+        for i, argv in enumerate(lines):
+            argv[argv.index("--out") + 1] = str(tmp_path / str(i))
+            assert main(argv[1:]) == 0, " ".join(argv)
