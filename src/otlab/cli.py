@@ -68,10 +68,16 @@ def _stamp(config: RunConfig) -> dict:
 
 
 def _write_json(path: Path, payload: dict):
+    """Strict JSON: a NaN or infinity raises ValueError before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _fitted(value: float) -> float | None:
+    """A fitted number for a report: null where its series had too few
+    positive points to fit (NaN)."""
+    return value if math.isfinite(value) else None
 
 
 def _write_csv(path: Path, comments: list, columns: dict):
@@ -284,7 +290,7 @@ def cmd_singular(config: RunConfig, out: Path) -> int:
         "order": m,
         "annulus": [r_min, r_max],
         "exponent_w": result.exponent_w,
-        "exponent_r_dw": result.exponent_r_dw,
+        "exponent_r_dw": _fitted(result.exponent_r_dw),
         "fit_residual": result.fit_residual,
         "flagged": result.flagged,
         "candidate_exponents": result.candidate_exponents,
@@ -351,6 +357,13 @@ def cmd_stability(config: RunConfig, out: Path) -> int:
         )
     except ValueError as exc:
         raise ConfigError("/experiments/stability", str(exc)) from exc
+    if h_order < pspec.profile_order:
+        raise ConfigError(
+            "/experiments/stability/h",
+            f"h = {h_order} is below profile_order = {pspec.profile_order}: the profile "
+            f"vanishes on the boundary to order {pspec.profile_order}, so every boundary "
+            f"sup up to order h is zero",
+        )
     eps = [math.ldexp(eps0, -i) for i in range(count)]
     try:
         report = run_stability_experiment(pspec, h_order, eps, seed=config.seed)
@@ -362,6 +375,8 @@ def cmd_stability(config: RunConfig, out: Path) -> int:
     columns = report.table()
     _write_csv(out / "stability_rows.csv", _comments(config), columns)
     fields = {name: value for name, value in vars(report).items() if name != "rows"}
+    for name in ("observed_slopes", "inequality_constants"):
+        fields[name] = {key: _fitted(value) for key, value in fields[name].items()}
     payload = {**_stamp(config), **fields, "seed": config.seed}
     _write_json(out / "stability_report.json", payload)
 

@@ -8,9 +8,11 @@ All pointwise algebra lives here: the one formula for the real part
 
     M = mu_a I + (I - B) mu_s,      K^{-1} = n (M - i k I),
 
-(``base_matrix``), the closed forms for Re K and Im K built on it, the
-two-sided ellipticity bounds they satisfy under the a-priori assumptions,
+(``base_matrix``), K from it by one complex 3 x 3 adjugate, the two-sided
+ellipticity bounds Re K and Im K satisfy under the a-priori assumptions,
 and the admissible wave-number intervals of the boundary-stability theory.
+eig(M) = mu_a + mu_s eig(I - B) needs an eigen-solve, and the audit reads B,
+only where B is not exactly zero (``OpticalMedium.anisotropic_rows``).
 
 Writing u = u_R + i u_I turns the complex equation into a real system for
 (u_R, u_I) with the 2n x 2n block coefficient [[K_R, -K_I], [K_I, K_R]],
@@ -117,10 +119,14 @@ def base_matrix(mu_a, mu_s, B) -> np.ndarray:
     ``SingularityPoint.from_coefficients`` freezes K^{-1} = n (M - ik I)
     and ``stability.tensor_derivative_gap`` differentiates it.
     """
-    eye = np.eye(B.shape[-1])
-    mu_a = np.asarray(mu_a)[..., None, None]
-    mu_s = np.asarray(mu_s)[..., None, None]
-    return mu_a * eye + (eye - B) * mu_s
+    n = B.shape[-1]
+    mu_a, mu_s = np.asarray(mu_a), np.asarray(mu_s)
+    # one array, written in place: fresh (..., n, n) temporaries cost more than the arithmetic
+    M = np.empty(np.broadcast_shapes(mu_a.shape, mu_s.shape, B.shape[:-2]) + (n, n))
+    np.subtract(np.eye(n), B, out=M)
+    M *= mu_s[..., None, None]
+    M[..., range(n), range(n)] += mu_a[..., None]
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +206,27 @@ class OpticalMedium:
         hsh.update(repr(self.apriori).encode())
         return hsh.hexdigest()[:16]
 
-    def b_asymmetry(self, out: np.ndarray | None = None) -> float:
-        """max |B - B^T| over the samples, with B - B^T formed in ``out`` (an
-        array shaped like B) when given."""
-        gap = np.subtract(self.B, np.transpose(self.B, (0, 2, 1)), out=out)
-        return float(np.abs(gap, out=gap).max())
+    def anisotropic_rows(self) -> np.ndarray:
+        """Indices of the nodes where B is not exactly zero; I - B = I at every other node."""
+        return np.flatnonzero(np.einsum("nij->n", np.abs(self.B)))
+
+    def b_asymmetry(self, rows: np.ndarray | None = None) -> float:
+        """max |B - B^T| over the samples, read on ``rows`` (``anisotropic_rows``
+        when not given), outside which B is zero."""
+        B = self.B.take(self.anisotropic_rows() if rows is None else rows, axis=0)
+        # one pair of strided columns at a time: a fancy index costs several times more
+        gaps = [np.abs(B[:, i, j] - B[:, j, i]).max(initial=0.0) for i, j in zip(*np.triu_indices(B.shape[-1], 1))]
+        return float(max(gaps, default=0.0))
+
+    def b_spectrum(self, rows: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of I - (B + B^T)/2 at the nodes ``rows``, shape
+        (len(rows), n); at a node where B is zero all n of them are 1."""
+        B = self.B.take(rows, axis=0)
+        n = B.shape[-1]
+        S = B + np.swapaxes(B, 1, 2)
+        S *= -0.5
+        S[:, range(n), range(n)] += 1.0
+        return np.linalg.eigvalsh(S)
 
     def admissibility_violations(self) -> list[str]:
         """Pointwise a-priori checks on the samples; empty list means admissible."""
@@ -218,10 +240,13 @@ class OpticalMedium:
                     f"{name} out of [1/lam, lam] = [{1 / a.lam:.6g}, {a.lam:.6g}] "
                     f"at node {bad} (value {f[bad]:.6g})"
                 )
-        asym = self.b_asymmetry()
+        rows = self.anisotropic_rows()
+        asym = self.b_asymmetry(rows)
         if asym > B_SYMMETRY_ATOL:
             out.append(f"B not symmetric (max asymmetry {asym:.3e})")
-        eigs = np.linalg.eigvalsh(np.eye(a.n)[None, :, :] - 0.5 * (self.B + np.transpose(self.B, (0, 2, 1))))
+        eigs = self.b_spectrum(rows)
+        if len(rows) < len(self.B):
+            eigs = np.append(eigs, 1.0)  # the eigenvalue of I - B where B is zero
         lo, hi = eigs.min(), eigs.max()
         if lo < 1.0 / a.cal_e - 1e-12 or hi > a.cal_e + 1e-12:
             out.append(
@@ -229,9 +254,8 @@ class OpticalMedium:
                 f"[1/cal_e, cal_e] = [{1 / a.cal_e:.6g}, {a.cal_e:.6g}]"
             )
         if self.supp_B_interior:
-            bnorm = np.linalg.norm(self.B, axis=(1, 2))
-            near = ~self.grid.interior_mask
-            if np.any(bnorm[near] > 1e-14):
+            near = rows[~self.grid.interior_mask[rows]]
+            if np.any(np.linalg.norm(self.B[near], axis=(1, 2)) > 1e-14):
                 out.append("B does not vanish on the boundary layer (supp_B_interior set)")
         return out
 
@@ -263,70 +287,46 @@ class ComplexTensorField:
     q: np.ndarray       # (N,) complex
 
 
-def _symmetric_inverse(S: np.ndarray) -> np.ndarray:
-    """Inverses of symmetric positive definite 3 x 3 matrices (N, 3, 3) from
-    the adjugate, adj(S) / det(S), on the six entries of the upper triangle.
-
-    Each S is first divided by its trace, so det neither under- nor
-    overflows for entries far from one.  The six cofactors are written in
-    place into one (6, N) array: N-sized temporaries left on the heap
-    between a sweep's amplitudes fragment it, and the entry-by-entry form
-    raised the m=17 sweep's peak RSS (measured while each amplitude still
-    built an LU).
-    """
-    t = np.trace(S, axis1=1, axis2=2)
-    a, b, c, d, e, f = S[:, [0, 1, 2, 0, 1, 0], [0, 1, 2, 1, 2, 2]].T / t
-    cof = np.empty((6, len(t)))
-    np.multiply(b, c, out=cof[0])
-    cof[0] -= e * e
-    np.multiply(a, c, out=cof[1])
-    cof[1] -= f * f
-    np.multiply(a, b, out=cof[2])
-    cof[2] -= d * d
-    np.multiply(e, f, out=cof[3])
-    cof[3] -= d * c
-    np.multiply(d, e, out=cof[4])
-    cof[4] -= f * b
-    np.multiply(d, f, out=cof[5])
-    cof[5] -= a * e
-    det = a * cof[0] + d * cof[3] + f * cof[4]
-    det *= t
-    cof /= det
-    return cof[[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3)
-
-
 def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
     """Sample K, the eigenvalues of M and q over the whole grid.
 
-    K = K_R + i K_I comes from the closed forms of its two parts
-
-        K_R = (1/n) (M^2 + k^2 I)^{-1} M,    K_I = (k/n) (M^2 + k^2 I)^{-1},
-
-    M = ``base_matrix``, with (M^2 + k^2 I)^{-1} from the symmetric 3 x 3
-    adjugate, which matches the direct complex inverse of n (M - ik I) to
-    round-off.  One batched ``eigvalsh`` of M gives ``eig_M`` for
-    ``verify_ellipticity``.  The grid is the 3-D cube, so the tensor must be
-    3 x 3 (n = 3); anything else raises ValueError.  Both read one triangle
-    of M, so a B that is not symmetric (max |B - B^T| above
-    ``B_SYMMETRY_ATOL``) raises ValueError too.
+    K = (1/n) A^{-1} = adj(A) / (n det A) with A = M - ik I,
+    M = ``base_matrix``, from the complex 3 x 3 adjugate on the six entries
+    of the upper triangle; it matches numpy's inverse of n (M - ik I) to
+    round-off.  The eigenvalues of M are mu_a + mu_s eig(I - B): 1 for
+    eig(I - B) where B is zero, ``OpticalMedium.b_spectrum`` on the
+    ``anisotropic_rows``, so an isotropic medium runs no eigen-solve.  The
+    grid is the 3-D cube, so the tensor must be 3 x 3 (n = 3); anything else
+    raises ValueError.  The adjugate reads one triangle of M, so a B that is
+    not symmetric (max |B - B^T| above ``B_SYMMETRY_ATOL``) raises
+    ValueError too.
     """
-    a = medium.apriori
-    n, k = a.n, a.k
+    n, k = medium.apriori.n, medium.apriori.k
     if n != 3 or medium.B.shape[1:] != (3, 3):
         raise ValueError(f"the diffusion tensor must be 3 x 3 (n = 3), got n = {n}, B {medium.B.shape}")
-    # one (N, 3, 3) buffer takes B - B^T and then M^2 + k^2 I, so the check
-    # adds no N-sized temporary to the tensor pass a sweep runs per amplitude
-    S = np.empty_like(medium.B)
-    asym = medium.b_asymmetry(out=S)
+    rows = medium.anisotropic_rows()
+    asym = medium.b_asymmetry(rows)
     if asym > B_SYMMETRY_ATOL:
         raise ValueError(f"B must be symmetric, got max |B - B^T| = {asym:.3e}")
-    M = base_matrix(medium.mu_a, medium.mu_s, medium.B)
-    np.matmul(M, M, out=S)
-    S += k * k * np.eye(3)
-    core = _symmetric_inverse(S)
+    M = base_matrix(medium.mu_a, medium.mu_s, medium.B).reshape(-1, 9).T  # row 3i + j: M_ij
+    # A is divided by the positive |tr M| + nk at each node, so det neither
+    # under- nor overflows for entries far from one; K = adj(A/s) / (n s det(A/s))
+    s = np.abs(M[0] + M[4] + M[8]) + n * k
+    upper = np.zeros((6, len(s)), dtype=complex)
+    np.divide(M[[0, 4, 8, 1, 5, 2]], s, out=upper.real)
+    upper.imag[:3] = -k / s
+    a, b, c, d, e, f = upper
+    cof = np.stack([b * c - e * e, a * c - f * f, a * b - d * d, e * f - d * c, d * e - f * b, d * f - a * e])
+    cof *= 1.0 / ((n * s) * (a * cof[0] + d * cof[3] + f * cof[4]))
+    eig_M = np.ones((len(s), n))
+    eig_M[rows] = medium.b_spectrum(rows)
+    eig_M = medium.mu_a[:, None] + medium.mu_s[:, None] * eig_M
+    # a negative mu_s reverses the order of mu_s eig(I - B)
+    flip = rows[medium.mu_s[rows] < 0]
+    eig_M[flip] = eig_M[flip, ::-1]
     return ComplexTensorField(
-        K=(core @ M) / n + 1j * ((k / n) * core),
-        eig_M=np.linalg.eigvalsh(M),
+        K=cof[[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3),
+        eig_M=eig_M,
         q=medium.mu_a - 1j * k,
     )
 

@@ -235,6 +235,17 @@ class TestCliExitCodes:
         assert "h must lie in 0..3" in err and f"got {h}" in err
         assert list(out.iterdir()) == []
 
+    def test_profile_vanishing_to_order_h_exits_2_before_any_work(self, tmp_path, capsys):
+        # a profile of order 1 vanishes on the boundary, so every sup of an
+        # h = 0 sweep is zero: it used to write the report and the CSV and then
+        # exit 3 with nothing positive to plot
+        out = tmp_path / "o"
+        assert main(["stability", "--profile-order", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: /experiments/stability/h: h = 0 is below profile_order = 1" in err
+        assert "vanishes on the boundary to order 1" in err
+        assert list(out.iterdir()) == []
+
     def test_ladder_without_admissible_amplitude_exits_2(self, tmp_path, capsys, monkeypatch):
         # mu_a + eps * profile leaves [1/lam, lam] at eps 5 and 2.5: no
         # amplitude is left, which is a configuration error found before
@@ -679,6 +690,21 @@ class TestCliCommands:
         assert (out / "stability_loglog.svg").exists()
         rows = (out / "stability_rows.csv").read_text().splitlines()
         assert any(line.startswith("eps,") for line in rows)
+
+    def test_stability_report_is_strict_json(self, tmp_path):
+        # README's first-derivative line: the order-0 series of a profile of
+        # order 1 is zero, so it has no slope and no constant; they are null,
+        # where NaN (not JSON) was written
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "out"
+        flags = ["--profile-order", "1", "--h", "1", "--alpha", "0.22", "--eps-count", "3"]
+        assert main(["stability", "--config", str(small_config(tmp_path)), "--out", str(out)] + flags) == 0
+        report = json.loads((out / "stability_report.json").read_text(), parse_constant=reject)
+        for fit in ("observed_slopes", "inequality_constants"):
+            assert report[fit]["order_0"] is None and report[fit]["boundary_values"] is None
+            assert np.isfinite(report[fit]["order_1"])
 
     @pytest.mark.parametrize("h, order", [(0, 0), (3, 1)])
     def test_stability_report_names_the_tensor_gap_order(self, tmp_path, h, order):

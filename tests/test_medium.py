@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,20 @@ def random_anisotropic_medium(seed, k):
     )
 
 
+def mixed_support_medium(seed, k):
+    """``random_anisotropic_medium`` with B cut to the ball of radius 0.3 about
+    the centre (57 of the 729 nodes) and exactly zero outside it."""
+    med = random_anisotropic_medium(seed, k)
+    bump = np.maximum(0.09 - (med.grid.points**2).sum(axis=1), 0.0) / 0.09
+    return replace(med, B=med.B * bump[:, None, None])
+
+
+# (k, medium) pairs; the random medium's cases keep the bare k as their id
+MEDIA_AND_K = [pytest.param(k, medium, id=f"{prefix}{k}")
+               for prefix, medium in (("", random_anisotropic_medium), ("mixed-", mixed_support_medium))
+               for k in (1e-3, 0.12, 1.0, 50.0)]
+
+
 class TestClosedForms:
     """The adjugate inverse of ``split_real_imag`` and the eigenvalue map of
     ``verify_ellipticity`` against numpy's inverse and eigen-solver."""
@@ -182,18 +198,18 @@ class TestClosedForms:
         scale = np.abs(expected).max(axis=(1, 2))
         return (np.abs(found - expected).max(axis=(1, 2)) / scale).max()
 
-    @pytest.mark.parametrize("k", [1e-3, 0.12, 1.0, 50.0])
-    def test_tensor_matches_the_direct_inverse(self, k):
-        med = random_anisotropic_medium(7, k)
+    @pytest.mark.parametrize("k, medium", MEDIA_AND_K)
+    def test_tensor_matches_the_direct_inverse(self, k, medium):
+        med = medium(7, k)
         field = split_real_imag(med)
         expected = diffusion_tensor(med.mu_a, med.mu_s, med.B, k)
         assert self.relative_gap(field.K, expected) <= 1e-14
         assert self.relative_gap(field.K.real, expected.real) <= 1e-14
         assert self.relative_gap(field.K.imag, expected.imag) <= 1e-14
 
-    @pytest.mark.parametrize("k", [1e-3, 0.12, 1.0, 50.0])
-    def test_audit_spectra_match_eigvalsh(self, k):
-        med = random_anisotropic_medium(8, k)
+    @pytest.mark.parametrize("k, medium", MEDIA_AND_K)
+    def test_audit_spectra_match_eigvalsh(self, k, medium):
+        med = medium(8, k)
         field = split_real_imag(med)
         report = verify_ellipticity(field, med.apriori)
         min_R, min_I, norm_sq = sampled_spectra(field)
@@ -208,8 +224,8 @@ class TestClosedForms:
             split_real_imag(med)
 
     def test_only_a_symmetric_B_is_split(self):
-        # the adjugate and eigvalsh each read one triangle of M, so an
-        # asymmetric B would be split as a symmetric one it is not
+        # the adjugate reads one triangle of M, so an asymmetric B would be
+        # split as a symmetric one it is not
         grid = small_grid()
         B = np.zeros((grid.num_points, 3, 3))
         B[:, 0, 1] = 0.1 * grid.points[:, 0] * grid.points[:, 1]
@@ -219,6 +235,35 @@ class TestClosedForms:
             split_real_imag(med)
         B[:, 1, 0] = B[:, 0, 1]
         split_real_imag(med)
+
+    def test_asymmetry_on_a_few_rows_is_found(self):
+        # B is zero on all but three nodes, where B01 != B10
+        grid = small_grid()
+        B = np.zeros((grid.num_points, 3, 3))
+        B[[100, 364, 500], 0, 1] = [0.1, -0.2, 0.05]
+        med = OpticalMedium.from_expressions(grid, default_apriori(), B=B)
+        with pytest.raises(ValueError, match=r"B must be symmetric, got max \|B - B\^T\| = 2\.000e-01"):
+            split_real_imag(med)
+        assert med.admissibility_violations() == ["B not symmetric (max asymmetry 2.000e-01)"]
+
+    def test_eigenvalues_of_M_stay_ascending_where_mu_s_is_negative(self):
+        # mu_s < 0 reverses the order of mu_a + mu_s eig(I - B)
+        med = mixed_support_medium(4, 0.12)
+        med = replace(med, mu_s=-med.mu_s)
+        eig_M = split_real_imag(med).eig_M
+        assert np.all(np.diff(eig_M, axis=1) >= 0)
+        expected = np.linalg.eigvalsh(base_matrix(med.mu_a, med.mu_s, med.B))
+        np.testing.assert_allclose(eig_M, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+    def test_eigen_solves_run_on_the_anisotropic_rows_only(self, monkeypatch):
+        # eig(M) = mu_a + mu_s eig(I - B) is mu_a + mu_s where B = 0: the
+        # tensor pass and the audit each solve on the 57 nodes of the bump
+        med = mixed_support_medium(3, 0.12)
+        eigvalsh, solved = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+        split_real_imag(med)
+        med.admissibility_violations()
+        assert solved == [57, 57]
 
 
 class TestAuditColumns:
@@ -310,6 +355,23 @@ class TestEllipticity:
         report = verify_ellipticity(split_real_imag(med2), med2.apriori)
         assert not report.admissible
         assert any(v[0] == 5 and "reaction" in v[1] for v in report.violations)
+
+    def test_I_minus_B_range_counts_the_isotropic_nodes(self):
+        # I - B has the eigenvalue 1 wherever B = 0, so a bump whose own
+        # eigenvalues lie below 1 reports the range [0.1, 1]; where B is
+        # nonzero at every node, 1 is not in the range
+        grid = small_grid()
+        bump = np.maximum(0.09 - (grid.points**2).sum(axis=1), 0.0) / 0.09
+        B = np.zeros((grid.num_points, 3, 3))
+        B[:, 0, 0] = 0.9 * bump
+        med = OpticalMedium.from_expressions(grid, default_apriori(), B=B)
+        assert med.admissibility_violations() == [
+            "I - B eigenvalues [0.1, 1] escape [1/cal_e, cal_e] = [0.833333, 1.2]"
+        ]
+        med = OpticalMedium.from_expressions(grid, default_apriori(), B=0.5 * np.eye(3), supp_B_interior=False)
+        assert med.admissibility_violations() == [
+            "I - B eigenvalues [0.5, 0.5] escape [1/cal_e, cal_e] = [0.833333, 1.2]"
+        ]
 
     def test_violation_names_the_node_outside_the_tolerance(self):
         # node 3 is below 1/lam by less than the 1e-12 tolerance, so the
