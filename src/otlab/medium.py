@@ -159,7 +159,11 @@ class OpticalMedium:
         B=None,
         supp_B_interior: bool = True,
     ) -> "OpticalMedium":
-        """Build a medium from constants, expression strings or raw arrays."""
+        """Build a medium from constants, expression strings or raw arrays.
+
+        Raw arrays are copied, so writing into the caller's array afterwards
+        changes neither the medium nor its checks nor its ``fingerprint``.
+        """
         n = apriori.n
         pts = grid.points
         npts = grid.num_points
@@ -167,7 +171,7 @@ class OpticalMedium:
         def scalar_field(spec):
             if isinstance(spec, str):
                 return Expression(spec, dimension=n)(pts)
-            arr = np.asarray(spec, dtype=float)
+            arr = np.array(spec, dtype=float)
             if arr.ndim == 0:
                 return np.full(npts, float(arr))
             if arr.shape != (npts,):
@@ -184,7 +188,7 @@ class OpticalMedium:
                 for j in range(n):
                     B_arr[:, i, j] = scalar_field(B[i][j])
         else:
-            B_arr = np.asarray(B, dtype=float)
+            B_arr = np.array(B, dtype=float)
             if B_arr.shape == (n, n):
                 B_arr = np.broadcast_to(B_arr, (npts, n, n)).copy()
             elif B_arr.shape != (npts, n, n):

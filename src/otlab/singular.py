@@ -262,7 +262,9 @@ def _zonal_series(rx: float, cosg: np.ndarray, orders: range):
     scale = _sphere_constant(3) / rx
 
     def series(rad: np.ndarray) -> np.ndarray:
-        return scale * ((rad[:, None] / rx) ** powers @ table)
+        out = (rad[:, None] / rx) ** powers @ table
+        out *= scale
+        return out
 
     return series
 
@@ -285,22 +287,37 @@ def _mollifier_coefficients(match_order: int = 8) -> tuple[float, ...]:
 
 
 def _mollified_inverse_distance(rho: np.ndarray, delta: float) -> np.ndarray:
-    """1/rho for rho >= delta, an even C^8 polynomial core below."""
-    inside = rho < delta
-    if not inside.any():
-        return 1.0 / rho
-    out = np.empty_like(rho)
-    out[~inside] = 1.0 / rho[~inside]
-    u = rho[inside] / delta
-    acc = np.zeros_like(u)
-    for i, c in enumerate(_mollifier_coefficients()):
-        acc += c * u ** (2 * i)
-    out[inside] = acc / delta
+    """1/rho for rho >= delta, an even C^8 polynomial core below.
+
+    1/rho is taken on every node and overwritten on the few inside the
+    delta-ball, by index rather than by a boolean gather and scatter.
+    """
+    out = 1.0 / rho
+    inside = np.flatnonzero(rho < delta)
+    if inside.size:
+        u = rho[inside] / delta
+        acc = np.zeros_like(u)
+        for i, c in enumerate(_mollifier_coefficients()):
+            acc += c * u ** (2 * i)
+        out[inside] = acc / delta
     return out
 
 
+def _product_points(rad: np.ndarray, dirs: np.ndarray, centre=None) -> np.ndarray:
+    """The points centre + rad[i] * dirs[j], radius-major, shape (k, 3) in
+    column-major order: the transpose of a C-ordered (3, k) array, so each
+    coordinate is one contiguous column and a source's ``pts[:, 2]`` or
+    ``np.linalg.norm(pts, axis=1)`` reads memory in order."""
+    pts = np.empty((3, len(rad), len(dirs)))
+    np.multiply(rad[None, :, None], dirs.T[:, None, :], out=pts)
+    if centre is not None:
+        pts += centre[:, None, None]
+    return pts.reshape(3, -1).T
+
+
 def _block_source(f, memo, key, rad, dirs, keep):
-    """f at the block's product nodes rad x dirs, shape (len(rad) * len(dirs),).
+    """f at the block's product nodes rad x dirs, shape (len(rad) * len(dirs),);
+    f receives them column-major (see ``_product_points``).
 
     ``memo`` (None or a dict owned by one decay fit) maps a block key
     (node counts, lo, hi) to f's values on that block.  Equal endpoints and
@@ -310,7 +327,7 @@ def _block_source(f, memo, key, rad, dirs, keep):
     """
     if memo is not None and key in memo:
         return memo[key]
-    values = f((rad[:, None, None] * dirs[None, :, :]).reshape(-1, 3))
+    values = f(_product_points(rad, dirs))
     if memo is not None and keep:
         memo[key] = values
     return values
@@ -334,7 +351,9 @@ def _relative_level(last_level, total) -> float:
 def _potential(f, nu, x, radius, rule, memo):
     """u(x) = int_{B_radius} Gamma_nu(x, y) f(y) dy for n = 3.
 
-    ``f`` is a callable taking points of shape (k, 3).  The integral is
+    ``f`` is a callable taking points of shape (k, 3), handed over in
+    column-major order (one contiguous column per coordinate), and
+    returning k real or complex values.  The integral is
     split at |y| = |x|/2: inside, the kernel is summed through its stable
     tail series over a geometric shell ladder (this is what makes strongly
     singular f integrable); outside, the Newtonian part is mollified on a
@@ -391,9 +410,11 @@ def _potential(f, nu, x, radius, rule, memo):
     while shells < rule.max_inner_shells and hi >= 1e-280:
         lo = hi / 2.0
         rad, wq = _shell_rule(lo, hi, rule.inner_radial, w_in)
-        kern = -tail(rad).ravel()
+        kern = tail(rad).ravel()
+        np.negative(kern, out=kern)
+        kern *= wq
         fv = _block_source(f, memo, (inner_counts, lo, hi), rad, sph_in, True)
-        terms = wq * kern * fv
+        terms = kern * fv
         contrib = np.sum(terms)
         if not np.isfinite(contrib):
             raise QuadratureBudgetError(
@@ -473,22 +494,32 @@ def _outer_contribution(f, nu, x, radius, delta, rule, n_theta, n_phi, memo):
         if hi <= lo:
             continue
         rad, wq = _shell_rule(lo, hi, rule.outer_radial, w_out)
-        # |y - x| by the law of cosines on the tabulated x^ . d
-        rho = np.sqrt((rad**2 + r * r)[:, None] - (2.0 * r * rad)[:, None] * cosg).ravel()
-        kern = -cn * _mollified_inverse_distance(rho, delta) + moments(rad).ravel()
+        # |y - x| by the law of cosines on the tabulated x^ . d; rho and the
+        # weighted kernel are built in place, in the operation order of
+        # wq * (-C_3 * mollified 1/rho + moments) * f
+        rho = np.multiply((2.0 * r * rad)[:, None], cosg)
+        np.subtract((rad**2 + r * r)[:, None], rho, out=rho)
+        np.sqrt(rho, out=rho)
+        kern = _mollified_inverse_distance(rho.ravel(), delta)
+        kern *= -cn
+        kern += moments(rad).ravel()
+        kern *= wq
         fv = _block_source(f, memo, (counts, lo, hi), rad, sph_out, lo >= r + delta)
-        total += np.sum(wq * kern * fv)
+        # f may be complex, so this last product allocates
+        total += np.sum(kern * fv)
     return total
 
 
 def _ball_patch(f, x, delta, rule):
-    """The exact-minus-mollified Newtonian part on the delta-ball around x."""
+    """The exact-minus-mollified Newtonian part on the delta-ball around x.
+
+    The kernel depends on the distance rad alone, so it is formed once per
+    radius and repeated over the directions.
+    """
     sph_p, w_p = _sphere_nodes(rule.patch_theta, rule.patch_phi)
     rad, wq = _shell_rule(0.0, delta, rule.patch_radial, w_p)
-    pts = (x[None, None, :] + rad[:, None, None] * sph_p[None, :, :]).reshape(-1, 3)
-    rho = np.repeat(rad, len(w_p))
-    kern = -_sphere_constant(3) * (1.0 / rho - _mollified_inverse_distance(rho, delta))
-    return np.sum(wq * kern * f(pts))
+    kern = -_sphere_constant(3) * (1.0 / rad - _mollified_inverse_distance(rad, delta))
+    return np.sum(wq * np.repeat(kern, len(w_p)) * f(_product_points(rad, sph_p, x)))
 
 
 def shell_source_exponent(f, radius: float) -> float:
@@ -506,8 +537,7 @@ def shell_source_exponent(f, radius: float) -> float:
     for _ in range(num_shells):
         lo = hi / 2.0
         rad, wq = _shell_rule(lo, hi, 12, wsph)
-        pts = (rad[:, None, None] * sph[None, :, :]).reshape(-1, 3)
-        norms.append(np.sum(wq * np.abs(f(pts)) ** p) ** (1.0 / p))
+        norms.append(np.sum(wq * np.abs(f(_product_points(rad, sph))) ** p) ** (1.0 / p))
         radii.append(math.sqrt(lo * hi))
         hi = lo
     return 3.0 / p - loglog_fit(radii, np.maximum(norms, 1e-300))[0]
@@ -537,6 +567,8 @@ def potential_decay_fit(
 ) -> DecayFit:
     """Fit log |u| against log |x| along a fixed ray of probe radii.
 
+    ``f`` maps a (k, 3) array of points, handed over in column-major order
+    (one contiguous column per coordinate), to k real or complex values.
     When ``verify_source`` is set, the dyadic-shell growth of f is measured
     and a warning is issued if it is incompatible with the truncation order
     (the order must satisfy nu = floor(s) - 3 for sources of rate s).

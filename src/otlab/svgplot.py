@@ -28,16 +28,18 @@ def loglog_svg(
     """Render series [(label, xs, ys), ...] on log-log axes.
 
     ``guides`` are reference lines [(slope, x0, y0, label), ...] drawn
-    through (x0, y0).  Returns the SVG document as a string.
+    through (x0, y0).  Only points with x > 0 and y > 0 are drawn; a series
+    without one gets neither marks nor a legend entry, and a guide whose
+    anchor is not positive is left out.  Returns the SVG document as a
+    string; raises ValueError when no series is left.
     """
-    pts = [
-        (x, y)
-        for _, xs, ys in series
-        for x, y in zip(xs, ys)
-        if x > 0 and y > 0
+    series = [
+        (label, [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]) for label, xs, ys in series
     ]
-    if not pts:
+    series = [(label, positive) for label, positive in series if positive]
+    if not series:
         raise ValueError("nothing positive to plot on log-log axes")
+    pts = [p for _, positive in series for p in positive]
     lx = [math.log10(x) for x, _ in pts]
     ly = [math.log10(y) for _, y in pts]
     x_lo, x_hi = min(lx) - 0.2, max(lx) + 0.2
@@ -86,6 +88,8 @@ def loglog_svg(
         )
 
     for slope, x0, y0, label in guides or []:
+        if not (x0 > 0 and y0 > 0):
+            continue
         xa, xb = 10.0**x_lo, 10.0**x_hi
         ya = y0 * (xa / x0) ** slope
         yb = y0 * (xb / x0) ** slope
@@ -99,9 +103,9 @@ def loglog_svg(
             f'text-anchor="end" fill="#666666">{label}</text>'
         )
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, positive) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        coords = [to_px(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
+        coords = [to_px(x, y) for x, y in positive]
         if len(coords) > 1:
             path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in coords)
             out.append(f'<polyline points="{path}" fill="none" stroke="{color}"/>')

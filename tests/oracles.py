@@ -11,7 +11,8 @@ transcription error:
   pole derivative, the isotropic simplification, the analytic gradient and
   the gradient lower bracket;
 - the truncated Laplace kernel evaluated directly (against the tabulated
-  series of the potential quadrature);
+  series of the potential quadrature), and the mollified 1/rho by a boolean
+  gather and scatter (against the indexed overwrite of the quadrature);
 - the energy matrix as COO triplets summed by the CSR conversion (against
   the diagonal-by-diagonal build of ``solver._stencil``);
 - the diffusion tensor K = (n (M - ik I))^{-1} by a direct complex
@@ -42,6 +43,7 @@ from otlab.medium import ComplexTensorField, OpticalMedium, base_matrix, split_r
 from otlab.singular import (
     SingularSolutionSpec,
     _displacement,
+    _mollifier_coefficients,
     _scalarize,
     _sphere_constant,
     principal_branch_power,
@@ -298,6 +300,20 @@ def truncated_laplace_kernel(x, y, nu: int, n: int = 3):
             tpow = tpow * t
         out = out + cn * rx ** (2.0 - n) * acc
     return float(out[0]) if y_was_vector else out
+
+
+def masked_mollified_inverse_distance(rho: np.ndarray, delta: float) -> np.ndarray:
+    """1/rho for rho >= delta and the even polynomial core below, each
+    formed on its own boolean-masked part of rho and scattered back."""
+    inside = rho < delta
+    out = np.empty_like(rho)
+    out[~inside] = 1.0 / rho[~inside]
+    u = rho[inside] / delta
+    acc = np.zeros_like(u)
+    for i, c in enumerate(_mollifier_coefficients()):
+        acc += c * u ** (2 * i)
+    out[inside] = acc / delta
+    return out
 
 
 # ---------------------------------------------------------------------------

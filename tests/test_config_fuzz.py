@@ -3,10 +3,13 @@
 Each draw edits one field of an m=9 config: an experiment key set to a
 value of the wrong JSON type or to an out-of-range number, an unknown
 experiment key, or a random string for `medium.mu_a` or
-`experiments.solve.boundary_data`.  Whatever the draw, `main` returns 0, 2
-or 3 without raising, and every exit 2 names a JSON pointer.  Draws that
-start work stay small (three amplitudes, `eps_count` at most 4), so a run
-takes well under a second.  A second draw puts an unknown key at the top
+`experiments.solve.boundary_data`, or a valid `h` for the stability
+section; every draw also sets that section's `profile_order` and `h` to
+integers in 0..3 before its edit.  Whatever the draw, `main` returns 0, 2
+or 3 without raising, every exit 2 names a JSON pointer, and after every
+exit 0 each JSON artifact is strict JSON (no `NaN` or `Infinity`).  Draws
+that start work stay small (three amplitudes, `eps_count` at most 4), so a
+run takes well under a second.  A second draw puts an unknown key at the top
 level or into any section and expects exit 2 at that key's pointer with no
 report written; a top-level ``threads`` key is accepted and ignored.
 """
@@ -59,6 +62,7 @@ EDITS = st.one_of(
     st.sampled_from(list(EXPERIMENTS)).flatmap(
         lambda s: st.tuples(_unknown(s).map(lambda k: ("experiments", s, k)), st.integers(0, 3))
     ),
+    st.tuples(st.just(("experiments", "stability", "h")), st.integers(0, 3)),
     st.tuples(st.just(("medium", "mu_a")), EXPRESSION_TEXT),
     st.tuples(st.just(("experiments", "solve", "boundary_data")), EXPRESSION_TEXT),
 )
@@ -72,11 +76,21 @@ def _config():
     return cfg
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _assert_strict_json(out: Path):
+    for artifact in out.glob("*.json"):
+        json.loads(artifact.read_text(), parse_constant=_reject_constant)
+
+
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
-@given(edit=EDITS)
-def test_fuzzed_config_exits_0_2_or_3(edit):
+@given(edit=EDITS, orders=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_fuzzed_config_exits_0_2_or_3(edit, orders):
     (*parents, leaf), value = edit
     cfg = _config()
+    cfg["experiments"]["stability"].update(profile_order=orders[0], h=orders[1])
     node = cfg
     for key in parents:
         node = node[key]
@@ -88,9 +102,11 @@ def test_fuzzed_config_exits_0_2_or_3(edit):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
-    assert code in (0, 2, 3), (code, err.getvalue())
-    if code == 2:
-        assert re.search(r"^configuration error: /", err.getvalue(), re.M), err.getvalue()
+        assert code in (0, 2, 3), (code, err.getvalue())
+        if code == 2:
+            assert re.search(r"^configuration error: /", err.getvalue(), re.M), err.getvalue()
+        if code == 0:
+            _assert_strict_json(Path(tmp) / "o")
 
 
 # the top level ("") and every section, each with the keys it knows

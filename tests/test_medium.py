@@ -234,7 +234,27 @@ class TestClosedForms:
         with pytest.raises(ValueError, match=r"B must be symmetric, got max \|B - B\^T\| = 2\.500e-02"):
             split_real_imag(med)
         B[:, 1, 0] = B[:, 0, 1]
-        split_real_imag(med)
+        split_real_imag(OpticalMedium.from_expressions(grid, default_apriori(), mu_a="1", mu_s="1", B=B))
+
+    def test_the_medium_keeps_its_own_copy_of_raw_arrays(self):
+        # a medium that passed its checks cannot change through the caller's arrays
+        grid = small_grid()
+        mu_a = np.ones(grid.num_points)
+        mu_s = np.ones(grid.num_points)
+        B = np.zeros((grid.num_points, 3, 3))
+        med = OpticalMedium.from_expressions(
+            grid, default_apriori(), mu_a=mu_a, mu_s=mu_s, B=B, supp_B_interior=False
+        )
+        fingerprint = med.fingerprint()
+        assert med.admissibility_violations() == []
+        mu_a[:] = 100.0
+        mu_s[3] = -1.0
+        B[:, 0, 1] = 0.9
+        np.testing.assert_array_equal(med.B, 0.0)
+        np.testing.assert_array_equal(med.mu_a, 1.0)
+        np.testing.assert_array_equal(med.mu_s, 1.0)
+        assert med.admissibility_violations() == []
+        assert med.fingerprint() == fingerprint
 
     def test_asymmetry_on_a_few_rows_is_found(self):
         # B is zero on all but three nodes, where B01 != B10

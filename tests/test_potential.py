@@ -13,17 +13,22 @@ from otlab.singular import (
     PotentialRule,
     SingularityPoint,
     SingularSolutionSpec,
+    _ball_patch,
+    _block_source,
     _gauss_legendre,
+    _mollified_inverse_distance,
     _radial_nodes,
+    _shell_rule,
     _sphere_constant,
     _sphere_nodes,
     _zonal_series,
     _potential,
     correction_w,
     potential_decay_fit,
+    shell_source_exponent,
 )
 
-from oracles import truncated_laplace_kernel
+from oracles import masked_mollified_inverse_distance, truncated_laplace_kernel
 
 CHEAP = PotentialRule(outer_theta=24, outer_phi=48, inner_theta=12, inner_phi=24)
 
@@ -31,7 +36,8 @@ CHEAP = PotentialRule(outer_theta=24, outer_phi=48, inner_theta=12, inner_phi=24
 def newtonian_potential_truncated(f, nu, x, radius, rule=None, full_output=False):
     """One probe u(x) = int_{B_radius} Gamma_nu(x, y) f(y) dy of the quadrature
     behind ``potential_decay_fit``, without a fit's block memo; (u, PotentialInfo)
-    with ``full_output``."""
+    with ``full_output``.  f receives (k, 3) points in column-major order, one
+    contiguous column per coordinate."""
     total, info = _potential(f, nu, x, radius, rule or PotentialRule(), None)
     return (total, info) if full_output else total
 
@@ -323,6 +329,93 @@ class TestSharedSourceBlocks:
             verify_source=False,
         )
         assert 0 < held[0] <= 10 * 2**20
+
+
+def complex_source(pts):
+    return (1.0 - 0.5j) * mixed_source(pts) + 0.25j * harmonic_source(4.5, 2)(pts)
+
+
+class TestColumnMajorPoints:
+    """f receives its points as a column-major (k, 3) array, the same nodes
+    as the radius-major C-order product bit for bit, and the layout changes
+    no bit of a result."""
+
+    DIRECTION = np.array([0.36, 0.48, 0.8])
+
+    @staticmethod
+    def _recording(f):
+        handed = []
+
+        def recorded(pts):
+            handed.append(pts)
+            return f(pts)
+
+        return recorded, handed
+
+    @staticmethod
+    def _assert_column_major(handed, count):
+        assert len(handed) == count
+        for pts in handed:
+            assert pts.ndim == 2 and pts.shape[1] == 3 and pts.flags.f_contiguous
+
+    def test_block_source(self):
+        f, handed = self._recording(mixed_source)
+        dirs, _ = _sphere_nodes(40, 80)
+        rad, _ = _radial_nodes(0.1, 0.2, 14)
+        values = _block_source(f, None, None, rad, dirs, False)
+        self._assert_column_major(handed, 1)
+        np.testing.assert_array_equal(handed[0], (rad[:, None, None] * dirs[None, :, :]).reshape(-1, 3))
+        assert values.shape == (len(rad) * len(dirs),)
+
+    def test_ball_patch(self):
+        rule = PotentialRule()
+        x, delta = 2.0**-6 * self.DIRECTION, 2.0**-8
+        f, handed = self._recording(mixed_source)
+        _ball_patch(f, x, delta, rule)
+        self._assert_column_major(handed, 1)
+        dirs, w = _sphere_nodes(rule.patch_theta, rule.patch_phi)
+        rad, _ = _shell_rule(0.0, delta, rule.patch_radial, w)
+        expected = (x[None, None, :] + rad[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
+        np.testing.assert_array_equal(handed[0], expected)
+
+    def test_shell_source_exponent(self):
+        f, handed = self._recording(mixed_source)
+        shell_source_exponent(f, 1.0)
+        self._assert_column_major(handed, 6)
+
+    def test_every_array_of_a_fit(self):
+        f, handed = self._recording(mixed_source)
+        potential_decay_fit(f, 1, [2.0**-5, 2.0**-6], 1.0, direction=self.DIRECTION)
+        self._assert_column_major(handed, len(handed))
+
+    @pytest.mark.parametrize("source", [mixed_source, complex_source], ids=["real", "complex"])
+    def test_layout_changes_no_bit(self, source):
+        def c_ordered(pts):
+            return source(np.ascontiguousarray(pts))
+
+        fits = [
+            potential_decay_fit(f, 1, [2.0**-5, 2.0**-6], 1.0, direction=self.DIRECTION, rule=CHEAP)
+            for f in (source, c_ordered)
+        ]
+        assert fits[0].values.tobytes() == fits[1].values.tobytes()
+        assert fits[0].source_exponent == fits[1].source_exponent
+        x = np.array([0.21, -0.05, 0.3])
+        (u, info), (u_c, info_c) = (
+            newtonian_potential_truncated(f, 1, x, 1.0, CHEAP, True) for f in (source, c_ordered)
+        )
+        assert np.complex128(u).tobytes() == np.complex128(u_c).tobytes()
+        assert info == info_c
+
+
+def test_mollifier_equals_the_masked_formula():
+    delta = 0.01
+    below = np.linspace(1e-4, delta, 500, endpoint=False)
+    above = np.linspace(delta, 0.05, 500)
+    rho = np.concatenate([below, above, [np.nextafter(delta, 0.0), delta, np.nextafter(delta, 1.0)]])
+    np.random.default_rng(0).shuffle(rho)
+    for arr in (rho, above, below):
+        got = _mollified_inverse_distance(arr, delta)
+        assert got.tobytes() == masked_mollified_inverse_distance(arr, delta).tobytes()
 
 
 class TestDecayFitValidation:
