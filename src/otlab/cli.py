@@ -19,6 +19,7 @@ import copy
 import json
 import math
 import sys
+import tempfile
 import warnings
 from functools import partial
 from pathlib import Path
@@ -129,6 +130,16 @@ def cmd_check(config: RunConfig, out: Path) -> int:
     _write_json(out / "check_report.json", payload)
     ok = not payload["admissibility_violations"] and report.admissible
     print(f"check: {'admissible' if ok else 'VIOLATIONS FOUND'}; k0={k0:.6g}, k0_tilde={k0t:.6g}")
+    # a failed check leaves --out as it was, so its findings go to stderr
+    for line in payload["admissibility_violations"]:
+        print(f"violation: {line}", file=sys.stderr)
+    if report.violations:
+        node, bound_name, value, bound = report.violations[0]
+        print(
+            f"violation: {len(report.violations)} ellipticity violations, the first "
+            f"{bound_name} at node {node} ({value:.6g} against {bound:.6g})",
+            file=sys.stderr,
+        )
     return 0 if ok else 3
 
 
@@ -489,15 +500,27 @@ COMMANDS = {
 }
 
 
+def _run_into(command, config: RunConfig, out: Path) -> int:
+    """Run ``command`` into a temporary directory beside ``out`` and move its
+    files into ``out`` only when it exits 0: a run that exits 2 or 3, or
+    raises, leaves ``out`` as it was."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as tmp:
+        code = command(config, Path(tmp))
+        if code == 0:
+            out.mkdir(exist_ok=True)
+            for path in sorted(Path(tmp).iterdir()):
+                path.replace(out / path.name)
+        return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}", file=sys.stderr)
         try:
             config = _load_config(args)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            return COMMANDS[args.command](config, out)
+            return _run_into(COMMANDS[args.command], config, Path(args.out))
         except ConfigError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2

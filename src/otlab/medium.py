@@ -196,8 +196,9 @@ class OpticalMedium:
         return cls(grid, mu_a_arr, mu_s_arr, B_arr, apriori, supp_B_interior)
 
     def with_absorption(self, mu_a: np.ndarray) -> "OpticalMedium":
-        """Same medium with a replaced absorption field (used by perturbation sweeps)."""
-        mu_a = np.asarray(mu_a, dtype=float)
+        """Same medium with a replaced absorption field (used by perturbation
+        sweeps); the field is copied, like the raw arrays of ``from_expressions``."""
+        mu_a = np.array(mu_a, dtype=float)
         if mu_a.shape != self.mu_a.shape:
             raise ValueError("replacement absorption field has the wrong shape")
         return replace(self, mu_a=mu_a)
@@ -296,7 +297,9 @@ def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
 
     K = (1/n) A^{-1} = adj(A) / (n det A) with A = M - ik I,
     M = ``base_matrix``, from the complex 3 x 3 adjugate on the six entries
-    of the upper triangle; it matches numpy's inverse of n (M - ik I) to
+    of the upper triangle at the ``anisotropic_rows``; at every other node
+    A = alpha I and K = kappa I, which the adjugate's own operation order
+    gives from alpha alone.  It matches numpy's inverse of n (M - ik I) to
     round-off.  The eigenvalues of M are mu_a + mu_s eig(I - B): 1 for
     eig(I - B) where B is zero, ``OpticalMedium.b_spectrum`` on the
     ``anisotropic_rows``, so an isotropic medium runs no eigen-solve.  The
@@ -316,12 +319,27 @@ def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
     # A is divided by the positive |tr M| + nk at each node, so det neither
     # under- nor overflows for entries far from one; K = adj(A/s) / (n s det(A/s))
     s = np.abs(M[0] + M[4] + M[8]) + n * k
-    upper = np.zeros((6, len(s)), dtype=complex)
-    np.divide(M[[0, 4, 8, 1, 5, 2]], s, out=upper.real)
-    upper.imag[:3] = -k / s
+    cof = np.zeros((6, len(s)), dtype=complex)
+    # where B is zero, A/s = alpha I, so K = kappa I with the adjugate's
+    # kappa = alpha^2 / (n s alpha alpha^2), in its operation order
+    iso = np.ones(len(s), dtype=bool)
+    iso[rows] = False
+    alpha = np.empty(np.count_nonzero(iso), dtype=complex)
+    np.divide(M[0, iso], s[iso], out=alpha.real)
+    alpha.imag = -k / s[iso]
+    kappa = alpha * alpha
+    # in place, like the adjugate's scaling: a product that numpy writes into
+    # its right operand's temporary can round the imaginary part differently
+    kappa *= 1.0 / ((n * s[iso]) * (alpha * kappa))
+    cof[:3, iso] = kappa
+    # the adjugate on the six entries of the upper triangle elsewhere
+    upper = np.zeros((6, len(rows)), dtype=complex)
+    np.divide(M[:, rows][[0, 4, 8, 1, 5, 2]], s[rows], out=upper.real)
+    upper.imag[:3] = -k / s[rows]
     a, b, c, d, e, f = upper
-    cof = np.stack([b * c - e * e, a * c - f * f, a * b - d * d, e * f - d * c, d * e - f * b, d * f - a * e])
-    cof *= 1.0 / ((n * s) * (a * cof[0] + d * cof[3] + f * cof[4]))
+    adj = np.stack([b * c - e * e, a * c - f * f, a * b - d * d, e * f - d * c, d * e - f * b, d * f - a * e])
+    adj *= 1.0 / ((n * s[rows]) * (a * adj[0] + d * adj[3] + f * adj[4]))
+    cof[:, rows] = adj
     eig_M = np.ones((len(s), n))
     eig_M[rows] = medium.b_spectrum(rows)
     eig_M = medium.mu_a[:, None] + medium.mu_s[:, None] * eig_M

@@ -25,13 +25,17 @@ small matrix product; the outer distances |y - x| come from the same
 cosines by the law of cosines.  The direct truncated Laplace kernel the
 tests compare it with is in ``tests/oracles.py``.  The nodes of a shell or
 segment do not depend on the probe, so a decay fit evaluates the source
-once per block that its probes share.
+once per block that its probes share.  Its kernels scale with the probe:
+halving the probe and every endpoint divides the weighted kernel by 4
+exactly, so a fit builds each kernel once per family of blocks whose
+probes differ by a power of two, and every value keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -241,15 +245,17 @@ def _shell_rule(lo: float, hi: float, count: int, w_dirs: np.ndarray):
     return rad, (wr[:, None] * (rad**2)[:, None] * w_dirs[None, :]).ravel()
 
 
-def _zonal_series(rx: float, cosg: np.ndarray, orders: range):
-    """rad -> C_3/rx sum_{j in orders} (rad/rx)^j P_j(cosg), shape
-    (len(rad), len(cosg)), for points rad * d on fixed unit directions d,
-    with rx = |x| and cosg = x^ . d.
+def _zonal_series(cosg: np.ndarray, orders: range):
+    """ratio -> sum_{j in orders} ratio^j P_j(cosg), shape (len(ratio),
+    len(cosg)), for points rad * d on fixed unit directions d, with
+    ratio = rad/|x| and cosg = x^ . d.
 
     P_j(x^ . d) depends on the directions alone, so it is tabulated once;
     each set of radii then costs one (radii x orders) @ (orders x
-    directions) product.  With rad < |x| these are the terms of the
-    expansion C_3/|x - y| = C_3/|x| sum_j (|y|/|x|)^j P_j(x^ . y^).
+    directions) product.  Times C_3/|x|, with rad < |x|, these are the terms
+    of the expansion C_3/|x - y| = C_3/|x| sum_j (|y|/|x|)^j P_j(x^ . y^).
+    The table serves every probe on the ray of x, and the product depends
+    on |x| only through the ratio.
     """
     rows = []
     prev, cur = np.zeros_like(cosg), np.ones_like(cosg)  # P_{-1} = 0, P_0
@@ -259,12 +265,9 @@ def _zonal_series(rx: float, cosg: np.ndarray, orders: range):
         prev, cur = cur, ((2 * j + 1) * cosg * cur - j * prev) / (j + 1)
     table = np.array(rows).reshape(len(orders), len(cosg))
     powers = np.arange(orders.start, orders.stop)
-    scale = _sphere_constant(3) / rx
 
-    def series(rad: np.ndarray) -> np.ndarray:
-        out = (rad[:, None] / rx) ** powers @ table
-        out *= scale
-        return out
+    def series(ratio: np.ndarray) -> np.ndarray:
+        return ratio[:, None] ** powers @ table
 
     return series
 
@@ -319,16 +322,16 @@ def _block_source(f, memo, key, rad, dirs, keep):
     """f at the block's product nodes rad x dirs, shape (len(rad) * len(dirs),);
     f receives them column-major (see ``_product_points``).
 
-    ``memo`` (None or a dict owned by one decay fit) maps a block key
+    ``memo`` (the dict of one call of ``_potentials``) maps a block key
     (node counts, lo, hi) to f's values on that block.  Equal endpoints and
     counts give bitwise-equal nodes, so a hit returns exactly what f would;
     the points are built only on a miss, and only blocks marked ``keep``
     are stored.
     """
-    if memo is not None and key in memo:
+    if key in memo:
         return memo[key]
     values = f(_product_points(rad, dirs))
-    if memo is not None and keep:
+    if keep:
         memo[key] = values
     return values
 
@@ -348,60 +351,48 @@ def _relative_level(last_level, total) -> float:
     return last_level / abs(total)
 
 
-def _potential(f, nu, x, radius, rule, memo):
-    """u(x) = int_{B_radius} Gamma_nu(x, y) f(y) dy for n = 3.
+def _family_key(r, radius, lengths, *labels):
+    """The family key of the probe at |x| = r = mantissa 2^e, or of one of
+    its blocks, and e.
 
-    ``f`` is a callable taking points of shape (k, 3), handed over in
-    column-major order (one contiguous column per coordinate), and
-    returning k real or complex values.  The integral is
-    split at |y| = |x|/2: inside, the kernel is summed through its stable
-    tail series over a geometric shell ladder (this is what makes strongly
-    singular f integrable); outside, the Newtonian part is mollified on a
-    ball around x, the removed moments are added as their series, and the
-    exact-minus-mollified difference is added back by a spherical patch
-    quadrature centred at x.  Both series, and the outer distances
-    |y - x|^2 = rad^2 + |x|^2 - 2 |x| rad x^ . d, come from the cosines
-    x^ . d on the fixed quadrature directions (see ``_zonal_series``).
-
-    The quadrature points y = rad * d of a block (an inner shell or an
-    outer segment) depend only on the block's endpoints and node counts,
-    never on x; only the kernel does.  ``memo`` is None or the dict of one
-    ``potential_decay_fit`` (see ``_block_source``): with None, f is
-    evaluated afresh on every block; a fit shares f's values on the blocks
-    its probes have in common (see there).
-
-    The shell ladder stops by the rule in ``PotentialRule``.  The tolerance
-    estimate adds the skipped shells, continued geometrically from the last
-    two shell levels (a shell's level is the larger of its |value| and its
-    rounding floor, so a ladder stopped at the floor still bounds what it
-    skipped), the truncation of the tail series, the difference between
-    the full- and low-resolution outer passes and 1e-12 |u|.
-
-    Returns (value, PotentialInfo).
-
-    Raises QuadratureBudgetError, reporting the finite relative level the
-    ladder reached, when the ladder fails to settle in its budget or above
-    |y| = 1e-280, and at the first shell whose sum is not finite (a source
-    that overflows on deep shells), naming that shell.
+    The key holds ``labels``, the mantissa of r and ``lengths`` (a block's
+    endpoints and delta, or none for the probe itself) times 2^-e
+    (``math.ldexp``, exact), so equal keys mean probes whose radii, and
+    lengths, differ by a power of two exactly: one family.  Non-dyadic
+    radii differ in the mantissa and get their own keys.
+    For r outside [2^-200, 2^200], or radius above 2^200, the key holds r
+    and the lengths as they are: scaled that far, a kernel value could leave
+    the normal range, where a power of two no longer scales it exactly.
     """
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if not 0.0 < r <= 0.75 * radius:
-        raise ValueError("probe must satisfy 0 < |x| <= 0.75 radius")
-    if nu < -1:
-        raise ValueError("truncation order must be >= -1")
+    mantissa, e = math.frexp(r)
+    if -200 <= e <= 200 and radius <= 2.0**200:
+        return labels + (mantissa,) + tuple(math.ldexp(v, -e) for v in lengths), e
+    return labels + (r,) + tuple(lengths), e
 
+
+def _inner_tail(tails, index, series, ratio):
+    """The unscaled tail product ``series(ratio)`` of the inner shell
+    ``index``, kept in ``tails``, the dict of one family of probes
+    (``_family_key``) in ``_potentials``.  Shell i of every probe of a
+    family has the same nodes relative to the probe's radius, so the
+    product is the same bit for bit; each probe scales it by its own
+    C_3/|x|."""
+    if index not in tails:
+        tails[index] = series(ratio)
+    return tails[index]
+
+
+def _inner_ladder(f, r, rule, tail, tails, memo):
+    """(total, err, shells) of the inner ladder |y| <= r/2 of the probe at
+    |x| = r, whose tail series on the inner directions is ``tail``: the
+    shells [r/2^(i+1), r/2^i] until the stop rule of ``PotentialRule``, the
+    skipped shells continued geometrically, and the truncation of the tail
+    series.  See ``_potentials``."""
     sph_in, w_in = _sphere_nodes(rule.inner_theta, rule.inner_phi)
     inner_counts = (rule.inner_radial, rule.inner_theta, rule.inner_phi)
-    # every shell uses the same directions, so the tail kernel
-    # -C_3/|x-y| + C_3 sum_{j<=nu} ... = -C_3/|x| sum_{j>nu} (|y|/|x|)^j P_j
-    # is tabulated once for the whole ladder
-    tail = _zonal_series(r, sph_in @ (x / r), range(nu + 1, nu + 1 + rule.series_terms))
-
+    scale = _sphere_constant(3) / r
     total = 0.0 + 0.0j
     err = 0.0
-
-    # inner ladder |y| <= |x|/2
     hi = r / 2.0
     shells = 0
     trailing_small = 0
@@ -410,7 +401,8 @@ def _potential(f, nu, x, radius, rule, memo):
     while shells < rule.max_inner_shells and hi >= 1e-280:
         lo = hi / 2.0
         rad, wq = _shell_rule(lo, hi, rule.inner_radial, w_in)
-        kern = tail(rad).ravel()
+        # the tail kernel -C_3/|x| sum_{j>nu} (|y|/|x|)^j P_j, weighted
+        kern = (_inner_tail(tails, shells, tail, rad / r) * scale).ravel()
         np.negative(kern, out=kern)
         kern *= wq
         fv = _block_source(f, memo, (inner_counts, lo, hi), rad, sph_in, True)
@@ -449,65 +441,173 @@ def _potential(f, nu, x, radius, rule, memo):
         )
     # series truncation of the tail kernel
     err += abs(total) * 2.0 ** (-rule.series_terms)
-
-    # outer region |x|/2 <= |y| <= radius, mollified on the delta-ball around
-    # x, at full and reduced angular resolution so the difference gives a
-    # conservative error estimate; the ball patch does not depend on them
-    delta = min(r / 4.0, (radius - r) / 2.0)
-    outer_full = _outer_contribution(
-        f, nu, x, radius, delta, rule, rule.outer_theta, rule.outer_phi, memo
-    )
-    outer_low = _outer_contribution(
-        f, nu, x, radius, delta, rule, max(rule.outer_theta - 8, 8), max(rule.outer_phi - 16, 16), memo
-    )
-    total += outer_full + _ball_patch(f, x, delta, rule)
-    err += abs(outer_full - outer_low)
-
-    err += 1e-12 * abs(total)
-    return total, PotentialInfo(tolerance_estimate=err, inner_shells=shells)
+    return total, err, shells
 
 
-def _outer_contribution(f, nu, x, radius, delta, rule, n_theta, n_phi, memo):
-    """Outer integral over |x|/2 <= |y| <= radius with the Newtonian part
-    mollified on the ``delta``-ball around x.
+def _outer_kernel(r, delta, lo, hi, count, cosg, w, moments):
+    """The weighted outer kernel wq * (-C_3 * mollified 1/rho + moments) on
+    the segment [lo, hi] of the probe at |x| = r, flattened like the nodes.
 
-    Segments from r + delta outwards are kept in ``memo``: a probe at half
-    the radius has the same doubling segments and the same last one.  The
-    near field [|x|/2, r + delta] belongs to this probe alone.
+    |y - x| comes from the law of cosines on the tabulated x^ . d; rho and
+    the kernel are built in place.
     """
-    r = float(np.linalg.norm(x))
     cn = _sphere_constant(3)
-    sph_out, w_out = _sphere_nodes(n_theta, n_phi)
-    cosg = sph_out @ (x / r)
+    rad, wq = _shell_rule(lo, hi, count, w)
+    rho = np.multiply((2.0 * r * rad)[:, None], cosg)
+    np.subtract((rad**2 + r * r)[:, None], rho, out=rho)
+    np.sqrt(rho, out=rho)
+    kern = _mollified_inverse_distance(rho.ravel(), delta)
+    kern *= -cn
     # Gamma_nu + C_3/rho: the moments j <= nu that the truncation removes
-    moments = _zonal_series(r, cosg, range(nu + 1))
+    mom = moments(rad / r)
+    mom *= cn / r
+    kern += mom.ravel()
+    kern *= wq
+    return kern
 
-    breakpoints = [r / 2.0, r - delta, r, r + delta]
-    c = r + delta
-    while c * 2.0 < radius:
-        c *= 2.0
-        breakpoints.append(c)
-    breakpoints.append(radius)
+
+def _outer_by_family(f, nu, probes, radius, rule, n_theta, n_phi, memo):
+    """The outer integrals over |x|/2 <= |y| <= radius, with the Newtonian
+    part mollified on the delta-ball around x, of the probes (x^, r, delta)
+    at angular resolution ``n_theta`` x ``n_phi``; one complex per probe.
+
+    A probe's segments end at r/2, r - delta, r, r + delta, the doublings
+    of r + delta below radius, and radius.  Its segments from r + delta
+    outwards keep f's values in ``memo``: a probe at half the radius has
+    the same doubling segments and the same last one.
+
+    The segments are looped over by family (``_family_key``).  Each
+    family's kernel is built at its first member, and a member whose probe
+    is 2^k times smaller takes it times 4^k exactly (nodes, rho, the
+    mollifier, the moments and the weights r^2 dr dS all scale by powers of
+    two), so only one kernel is alive at a time.  Each probe's partial
+    sums are then added in its breakpoint order from 0.
+    """
+    sph, w = _sphere_nodes(n_theta, n_phi)
     counts = (rule.outer_radial, n_theta, n_phi)
-    total = 0.0 + 0.0j
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi <= lo:
-            continue
-        rad, wq = _shell_rule(lo, hi, rule.outer_radial, w_out)
-        # |y - x| by the law of cosines on the tabulated x^ . d; rho and the
-        # weighted kernel are built in place, in the operation order of
-        # wq * (-C_3 * mollified 1/rho + moments) * f
-        rho = np.multiply((2.0 * r * rad)[:, None], cosg)
-        np.subtract((rad**2 + r * r)[:, None], rho, out=rho)
-        np.sqrt(rho, out=rho)
-        kern = _mollified_inverse_distance(rho.ravel(), delta)
-        kern *= -cn
-        kern += moments(rad).ravel()
-        kern *= wq
-        fv = _block_source(f, memo, (counts, lo, hi), rad, sph_out, lo >= r + delta)
-        # f may be complex, so this last product allocates
-        total += np.sum(kern * fv)
-    return total
+    families = {}
+    partials = []
+    for p, (x_hat, r, delta) in enumerate(probes):
+        breakpoints = [r / 2.0, r - delta, r, r + delta]
+        c = r + delta
+        while c * 2.0 < radius:
+            c *= 2.0
+            breakpoints.append(c)
+        breakpoints.append(radius)
+        segments = [(lo, hi) for lo, hi in zip(breakpoints[:-1], breakpoints[1:]) if hi > lo]
+        partials.append([None] * len(segments))
+        for s, (lo, hi) in enumerate(segments):
+            key, e = _family_key(r, radius, (lo, hi, delta), x_hat, counts)
+            families.setdefault(key, []).append((p, s, e, lo, hi))
+    tables = {}
+    for members in families.values():
+        p0, _, e0, lo0, hi0 = members[0]
+        x_hat, r0, delta0 = probes[p0]
+        if x_hat not in tables:
+            cosg = sph @ np.array(x_hat)
+            tables[x_hat] = cosg, _zonal_series(cosg, range(nu + 1))
+        cosg, moments = tables[x_hat]
+        kern0 = _outer_kernel(r0, delta0, lo0, hi0, rule.outer_radial, cosg, w, moments)
+        for p, s, e, lo, hi in members:
+            _, r, delta = probes[p]
+            kern = kern0 if e == e0 else kern0 * math.ldexp(1.0, 2 * (e - e0))
+            rad, _ = _radial_nodes(lo, hi, rule.outer_radial)
+            fv = _block_source(f, memo, (counts, lo, hi), rad, sph, lo >= r + delta)
+            # f may be complex, so this last product allocates
+            partials[p][s] = np.sum(kern * fv)
+    totals = []
+    for parts in partials:
+        total = 0.0 + 0.0j
+        for part in parts:
+            total += part
+        totals.append(total)
+    return totals
+
+
+def _potentials(f, nu, probes, radius, rule):
+    """u(x) = int_{B_radius} Gamma_nu(x, y) f(y) dy for n = 3 at each probe
+    x of ``probes``; yields (value, PotentialInfo) per probe, in order.
+
+    ``f`` is a callable taking points of shape (k, 3), handed over in
+    column-major order (one contiguous column per coordinate), and
+    returning k real or complex values.  The integral is
+    split at |y| = |x|/2: inside, the kernel is summed through its stable
+    tail series over a geometric shell ladder (this is what makes strongly
+    singular f integrable); outside, the Newtonian part is mollified on a
+    ball around x, the removed moments are added as their series, and the
+    exact-minus-mollified difference is added back by a spherical patch
+    quadrature centred at x.  Both series, and the outer distances
+    |y - x|^2 = rad^2 + |x|^2 - 2 |x| rad x^ . d, come from the cosines
+    x^ . d on the fixed quadrature directions (see ``_zonal_series``).
+
+    The quadrature points y = rad * d of a block (an inner shell or an
+    outer segment) depend only on the block's endpoints and node counts,
+    never on x; only the kernel does.  f's values on the blocks the probes
+    have in common are shared (see ``_block_source``): on dyadic radii the
+    probe at r/2 meets again the inner shells [r/2^(i+1), r/2^i] of the
+    probe at r, its outer doubling segments and its last segment.  The kernels are shared by family
+    (``_family_key``): the unscaled inner tail of a shell is built once per
+    family and kept until the family's last probe has run its ladder, and
+    each outer kernel is built once per family (see ``_outer_by_family``).  Every value equals a call with its
+    probe alone bit for bit.
+
+    The shell ladder stops by the rule in ``PotentialRule``.  The tolerance
+    estimate adds the skipped shells, continued geometrically from the last
+    two shell levels (a shell's level is the larger of its |value| and its
+    rounding floor, so a ladder stopped at the floor still bounds what it
+    skipped), the truncation of the tail series, the difference between
+    the full- and low-resolution outer passes and 1e-12 |u|.
+
+    Every probe is computed before the first value is yielded.  The
+    QuadratureBudgetError of a probe whose ladder fails to settle in its
+    budget or above |y| = 1e-280, or meets a shell whose sum is not finite
+    (a source that overflows on deep shells, naming that shell), is raised
+    in that probe's place, after the values of the probes before it; it
+    reports the finite relative level the ladder reached.  The probes
+    after it are not computed.
+    """
+    xs = [np.asarray(x, dtype=float) for x in probes]
+    rs = [float(np.linalg.norm(x)) for x in xs]
+    if not all(0.0 < r <= 0.75 * radius for r in rs):
+        raise ValueError("probe must satisfy 0 < |x| <= 0.75 radius")
+    if nu < -1:
+        raise ValueError("truncation order must be >= -1")
+    x_hats = [tuple((x / r).tolist()) for x, r in zip(xs, rs)]
+    # the inner tails of a family of probes are kept until its last probe has run
+    families = [_family_key(r, radius, (), x_hat)[0] for r, x_hat in zip(rs, x_hats)]
+    left = Counter(families)
+    memo, tails = {}, {}
+
+    sph_in, _ = _sphere_nodes(rule.inner_theta, rule.inner_phi)
+    orders = range(nu + 1, nu + 1 + rule.series_terms)
+    series = {}
+    ladders, outer, failure = [], [], None
+    for x, r, x_hat, family in zip(xs, rs, x_hats, families):
+        if x_hat not in series:
+            series[x_hat] = _zonal_series(sph_in @ (x / r), orders)
+        try:
+            ladders.append(_inner_ladder(f, r, rule, series[x_hat], tails.setdefault(family, {}), memo))
+        except QuadratureBudgetError as exc:
+            failure = exc
+            break
+        left[family] -= 1
+        if not left[family]:
+            del tails[family]
+        outer.append((x_hat, r, min(r / 4.0, (radius - r) / 2.0)))
+
+    # outer region at full and reduced angular resolution, so the difference
+    # gives a conservative error estimate; the ball patch does not depend on them
+    outer_full = _outer_by_family(f, nu, outer, radius, rule, rule.outer_theta, rule.outer_phi, memo)
+    outer_low = _outer_by_family(
+        f, nu, outer, radius, rule, max(rule.outer_theta - 8, 8), max(rule.outer_phi - 16, 16), memo
+    )
+    for x, (total, err, shells), (_, _, delta), full, low in zip(xs, ladders, outer, outer_full, outer_low):
+        total += full + _ball_patch(f, x, delta, rule)
+        err += abs(full - low)
+        err += 1e-12 * abs(total)
+        yield total, PotentialInfo(tolerance_estimate=err, inner_shells=shells)
+    if failure is not None:
+        raise failure
 
 
 def _ball_patch(f, x, delta, rule):
@@ -573,16 +673,16 @@ def potential_decay_fit(
     and a warning is issued if it is incompatible with the truncation order
     (the order must satisfy nu = floor(s) - 3 for sources of rate s).
 
-    The probes share f's values on the quadrature blocks they have in
-    common; each value equals a ``_potential`` call without the memo bit
-    for bit.  A block's nodes depend only on its endpoints and
-    node counts, and halving a probe radius halves every endpoint exactly,
-    so on dyadic radii the probe at r/2 meets again the inner shells
+    The probes run as one call of ``_potentials``, so they share f's values
+    on the quadrature blocks they have in common and the kernels of their
+    families: on dyadic radii the probe at r/2 meets again the inner shells
     [r/2^(i+1), r/2^i] of the probe at r, its outer doubling segments
     [1.25 r 2^k, 1.25 r 2^(k+1)] and its last segment, at both angular
-    resolutions.  Those blocks are kept for the length of the fit; the
-    near field of each probe and its delta-ball patch are not.  Non-dyadic
-    radii simply miss.
+    resolutions, and each of its outer kernels but two is the kernel of the
+    probe at r on the doubled segment, divided by 4 exactly.  The probes
+    2^-5 .. 2^-10 in the unit ball thus build 18 outer kernels per
+    resolution instead of 63.  Each value equals a call with its probe
+    alone bit for bit.
 
     Raises ValueError unless there are at least two distinct, finite,
     positive radii and the direction is a finite nonzero 3-vector, and
@@ -612,10 +712,8 @@ def potential_decay_fit(
                 stacklevel=2,
             )
     rule = rule or PotentialRule()
-    memo = {}
     values = []
-    for r in radii:
-        value, info = _potential(f, nu, r * direction, radius, rule, memo)
+    for r, (value, info) in zip(radii, _potentials(f, nu, [r * direction for r in radii], radius, rule)):
         if not info.tolerance_estimate < _FIT_PROBE_RTOL * abs(value):
             raise QuadratureBudgetError(
                 f"probe at radius {r:.6g} has |u| = {abs(value):.3e} with a tolerance "

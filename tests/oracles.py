@@ -327,6 +327,22 @@ def direct_diffusion_tensor(mu_a, mu_s, B, k: float, n: int = 3) -> np.ndarray:
     return np.linalg.inv(n * (base_matrix(mu_a, mu_s, B) - 1j * k * np.eye(n)))
 
 
+def adjugate_diffusion_tensor(medium: OpticalMedium) -> np.ndarray:
+    """K of ``split_real_imag`` from the complex 3 x 3 adjugate at every
+    node, isotropic or not: the whole-grid formula that the tensor pass
+    now runs on the anisotropic rows only."""
+    n, k = medium.apriori.n, medium.apriori.k
+    M = base_matrix(medium.mu_a, medium.mu_s, medium.B).reshape(-1, 9).T
+    s = np.abs(M[0] + M[4] + M[8]) + n * k
+    upper = np.zeros((6, len(s)), dtype=complex)
+    np.divide(M[[0, 4, 8, 1, 5, 2]], s, out=upper.real)
+    upper.imag[:3] = -k / s
+    a, b, c, d, e, f = upper
+    cof = np.stack([b * c - e * e, a * c - f * f, a * b - d * d, e * f - d * c, d * e - f * b, d * f - a * e])
+    cof *= 1.0 / ((n * s) * (a * cof[0] + d * cof[3] + f * cof[4]))
+    return cof[[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3)
+
+
 def sampled_spectra(tensor: ComplexTensorField):
     """(min eig K_R, min eig K_I, max|eig K_R|^2 + max|eig K_I|^2) per node,
     from ``eigvalsh`` of the sampled K_R and K_I."""

@@ -154,6 +154,19 @@ class TestCliExitCodes:
         path = small_config(tmp_path, **{"medium.mu_a": "3"})  # above lam
         assert main(["check", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
+    def test_a_failed_run_leaves_out_as_it_was(self, tmp_path, capsys):
+        # each command writes into a temporary directory beside --out and
+        # moves its files in only on exit 0
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(small_config(tmp_path)), "--out", str(out)]) == 0
+        before = (out / "check_report.json").read_bytes()
+        path = small_config(tmp_path, **{"medium.mu_a": "3"})  # above lam
+        assert main(["check", "--config", str(path), "--out", str(out)]) == 3
+        assert "violation: mu_a out of [1/lam, lam]" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["check_report.json"]
+        assert (out / "check_report.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "o"]
+
     def test_perturbation_without_grid_support_exits_2(self, tmp_path, capsys):
         path = small_config(tmp_path, **{"experiments.stability": {
             "profile_order": 1, "h": 0, "eps_start": 0.2, "eps_count": 3,
@@ -233,7 +246,7 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "configuration error: /experiments/stability:" in err
         assert "h must lie in 0..3" in err and f"got {h}" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_profile_vanishing_to_order_h_exits_2_before_any_work(self, tmp_path, capsys):
         # a profile of order 1 vanishes on the boundary, so every sup of an
@@ -244,7 +257,7 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "configuration error: /experiments/stability/h: h = 0 is below profile_order = 1" in err
         assert "vanishes on the boundary to order 1" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_ladder_without_admissible_amplitude_exits_2(self, tmp_path, capsys, monkeypatch):
         # mu_a + eps * profile leaves [1/lam, lam] at eps 5 and 2.5: no
@@ -267,7 +280,7 @@ class TestCliExitCodes:
         ]
         assert "configuration error: /experiments/stability:" in err
         assert "[5.0, 2.5]" in err and "[1/lam, lam]" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_partially_admissible_ladder_sweeps_the_rest(self, tmp_path, capsys):
         # eps = 0.8 lifts mu_a past lam = 1.5 and is dropped with a one-line
@@ -294,7 +307,7 @@ class TestCliExitCodes:
         assert main(["stability", "--config", str(path), "--out", str(out), "--k", "1.0"]) == 2
         err = capsys.readouterr().err
         assert "configuration error: /apriori/k:" in err and "k=1.0" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_k_flag_exits_2_like_the_file(self, tmp_path, capsys, value):
@@ -316,7 +329,7 @@ class TestCliExitCodes:
         assert main(["gegenbauer-table", "--config", str(path), "--out", str(out), "--max-m", "3"]) == 2
         err = capsys.readouterr().err
         assert err == "configuration error: /experiments/gegenbauer_table: required field is missing\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, edits, error",
@@ -366,7 +379,7 @@ class TestCliExitCodes:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"configuration error: {pointer}:" in err and cause in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -405,7 +418,7 @@ class TestCliExitCodes:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"configuration error: /experiments/{section}/{key}: expected" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, value, pointer",
@@ -427,7 +440,7 @@ class TestCliExitCodes:
         out = tmp_path / "o"
         assert main([section, "--config", str(path), "--out", str(out)]) == 2
         assert f"configuration error: {pointer}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, grid, edits, pointer",
@@ -469,7 +482,7 @@ class TestCliExitCodes:
         out = tmp_path / "o"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert f"configuration error: {pointer}:" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_internal_value_error_exits_3(self, tmp_path, capsys, monkeypatch):
         # only a ConfigError means "fix the input"; a ValueError from inside
@@ -498,7 +511,7 @@ class TestCliExitCodes:
         out = tmp_path / "o"
         assert main([command, "--config", str(small_config(tmp_path)), "--out", str(out)]) == 3
         assert f"out of memory (MemoryError): {cause}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_all_zero_gaps_exit_3_before_writing(self, tmp_path, capsys):
         # amplitudes this small leave the assembled operator as it is, so
@@ -543,7 +556,7 @@ class TestCliExitCodes:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "configuration error: /medium/B: B must be symmetric, got max |B - B^T| = 2.500e-02" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         B[1][0] = B[0][1]
         path = small_config(tmp_path, **{"medium.B": B, "medium.supp_B_interior": False})
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
@@ -619,7 +632,7 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "configuration error: /experiments/solve/dump_slice: slice value must lie in" in err
         assert f"got {value}" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_unconverged_solve_fails_the_residual_check(self, tmp_path, capsys, monkeypatch):
         # COCG stopped long before convergence: the explicit residual

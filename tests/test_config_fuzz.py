@@ -6,8 +6,10 @@ experiment key, or a random string for `medium.mu_a` or
 `experiments.solve.boundary_data`, or a valid `h` for the stability
 section; every draw also sets that section's `profile_order` and `h` to
 integers in 0..3 before its edit.  Whatever the draw, `main` returns 0, 2
-or 3 without raising, every exit 2 names a JSON pointer, and after every
-exit 0 each JSON artifact is strict JSON (no `NaN` or `Infinity`).  Draws
+or 3 without raising, every exit 2 names a JSON pointer, after every
+exit 0 each JSON artifact is strict JSON (no `NaN` or `Infinity`), and
+after every exit 2 or 3 `--out` holds only the file it held before; no
+temporary directory is left beside it.  Draws
 that start work stay small (three amplitudes, `eps_count` at most 4), so a
 run takes well under a second.  A second draw puts an unknown key at the top
 level or into any section and expects exit 2 at that key's pointer with no
@@ -99,14 +101,21 @@ def test_fuzzed_config_exits_0_2_or_3(edit, orders):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "o"
+        out.mkdir()
+        (out / "earlier.txt").write_text("from an earlier run\n")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+            code = main([command, "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3), (code, err.getvalue())
         if code == 2:
             assert re.search(r"^configuration error: /", err.getvalue(), re.M), err.getvalue()
         if code == 0:
-            _assert_strict_json(Path(tmp) / "o")
+            _assert_strict_json(out)
+        else:
+            assert [p.name for p in out.iterdir()] == ["earlier.txt"], (code, err.getvalue())
+        # no temporary directory is left beside --out
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json", "o"]
 
 
 # the top level ("") and every section, each with the keys it knows

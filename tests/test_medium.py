@@ -19,7 +19,7 @@ from otlab.medium import (
 from otlab.singular import SingularityPoint
 from otlab.solver import assemble
 
-from oracles import direct_diffusion_tensor as diffusion_tensor, sampled_spectra
+from oracles import adjugate_diffusion_tensor, direct_diffusion_tensor as diffusion_tensor, sampled_spectra
 
 # frozen from a 40-digit evaluation of the closed forms (k0 = 4 - 2 sqrt(3)
 # and k0_tilde = 4 + 2 sqrt(3) exactly for lam = cal_e = 1, n = 3)
@@ -207,6 +207,21 @@ class TestClosedForms:
         assert self.relative_gap(field.K.real, expected.real) <= 1e-14
         assert self.relative_gap(field.K.imag, expected.imag) <= 1e-14
 
+    @pytest.mark.parametrize("k", [1e-3, 0.12, 50.0])
+    @pytest.mark.parametrize("kind", ["mixed", "isotropic"])
+    def test_tensor_equals_the_whole_grid_adjugate(self, kind, k):
+        # kappa I where B is zero is the adjugate's own value there; the
+        # isotropic grid has 27^3 nodes, past the size at which numpy starts
+        # to reuse temporaries, which can change how a product rounds
+        if kind == "mixed":
+            med = mixed_support_medium(5, k)
+        else:
+            med = OpticalMedium.from_expressions(
+                GridDomain(extent=1.0, m_per_axis=27), default_apriori(k=k),
+                mu_a="1 + 0.2*sin(3*x1)", mu_s="1.1 - 0.1*x2",
+            )
+        assert np.array_equal(split_real_imag(med).K, adjugate_diffusion_tensor(med))
+
     @pytest.mark.parametrize("k, medium", MEDIA_AND_K)
     def test_audit_spectra_match_eigvalsh(self, k, medium):
         med = medium(8, k)
@@ -253,6 +268,16 @@ class TestClosedForms:
         np.testing.assert_array_equal(med.B, 0.0)
         np.testing.assert_array_equal(med.mu_a, 1.0)
         np.testing.assert_array_equal(med.mu_s, 1.0)
+        assert med.admissibility_violations() == []
+        assert med.fingerprint() == fingerprint
+
+    def test_a_perturbed_medium_keeps_its_own_absorption(self):
+        grid = small_grid()
+        mu_a = np.ones(grid.num_points)
+        med = OpticalMedium.from_expressions(grid, default_apriori()).with_absorption(mu_a)
+        fingerprint = med.fingerprint()
+        mu_a[:] = 100.0
+        np.testing.assert_array_equal(med.mu_a, 1.0)
         assert med.admissibility_violations() == []
         assert med.fingerprint() == fingerprint
 

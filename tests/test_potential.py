@@ -22,7 +22,7 @@ from otlab.singular import (
     _sphere_constant,
     _sphere_nodes,
     _zonal_series,
-    _potential,
+    _potentials,
     correction_w,
     potential_decay_fit,
     shell_source_exponent,
@@ -35,10 +35,10 @@ CHEAP = PotentialRule(outer_theta=24, outer_phi=48, inner_theta=12, inner_phi=24
 
 def newtonian_potential_truncated(f, nu, x, radius, rule=None, full_output=False):
     """One probe u(x) = int_{B_radius} Gamma_nu(x, y) f(y) dy of the quadrature
-    behind ``potential_decay_fit``, without a fit's block memo; (u, PotentialInfo)
+    behind ``potential_decay_fit``, computed alone; (u, PotentialInfo)
     with ``full_output``.  f receives (k, 3) points in column-major order, one
     contiguous column per coordinate."""
-    total, info = _potential(f, nu, x, radius, rule or PotentialRule(), None)
+    total, info = next(_potentials(f, nu, [x], radius, rule or PotentialRule()))
     return (total, info) if full_output else total
 
 
@@ -73,6 +73,10 @@ def oracle_radial_factor(r, s, l, nu, R=1.0):
     if l <= nu:
         out += (R ** (l + 3.0 - s) - r ** (l + 3.0 - s)) / ((l + 3.0 - s) * r ** (l + 1.0))
     return out / (2.0 * l + 1.0)
+
+
+def complex_source(pts):
+    return (1.0 - 0.5j) * mixed_source(pts) + 0.25j * harmonic_source(4.5, 2)(pts)
 
 
 class TestPotentialQuadrature:
@@ -235,11 +239,12 @@ class TestTabulatedKernels:
         x = r * self.DIRECTION
         dirs, _ = _sphere_nodes(self.RULE.inner_theta, self.RULE.inner_phi)
         orders = range(nu + 1, nu + 1 + self.RULE.series_terms)
-        tail = _zonal_series(r, dirs @ self.DIRECTION, orders)
+        tail = _zonal_series(dirs @ self.DIRECTION, orders)
         for lo, hi in ((r / 4, r / 2), (r / 8, r / 4)):
             rad, _ = _radial_nodes(lo, hi, self.RULE.inner_radial)
             direct = truncated_laplace_kernel(x, self._points(rad, dirs), nu)
-            assert self._max_relative(-tail(rad).ravel(), direct) <= 1e-12
+            series = _sphere_constant(3) / r * tail(rad / r)
+            assert self._max_relative(-series.ravel(), direct) <= 1e-12
 
     @pytest.mark.parametrize("nu", [1, 2])
     @pytest.mark.parametrize("r", [2.0**-5, 2.0**-10])
@@ -248,7 +253,7 @@ class TestTabulatedKernels:
         cn = _sphere_constant(3)
         for n_theta, n_phi in ((40, 80), (32, 64)):  # full and low resolution
             dirs, _ = _sphere_nodes(n_theta, n_phi)
-            moments = _zonal_series(r, dirs @ self.DIRECTION, range(nu + 1))
+            moments = _zonal_series(dirs @ self.DIRECTION, range(nu + 1))
             # the first segments of the breakpoint ladder and the last one
             segments = [(r / 2, 0.75 * r), (0.75 * r, r), (r, 1.25 * r), (1.25 * r, 2.5 * r)]
             for lo, hi in segments + [(0.5, 1.0)]:
@@ -256,7 +261,8 @@ class TestTabulatedKernels:
                 pts = self._points(rad, dirs)
                 rho = np.linalg.norm(pts - x, axis=1)
                 direct = truncated_laplace_kernel(x, pts, nu) + cn / rho
-                assert self._max_relative(moments(rad).ravel(), direct) <= 1e-12
+                series = cn / r * moments(rad / r)
+                assert self._max_relative(series.ravel(), direct) <= 1e-12
 
     def test_cached_nodes_are_read_only(self):
         dirs, w = _sphere_nodes(self.RULE.inner_theta, self.RULE.inner_phi)
@@ -291,15 +297,63 @@ class TestSharedSourceBlocks:
         assert seen.count(rule.patch_radial * rule.patch_theta * rule.patch_phi) == 1
 
 
-    @pytest.mark.parametrize("radii", [DYADIC, [0.03, 0.017, 0.009]], ids=["dyadic", "non-dyadic"])
-    def test_fit_values_equal_separate_calls(self, radii):
-        f = mixed_source
-        fit = potential_decay_fit(f, 1, radii, 1.0, direction=self.DIRECTION, verify_source=False)
+    @pytest.mark.parametrize(
+        "radii, f, rule",
+        [
+            pytest.param(DYADIC, mixed_source, None, id="dyadic"),
+            pytest.param([0.03, 0.017, 0.009], mixed_source, None, id="non-dyadic"),
+            pytest.param([2.0**-j for j in range(5, 21)], mixed_source, CHEAP, id="dyadic-5-20"),
+            pytest.param([0.03, 0.017, 0.009, 0.0045, 0.015, 0.0075], mixed_source, CHEAP, id="mixed-ladder"),
+            pytest.param(DYADIC, complex_source, CHEAP, id="complex"),
+        ],
+    )
+    def test_fit_values_equal_separate_calls(self, radii, f, rule):
+        # shared blocks and kernel families change no bit of a probe
+        fit = potential_decay_fit(f, 1, radii, 1.0, direction=self.DIRECTION, rule=rule, verify_source=False)
         x_hat = self.DIRECTION / np.linalg.norm(self.DIRECTION)
         separate = [
-            newtonian_potential_truncated(f, 1, r * x_hat, 1.0) for r in sorted(radii, reverse=True)
+            newtonian_potential_truncated(f, 1, r * x_hat, 1.0, rule) for r in sorted(radii, reverse=True)
         ]
-        assert fit.values.tolist() == separate
+        assert fit.values.tobytes() == np.array(separate, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize(
+        "direction, message",
+        [
+            ((0.36, 0.48, 0.8), r"inner shell \[2.441e-04, 4.883e-04\] has a non-finite sum after 1 finite"),
+            ((0.6, 0.8, 0.0), "probe at radius 0.03125 has"),
+        ],
+        ids=["ladder", "nodal-first-probe"],
+    )
+    def test_a_failed_ladder_is_raised_in_its_probes_place(self, direction, message):
+        # f is not finite below |y| = 2^-11.5, where only the ladder of the
+        # probe at 2^-9 reaches (Y_1 settles in three shells); on the nodal
+        # plane of Y_1 the probe at 2^-5 fails its tolerance check first
+        def f(pts):
+            return np.where(np.linalg.norm(pts, axis=1) < 2.0**-11.5, np.nan, harmonic_source(4.5)(pts))
+
+        with pytest.raises(QuadratureBudgetError, match=message):
+            potential_decay_fit(f, 1, [2.0**-5, 2.0**-9], 1.0, direction=direction, verify_source=False)
+
+    def test_fit_builds_each_outer_kernel_once_per_family(self, monkeypatch):
+        # 8 + 2 * 5 kernels per resolution and 6 ball patches, against
+        # 63 per resolution and the same patches for separate probes
+        import otlab.singular
+
+        real = otlab.singular._mollified_inverse_distance
+        calls = [0]
+
+        def counted(rho, delta):
+            calls[0] += 1
+            return real(rho, delta)
+
+        monkeypatch.setattr(otlab.singular, "_mollified_inverse_distance", counted)
+        f = harmonic_source(4.5)
+        potential_decay_fit(f, 1, self.DYADIC, 1.0, direction=self.DIRECTION, verify_source=False)
+        fit_calls, calls[0] = calls[0], 0
+        x_hat = self.DIRECTION / np.linalg.norm(self.DIRECTION)
+        for r in self.DYADIC:
+            newtonian_potential_truncated(f, 1, r * x_hat, 1.0)
+        assert (fit_calls, calls[0]) == (42, 132)
 
     def test_fit_passes_f_under_half_the_points(self):
         # the mixed source walks the whole ladder, so the shared inner
@@ -315,24 +369,32 @@ class TestSharedSourceBlocks:
     def test_memo_stays_under_ten_megabytes(self, monkeypatch):
         import otlab.singular
 
-        real = otlab.singular._block_source
-        held = [0]
+        # f's values on the shared blocks plus the kept inner tails; both
+        # stores only grow during a fit, so the peak is their latest sum
+        real, real_tail = otlab.singular._block_source, otlab.singular._inner_tail
+        held, sizes = [0], {}
+
+        def record(name, store):
+            sizes[name] = sum(v.nbytes for v in store.values())
+            held[0] = max(held[0], sum(sizes.values()))
 
         def recording(f, memo, key, rad, dirs, keep):
             values = real(f, memo, key, rad, dirs, keep)
-            held[0] = max(held[0], sum(v.nbytes for v in memo.values()))
+            record("memo", memo)
             return values
 
+        def recording_tail(tails, index, series, ratio):
+            tail = real_tail(tails, index, series, ratio)
+            record("tails", tails)
+            return tail
+
         monkeypatch.setattr(otlab.singular, "_block_source", recording)
+        monkeypatch.setattr(otlab.singular, "_inner_tail", recording_tail)
         potential_decay_fit(
             harmonic_source(5.25), 2, self.DYADIC, 1.0, direction=self.DIRECTION,
             verify_source=False,
         )
         assert 0 < held[0] <= 10 * 2**20
-
-
-def complex_source(pts):
-    return (1.0 - 0.5j) * mixed_source(pts) + 0.25j * harmonic_source(4.5, 2)(pts)
 
 
 class TestColumnMajorPoints:
@@ -362,7 +424,7 @@ class TestColumnMajorPoints:
         f, handed = self._recording(mixed_source)
         dirs, _ = _sphere_nodes(40, 80)
         rad, _ = _radial_nodes(0.1, 0.2, 14)
-        values = _block_source(f, None, None, rad, dirs, False)
+        values = _block_source(f, {}, None, rad, dirs, False)
         self._assert_column_major(handed, 1)
         np.testing.assert_array_equal(handed[0], (rad[:, None, None] * dirs[None, :, :]).reshape(-1, 3))
         assert values.shape == (len(rad) * len(dirs),)

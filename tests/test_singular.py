@@ -353,7 +353,7 @@ class TestTruncatedKernel:
     def test_definition_matches_tail_series(self):
         # two independent evaluation routes of the same kernel: the direct
         # definition and the tabulated tail series of the potential quadrature
-        from otlab.singular import _zonal_series
+        from otlab.singular import _sphere_constant, _zonal_series
 
         rng = np.random.default_rng(15)
         x = np.array([0.8, -0.1, 0.4])
@@ -366,8 +366,8 @@ class TestTruncatedKernel:
             direct = truncated_laplace_kernel(x, ys, nu)
             # radii x directions table; point i pairs radius i with direction i
             rx = np.linalg.norm(x)
-            tail = _zonal_series(rx, (ys / ry[:, None]) @ (x / rx), range(nu + 1, nu + 201))
-            series = -np.diag(tail(ry))
+            tail = _zonal_series((ys / ry[:, None]) @ (x / rx), range(nu + 1, nu + 201))
+            series = -_sphere_constant(3) / rx * np.diag(tail(ry / rx))
             np.testing.assert_allclose(direct, series, rtol=1e-12, atol=1e-16)
 
     def test_harmonic_in_x_away_from_origin(self):
