@@ -503,7 +503,12 @@ COMMANDS = {
 def _run_into(command, config: RunConfig, out: Path) -> int:
     """Run ``command`` into a temporary directory beside ``out`` and move its
     files into ``out`` only when it exits 0: a run that exits 2 or 3, or
-    raises, leaves ``out`` as it was."""
+    raises, leaves ``out`` as it was.  An ``out`` that names, or lies under,
+    something other than a directory raises ConfigError before the run."""
+    blocked = next((path for path in (out, *out.parents) if path.exists() and not path.is_dir()), None)
+    if blocked is not None:
+        under = "" if blocked == out else f" (--out {str(out)!r} lies under it)"
+        raise ConfigError("--out", f"{str(blocked)!r} exists and is not a directory{under}")
     out.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as tmp:
         code = command(config, Path(tmp))

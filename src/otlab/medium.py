@@ -213,7 +213,12 @@ class OpticalMedium:
 
     def anisotropic_rows(self) -> np.ndarray:
         """Indices of the nodes where B is not exactly zero; I - B = I at every other node."""
-        return np.flatnonzero(np.einsum("nij->n", np.abs(self.B)))
+        entries = self.B.reshape(len(self.B), -1).T
+        # any entry nonzero, one strided column at a time: no |B| temporary
+        nonzero = entries[0] != 0
+        for column in entries[1:]:
+            nonzero |= column != 0
+        return np.flatnonzero(nonzero)
 
     def b_asymmetry(self, rows: np.ndarray | None = None) -> float:
         """max |B - B^T| over the samples, read on ``rows`` (``anisotropic_rows``
@@ -285,10 +290,14 @@ class ComplexTensorField:
     ``eig_M`` holds the ascending eigenvalues of M = ``base_matrix`` per
     node; Re K and Im K are rational functions of the symmetric M, so they
     share its eigenvectors and their spectra follow from these.
+
+    Both are stored coefficient-major, so each coefficient is one contiguous
+    row over the nodes: ``K`` is the (N, 3, 3) view of a (3, 3, N) array and
+    ``eig_M`` the (N, 3) view of a (3, N) one.
     """
 
-    K: np.ndarray       # (N, 3, 3) complex
-    eig_M: np.ndarray   # (N, 3) real, ascending
+    K: np.ndarray       # (N, 3, 3) complex, a view of (3, 3, N)
+    eig_M: np.ndarray   # (N, 3) real, ascending, a view of (3, N)
     q: np.ndarray       # (N,) complex
 
 
@@ -296,17 +305,20 @@ def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
     """Sample K, the eigenvalues of M and q over the whole grid.
 
     K = (1/n) A^{-1} = adj(A) / (n det A) with A = M - ik I,
-    M = ``base_matrix``, from the complex 3 x 3 adjugate on the six entries
-    of the upper triangle at the ``anisotropic_rows``; at every other node
-    A = alpha I and K = kappa I, which the adjugate's own operation order
-    gives from alpha alone.  It matches numpy's inverse of n (M - ik I) to
-    round-off.  The eigenvalues of M are mu_a + mu_s eig(I - B): 1 for
-    eig(I - B) where B is zero, ``OpticalMedium.b_spectrum`` on the
-    ``anisotropic_rows``, so an isotropic medium runs no eigen-solve.  The
-    grid is the 3-D cube, so the tensor must be 3 x 3 (n = 3); anything else
-    raises ValueError.  The adjugate reads one triangle of M, so a B that is
-    not symmetric (max |B - B^T| above ``B_SYMMETRY_ATOL``) raises
-    ValueError too.
+    M = ``base_matrix``.  Where B is zero, A = alpha I and K = kappa I, which
+    the adjugate's own operation order gives from alpha alone: kappa is
+    written on every node, then the complex 3 x 3 adjugate on the six
+    entries of the upper triangle overwrites the ``anisotropic_rows``.  It
+    matches numpy's inverse of n (M - ik I) to round-off.  The eigenvalues
+    of M are mu_a + mu_s eig(I - B): 1 for eig(I - B) where B is zero,
+    ``OpticalMedium.b_spectrum`` on the ``anisotropic_rows``, so an
+    isotropic medium runs no eigen-solve.  Both are written coefficient-major,
+    with no gather: K into a (3, 3, N) array and eig_M into a (3, N) one,
+    returned as their (N, 3, 3) and (N, 3) views.  The grid is the 3-D
+    cube, so the tensor must be 3 x 3 (n = 3); anything else raises
+    ValueError.  The adjugate reads one triangle of M, so a B that is not
+    symmetric (max |B - B^T| above ``B_SYMMETRY_ATOL``) raises ValueError
+    too.
     """
     n, k = medium.apriori.n, medium.apriori.k
     if n != 3 or medium.B.shape[1:] != (3, 3):
@@ -315,42 +327,42 @@ def split_real_imag(medium: OpticalMedium) -> ComplexTensorField:
     asym = medium.b_asymmetry(rows)
     if asym > B_SYMMETRY_ATOL:
         raise ValueError(f"B must be symmetric, got max |B - B^T| = {asym:.3e}")
-    M = base_matrix(medium.mu_a, medium.mu_s, medium.B).reshape(-1, 9).T  # row 3i + j: M_ij
-    # A is divided by the positive |tr M| + nk at each node, so det neither
-    # under- nor overflows for entries far from one; K = adj(A/s) / (n s det(A/s))
-    s = np.abs(M[0] + M[4] + M[8]) + n * k
-    cof = np.zeros((6, len(s)), dtype=complex)
-    # where B is zero, A/s = alpha I, so K = kappa I with the adjugate's
-    # kappa = alpha^2 / (n s alpha alpha^2), in its operation order
-    iso = np.ones(len(s), dtype=bool)
-    iso[rows] = False
-    alpha = np.empty(np.count_nonzero(iso), dtype=complex)
-    np.divide(M[0, iso], s[iso], out=alpha.real)
-    alpha.imag = -k / s[iso]
-    kappa = alpha * alpha
+    mu_a, mu_s = medium.mu_a, medium.mu_s
+    K = np.zeros((3, 3, len(mu_a)), dtype=complex)
+    # where B is zero, M = (mu_s + mu_a) I and A/s = alpha I, s = |tr M| + nk,
+    # so K = kappa I with the adjugate's kappa = alpha^2 / (n s alpha alpha^2),
+    # in its operation order; the anisotropic rows are overwritten below
+    diag = mu_s + mu_a
+    s = np.abs(diag + diag + diag) + n * k
+    alpha = np.empty(len(s), dtype=complex)
+    np.divide(diag, s, out=alpha.real)
+    np.divide(-k, s, out=alpha.imag)
+    kappa = K[0, 0]
+    np.multiply(alpha, alpha, out=kappa)
     # in place, like the adjugate's scaling: a product that numpy writes into
     # its right operand's temporary can round the imaginary part differently
-    kappa *= 1.0 / ((n * s[iso]) * (alpha * kappa))
-    cof[:3, iso] = kappa
-    # the adjugate on the six entries of the upper triangle elsewhere
+    kappa *= 1.0 / ((n * s) * (alpha * kappa))
+    K[1, 1] = kappa
+    K[2, 2] = kappa
+    # A is divided by the positive |tr M| + nk at each node, so det neither
+    # under- nor overflows for entries far from one; K = adj(A/s) / (n s det(A/s))
+    M = base_matrix(mu_a[rows], mu_s[rows], medium.B[rows]).reshape(-1, 9).T  # row 3i + j: M_ij
+    s = np.abs(M[0] + M[4] + M[8]) + n * k
     upper = np.zeros((6, len(rows)), dtype=complex)
-    np.divide(M[:, rows][[0, 4, 8, 1, 5, 2]], s[rows], out=upper.real)
-    upper.imag[:3] = -k / s[rows]
+    np.divide(M[[0, 4, 8, 1, 5, 2]], s, out=upper.real)
+    upper.imag[:3] = -k / s
     a, b, c, d, e, f = upper
     adj = np.stack([b * c - e * e, a * c - f * f, a * b - d * d, e * f - d * c, d * e - f * b, d * f - a * e])
-    adj *= 1.0 / ((n * s[rows]) * (a * adj[0] + d * adj[3] + f * adj[4]))
-    cof[:, rows] = adj
-    eig_M = np.ones((len(s), n))
-    eig_M[rows] = medium.b_spectrum(rows)
-    eig_M = medium.mu_a[:, None] + medium.mu_s[:, None] * eig_M
+    adj *= 1.0 / ((n * s) * (a * adj[0] + d * adj[3] + f * adj[4]))
+    for (i, j), entry in zip(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)), adj):
+        K[i, j, rows] = K[j, i, rows] = entry
+    eig_M = np.empty((n, len(mu_a)))
+    eig_M[:] = mu_a + mu_s  # mu_a + mu_s eig(I - B) with eig(I - B) = 1
+    eig_M[:, rows] = (mu_a[rows, None] + mu_s[rows, None] * medium.b_spectrum(rows)).T
     # a negative mu_s reverses the order of mu_s eig(I - B)
-    flip = rows[medium.mu_s[rows] < 0]
-    eig_M[flip] = eig_M[flip, ::-1]
-    return ComplexTensorField(
-        K=cof[[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3),
-        eig_M=eig_M,
-        q=medium.mu_a - 1j * k,
-    )
+    flip = rows[mu_s[rows] < 0]
+    eig_M[:, flip] = eig_M[::-1, flip]
+    return ComplexTensorField(K=K.transpose(2, 0, 1), eig_M=eig_M.T, q=mu_a - 1j * k)
 
 
 @dataclass
@@ -398,14 +410,19 @@ def verify_ellipticity(tensor: ComplexTensorField, apriori: AprioriData) -> Elli
     lower_I = k / n / (hi * hi + k * k)
     upper = (hi * hi + k * k) / (n * n) / (lo * lo + k * k) ** 2
 
-    # one row per ascending eigenvalue, so each extreme is an elementwise
-    # pick among three rows, not a reduction along a short axis of length 3
+    # one row per ascending eigenvalue (the layout of ``split_real_imag``, so
+    # no copy), so each extreme is an elementwise pick among three rows, not
+    # a reduction along a short axis of length 3
     eig_M = np.ascontiguousarray(tensor.eig_M.T)
-    denom = n * (eig_M**2 + k**2)
+    # two (3, N) arrays, written in place: each fresh temporary of that size
+    # can cost a page-faulting allocation of its own, more than its arithmetic
+    denom = np.square(eig_M)
+    denom += k**2
+    denom *= n
     eigs_R = eig_M / denom
-    eigs_I = k / denom
+    eigs_I = np.divide(k, denom, out=denom)
     min_R, min_I = np.minimum.reduce(eigs_R), np.minimum.reduce(eigs_I)
-    norm_sq = np.maximum.reduce(np.abs(eigs_R)) ** 2 + np.maximum.reduce(eigs_I) ** 2
+    norm_sq = np.maximum.reduce(np.abs(eigs_R, out=eigs_R)) ** 2 + np.maximum.reduce(eigs_I) ** 2
 
     tol = 1e-12
     violations = []

@@ -326,7 +326,8 @@ def _block_source(f, memo, key, rad, dirs, keep):
     (node counts, lo, hi) to f's values on that block.  Equal endpoints and
     counts give bitwise-equal nodes, so a hit returns exactly what f would;
     the points are built only on a miss, and only blocks marked ``keep``
-    are stored.
+    (a later use may come) are stored.  The caller drops a block after its
+    last use.
     """
     if key in memo:
         return memo[key]
@@ -382,12 +383,14 @@ def _inner_tail(tails, index, series, ratio):
     return tails[index]
 
 
-def _inner_ladder(f, r, rule, tail, tails, memo):
+def _inner_ladder(f, r, rule, tail, tails, memo, reach):
     """(total, err, shells) of the inner ladder |y| <= r/2 of the probe at
     |x| = r, whose tail series on the inner directions is ``tail``: the
     shells [r/2^(i+1), r/2^i] until the stop rule of ``PotentialRule``, the
     skipped shells continued geometrically, and the truncation of the tail
-    series.  See ``_potentials``."""
+    series.  f's values on a shell are kept in ``memo`` when its hi is below
+    ``reach``, the largest later probe whose ladder can meet it.  See
+    ``_potentials``."""
     sph_in, w_in = _sphere_nodes(rule.inner_theta, rule.inner_phi)
     inner_counts = (rule.inner_radial, rule.inner_theta, rule.inner_phi)
     scale = _sphere_constant(3) / r
@@ -405,7 +408,7 @@ def _inner_ladder(f, r, rule, tail, tails, memo):
         kern = (_inner_tail(tails, shells, tail, rad / r) * scale).ravel()
         np.negative(kern, out=kern)
         kern *= wq
-        fv = _block_source(f, memo, (inner_counts, lo, hi), rad, sph_in, True)
+        fv = _block_source(f, memo, (inner_counts, lo, hi), rad, sph_in, hi < reach)
         terms = kern * fv
         contrib = np.sum(terms)
         if not np.isfinite(contrib):
@@ -466,15 +469,28 @@ def _outer_kernel(r, delta, lo, hi, count, cosg, w, moments):
     return kern
 
 
-def _outer_by_family(f, nu, probes, radius, rule, n_theta, n_phi, memo):
+def _outer_segments(r, delta, radius):
+    """The outer segments [lo, hi] of the probe at |x| = r: between r/2,
+    r - delta, r, r + delta, the doublings of r + delta below radius, and
+    radius."""
+    breakpoints = [r / 2.0, r - delta, r, r + delta]
+    c = r + delta
+    while c * 2.0 < radius:
+        c *= 2.0
+        breakpoints.append(c)
+    breakpoints.append(radius)
+    return [(lo, hi) for lo, hi in zip(breakpoints[:-1], breakpoints[1:]) if hi > lo]
+
+
+def _outer_by_family(f, nu, probes, radius, rule, n_theta, n_phi, memo, users):
     """The outer integrals over |x|/2 <= |y| <= radius, with the Newtonian
     part mollified on the delta-ball around x, of the probes (x^, r, delta)
     at angular resolution ``n_theta`` x ``n_phi``; one complex per probe.
 
-    A probe's segments end at r/2, r - delta, r, r + delta, the doublings
-    of r + delta below radius, and radius.  Its segments from r + delta
-    outwards keep f's values in ``memo``: a probe at half the radius has
-    the same doubling segments and the same last one.
+    A probe's segments are ``_outer_segments``; from r + delta outwards, a
+    probe at half the radius has the same doubling segments and the same
+    last one.  ``users`` counts the uses of each segment's block still to
+    come, in both passes: f's values stay in ``memo`` until the last one.
 
     The segments are looped over by family (``_family_key``).  Each
     family's kernel is built at its first member, and a member whose probe
@@ -488,13 +504,7 @@ def _outer_by_family(f, nu, probes, radius, rule, n_theta, n_phi, memo):
     families = {}
     partials = []
     for p, (x_hat, r, delta) in enumerate(probes):
-        breakpoints = [r / 2.0, r - delta, r, r + delta]
-        c = r + delta
-        while c * 2.0 < radius:
-            c *= 2.0
-            breakpoints.append(c)
-        breakpoints.append(radius)
-        segments = [(lo, hi) for lo, hi in zip(breakpoints[:-1], breakpoints[1:]) if hi > lo]
+        segments = _outer_segments(r, delta, radius)
         partials.append([None] * len(segments))
         for s, (lo, hi) in enumerate(segments):
             key, e = _family_key(r, radius, (lo, hi, delta), x_hat, counts)
@@ -512,7 +522,11 @@ def _outer_by_family(f, nu, probes, radius, rule, n_theta, n_phi, memo):
             _, r, delta = probes[p]
             kern = kern0 if e == e0 else kern0 * math.ldexp(1.0, 2 * (e - e0))
             rad, _ = _radial_nodes(lo, hi, rule.outer_radial)
-            fv = _block_source(f, memo, (counts, lo, hi), rad, sph, lo >= r + delta)
+            key = (counts, lo, hi)
+            users[key] -= 1
+            fv = _block_source(f, memo, key, rad, sph, users[key] > 0)
+            if not users[key]:
+                memo.pop(key, None)
             # f may be complex, so this last product allocates
             partials[p][s] = np.sum(kern * fv)
     totals = []
@@ -545,11 +559,15 @@ def _potentials(f, nu, probes, radius, rule):
     never on x; only the kernel does.  f's values on the blocks the probes
     have in common are shared (see ``_block_source``): on dyadic radii the
     probe at r/2 meets again the inner shells [r/2^(i+1), r/2^i] of the
-    probe at r, its outer doubling segments and its last segment.  The kernels are shared by family
-    (``_family_key``): the unscaled inner tail of a shell is built once per
-    family and kept until the family's last probe has run its ladder, and
-    each outer kernel is built once per family (see ``_outer_by_family``).  Every value equals a call with its
-    probe alone bit for bit.
+    probe at r, its outer doubling segments and its last segment.  A block
+    is kept only while a use of it may still come: an inner shell until no
+    later probe's ladder can reach it (a larger radius that differs from the
+    shell's by a power of two), an outer segment until the last of its uses,
+    counted up front.  The kernels are shared by family (``_family_key``):
+    the unscaled inner tail of a shell is built once per family and kept
+    until the family's last probe has run its ladder, and each outer kernel
+    is built once per family (see ``_outer_by_family``).  Every value equals
+    a call with its probe alone bit for bit.
 
     The shell ladder stops by the rule in ``PotentialRule``.  The tolerance
     estimate adds the skipped shells, continued geometrically from the last
@@ -577,29 +595,56 @@ def _potentials(f, nu, probes, radius, rule):
     families = [_family_key(r, radius, (), x_hat)[0] for r, x_hat in zip(rs, x_hats)]
     left = Counter(families)
     memo, tails = {}, {}
+    # the shells [r/2^(i+1), r/2^i] of the probe at r are shells of a later
+    # probe only if its radius is r times a power of two: the largest such
+    # radius bounds the shells worth keeping
+    mantissas = [math.frexp(r)[0] for r in rs]
+    reach = [
+        max((q for q, mq in zip(rs[p + 1 :], mantissas[p + 1 :]) if mq == mantissas[p]), default=0.0)
+        for p in range(len(rs))
+    ]
 
     sph_in, _ = _sphere_nodes(rule.inner_theta, rule.inner_phi)
     orders = range(nu + 1, nu + 1 + rule.series_terms)
     series = {}
     ladders, outer, failure = [], [], None
-    for x, r, x_hat, family in zip(xs, rs, x_hats, families):
+    for p, (x, r, x_hat, family) in enumerate(zip(xs, rs, x_hats, families)):
         if x_hat not in series:
             series[x_hat] = _zonal_series(sph_in @ (x / r), orders)
         try:
-            ladders.append(_inner_ladder(f, r, rule, series[x_hat], tails.setdefault(family, {}), memo))
+            ladders.append(
+                _inner_ladder(f, r, rule, series[x_hat], tails.setdefault(family, {}), memo, reach[p])
+            )
         except QuadratureBudgetError as exc:
             failure = exc
             break
         left[family] -= 1
         if not left[family]:
             del tails[family]
+        # the shells of this probe's mantissa that no later probe can reach
+        for key in [key for key in memo if key[2] >= reach[p] and math.frexp(key[2])[0] == mantissas[p]]:
+            del memo[key]
         outer.append((x_hat, r, min(r / 4.0, (radius - r) / 2.0)))
+    # the outer passes count their own uses; a block they share with a
+    # ladder is evaluated again, to the same bits
+    memo.clear()
+
+    # every use of an outer block, in both passes, counted up front
+    resolutions = [
+        (rule.outer_theta, rule.outer_phi),
+        (max(rule.outer_theta - 8, 8), max(rule.outer_phi - 16, 16)),
+    ]
+    users = Counter(
+        ((rule.outer_radial, *angles), lo, hi)
+        for angles in resolutions
+        for _, r, delta in outer
+        for lo, hi in _outer_segments(r, delta, radius)
+    )
 
     # outer region at full and reduced angular resolution, so the difference
     # gives a conservative error estimate; the ball patch does not depend on them
-    outer_full = _outer_by_family(f, nu, outer, radius, rule, rule.outer_theta, rule.outer_phi, memo)
-    outer_low = _outer_by_family(
-        f, nu, outer, radius, rule, max(rule.outer_theta - 8, 8), max(rule.outer_phi - 16, 16), memo
+    outer_full, outer_low = (
+        _outer_by_family(f, nu, outer, radius, rule, *angles, memo, users) for angles in resolutions
     )
     for x, (total, err, shells), (_, _, delta), full, low in zip(xs, ladders, outer, outer_full, outer_low):
         total += full + _ball_patch(f, x, delta, rule)

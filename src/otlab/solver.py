@@ -9,14 +9,22 @@ ellipticity makes its real part Re A positive definite on the unknowns.
 builds A with ``_stencil``, which is linear in (K, q): each coupling is
 written once, from (m, m, m) slices of the grid, into the one of at most 19
 diagonals it belongs to (the main one, the six face offsets +-s_d and the
-twelve cross offsets +-s_d +- s_e), and the diagonals become CSR in one
-conversion.  No triplet list is built or summed: at m=33 the build takes
-1.8 ms where the triplets took 11.6 ms on a variable isotropic medium, and
-4.2 ms against 38 ms with cross terms (2-core Xeon, one BLAS thread).
-``DiscreteOperator`` owns the partition of A into unknowns (I) and
-Dirichlet nodes (B), its four blocks and every solve with A_II; ``dnmap``
-takes both from it.  ``DiscreteOperator.solve`` solves A_II u = rhs by COCG,
-the conjugate-orthogonal conjugate gradient method for complex symmetric
+twelve cross offsets +-s_d +- s_e).  No triplet list is built or summed: at
+m=33 the build takes 1.8 ms where the triplets took 11.6 ms on a variable
+isotropic medium, and 4.2 ms against 38 ms with cross terms (2-core Xeon,
+one BLAS thread).  ``DiscreteOperator`` owns the partition of A into
+unknowns (I) and Dirichlet nodes (B), its four blocks and every solve with
+A_II; ``dnmap`` takes both from it.  It keeps A by its diagonals.  On the
+whole strict interior, the unknown set of every command but the annulus,
+those diagonals restricted to the interior sub-lattice give A_II in one
+conversion, A_IB from the couplings the restriction cuts, and the sine
+preconditioner's diagonal, couplings and row sums (``_restrict``,
+``_scaled_model``); any other unknown set gathers the unknowns' rows of the
+full CSR once for A_II and A_IB.  The full CSR is built on demand, for its
+readers only: A_BB, ``apply_operator`` and ``dnmap``'s matrix difference.
+
+``DiscreteOperator.solve`` solves A_II u = rhs by COCG, the
+conjugate-orthogonal conjugate gradient method for complex symmetric
 systems (van der Vorst & Melissen 1990, IEEE Trans. Magn. 26(2):706-708),
 one right-hand side at a time: the single solves of ``solve_dirichlet`` as
 well as the repeated ones of the harmonic extensions behind
@@ -93,27 +101,68 @@ class ComplexField:
 @dataclass
 class DiscreteOperator:
     """The energy matrix and its partition into unknowns (I) and Dirichlet
-    nodes (B): the blocks, the preconditioner and every solve with A_II."""
+    nodes (B): the blocks, the preconditioner and every solve with A_II.
+
+    ``assemble`` hands over A by its diagonals (``matrix`` None), and the
+    full CSR ``matrix`` is built from them on its first read; an operator
+    constructed from a ``matrix`` takes its diagonals from it.  The
+    diagonals are dropped once their readers, the CSR and, on the whole
+    strict interior, the blocks, have read them."""
 
     grid: GridDomain
-    matrix: sp.csr_matrix          # full complex symmetric energy matrix
+    matrix: sp.csr_matrix | None   # full complex symmetric energy matrix; None: built on first read
     interior_idx: np.ndarray       # unknown nodes
     boundary_idx: np.ndarray       # Dirichlet nodes (complement, ascending)
+    _diagonals: sp.dia_matrix | None = field(default=None, init=False, repr=False)
     _lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.matrix is None:
+            del self.matrix  # read through __getattr__ until it is built
+
+    def __getattr__(self, name):
+        # reached only for a ``matrix`` not built yet
+        if name != "matrix" or self.__dict__.get("_diagonals") is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.matrix = self._diagonals.tocsr()
+        if not self._whole_interior or "_partition" in self.__dict__:
+            self._diagonals = None
+        return self.matrix
 
     @property
     def interior_count(self) -> int:
         return len(self.interior_idx)
 
+    @property
+    def _whole_interior(self) -> bool:
+        return self.interior_count == (self.grid.m_per_axis - 2) ** 3
+
+    @cached_property
+    def _partition(self) -> tuple:
+        """(A_II, A_IB, the sine model or None).  On the whole strict interior
+        both blocks and the model (``_scaled_model``) come from A's diagonals
+        restricted to the interior (``_restrict``), a restriction no longer
+        kept once they are read; any other unknown set gathers the unknowns'
+        rows of ``matrix`` once for both blocks."""
+        if self._whole_interior:
+            A = self._diagonals if self._diagonals is not None else self.matrix.todia()
+            inner, A_IB = _restrict(self.grid, A, self.interior_idx, self.boundary_idx)
+            blocks = inner.tocsr(), A_IB, _scaled_model(self.grid, A, inner)
+            if "matrix" in self.__dict__:
+                self._diagonals = None
+            return blocks
+        rows = self.matrix[self.interior_idx]
+        return rows[:, self.interior_idx].tocsr(), rows[:, self.boundary_idx].tocsc(), None
+
     @cached_property
     def A_II(self) -> sp.csr_matrix:
         """The unknowns' block, stored by rows: COCG's products and the
         residual check use it as it is."""
-        return self.matrix[self.interior_idx][:, self.interior_idx].tocsr()
+        return self._partition[0]
 
     @cached_property
     def A_IB(self) -> sp.csc_matrix:
-        return self.matrix[self.interior_idx][:, self.boundary_idx].tocsc()
+        return self._partition[1]
 
     @cached_property
     def A_BI(self) -> sp.csr_matrix:
@@ -145,7 +194,7 @@ class DiscreteOperator:
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
         """r -> M^-1 r for COCG on A_II: ``_sine_inverse`` when the unknowns
         are the whole strict interior, Jacobi diag(A_II)^-1 otherwise."""
-        if self.interior_count == (self.grid.m_per_axis - 2) ** 3:
+        if self._whole_interior:
             return _sine_inverse(self)
         return partial(np.multiply, 1.0 / self.A_II.diagonal())
 
@@ -207,38 +256,32 @@ def assemble(
             f"first: node {report.violations[0][0]} ({report.violations[0][1]})"
         )
 
-    N = grid.num_points
     A = _stencil(grid, tensor.K, tensor.q if include_reaction else None)
 
     if interior_mask is None:
-        interior_idx = grid.interior_indices
+        interior_idx, boundary_idx = grid.interior_indices, grid.boundary_indices
     else:
         interior_mask = np.asarray(interior_mask, dtype=bool)
-        if interior_mask.shape != (N,):
+        if interior_mask.shape != (grid.num_points,):
             raise ValueError("interior mask shape does not match the grid")
         if np.any(interior_mask & grid.boundary_mask):
             raise ValueError("interior mask must avoid the cube surface")
-        interior_idx = np.flatnonzero(interior_mask)
-    boundary_idx = np.setdiff1d(np.arange(N), interior_idx, assume_unique=True)
-
-    return DiscreteOperator(
-        grid=grid,
-        matrix=A,
-        interior_idx=interior_idx,
-        boundary_idx=boundary_idx,
-    )
+        interior_idx, boundary_idx = np.flatnonzero(interior_mask), np.flatnonzero(~interior_mask)
+    op = DiscreteOperator(grid, None, interior_idx, boundary_idx)
+    op._diagonals = A
+    return op
 
 
-def _stencil(grid: GridDomain, K: np.ndarray, q: np.ndarray | None) -> sp.csr_matrix:
+def _stencil(grid: GridDomain, K: np.ndarray, q: np.ndarray | None) -> sp.dia_matrix:
     """The energy matrix of -div(K grad .) + q on ``grid``, linear in (K, q):
     ``K`` is (N, 3, 3) over every node, ``q`` (N,) or None for no reaction.
 
     Every coupling is written once, from (m, m, m) slices of the grid, into
-    the diagonal of the matrix it belongs to, and the diagonals become CSR in
-    one conversion that drops the zeros where a line of nodes wraps.  In
-    ``sp.dia_matrix`` storage entry (j - o, j) sits at column j of offset o;
-    only the upper offsets are filled, and each lower one is the flat shift
-    of its upper mirror (the matrix is symmetric).
+    the diagonal of the matrix it belongs to, and the matrix is returned by
+    its diagonals.  In ``sp.dia_matrix`` storage entry (j - o, j) sits at
+    column j of offset o, with zeros where a line of nodes wraps; only the
+    upper offsets are filled, and each lower one is the flat shift of its
+    upper mirror (the matrix is symmetric).
 
     Along axis d the faces between the planes lo = 0:m-1 and hi = 1:m carry
     0.5 (K_dd[lo] + K_dd[hi]) h w_t, w_t the trapezoid fraction across the
@@ -297,7 +340,71 @@ def _stencil(grid: GridDomain, K: np.ndarray, q: np.ndarray | None) -> sp.csr_ma
     for j, offset in enumerate(upper):
         data[1 + len(upper) + j, : N - offset] = data[1 + j, offset:]
     offsets = [0] + upper + [-offset for offset in upper]
-    return sp.dia_matrix((data, offsets), shape=(N, N)).tocsr()
+    return sp.dia_matrix((data, offsets), shape=(N, N))
+
+
+def _restrict(grid: GridDomain, A: sp.dia_matrix, interior_idx: np.ndarray, boundary_idx: np.ndarray):
+    """(A_II by diagonals, A_IB by columns) of the matrix ``A``, given by its
+    diagonals, for the unknowns ``interior_idx``, the whole strict interior.
+
+    Each offset o of A is a grid step (d0, d1, d2) in {-1, 0, 1}^3, and the
+    interior nodes form the sub-lattice n = m - 2 per axis, C-ordered like
+    the grid, on which the same step is the offset d0 n^2 + d1 n + d2.  Its
+    diagonal there is A's on the interior (n, n, n) block, column j holding
+    entry (j - o, j), zeroed on the faces of the block where the row node
+    j - step leaves the interior: those couplings are A_BI = A_IB^T, read
+    from O(m^2) face slices, with exact zeros dropped, as the CSR
+    conversion drops them from A_II.
+    """
+    m, n = grid.m_per_axis, grid.m_per_axis - 2
+    block = (slice(1, m - 1),) * 3
+    steps = _grid_steps(A.offsets, m)
+    data = np.empty((len(steps), n**3), dtype=A.data.dtype)
+    columns = interior_idx.reshape(n, n, n)
+    unknown = np.arange(n**3).reshape(n, n, n)
+    values, rows, nodes = [np.zeros(0, dtype=data.dtype)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for k, step in enumerate(steps):
+        inner = data[k].reshape(n, n, n)
+        inner[...] = A.data[k].reshape(m, m, m)[block]
+        for face in _leaving_faces(step, n):
+            values.append(inner[face].flatten())
+            rows.append(unknown[face].ravel())
+            nodes.append(columns[face].ravel() - A.offsets[k])
+            inner[face] = 0.0
+    values, rows, nodes = (np.concatenate(part) for part in (values, rows, nodes))
+    kept = values != 0
+    A_IB = sp.coo_matrix(
+        (values[kept], (rows[kept], np.searchsorted(boundary_idx, nodes[kept]))),
+        shape=(n**3, len(boundary_idx)),
+    ).tocsc()
+    inner = sp.dia_matrix((data, steps @ (n * n, n, 1)), shape=(n**3, n**3))
+    return inner, A_IB
+
+
+def _grid_steps(offsets: np.ndarray, m: int) -> np.ndarray:
+    """The step (d0, d1, d2) in {-1, 0, 1}^3 of each flat offset
+    d0 m^2 + d1 m + d2 on the m^3 grid, shape (len(offsets), 3)."""
+    d0 = np.rint(offsets / (m * m)).astype(int)
+    rest = offsets - d0 * m * m
+    d1 = np.rint(rest / m).astype(int)
+    steps = np.stack([d0, d1, rest - d1 * m], axis=1)
+    if np.abs(steps).max(initial=0) > 1:
+        raise ValueError("the matrix couples nodes that are not grid neighbours")
+    return steps
+
+
+def _leaving_faces(step, n: int) -> list:
+    """Disjoint (n, n, n) index slices covering the nodes p of the cube
+    [0, n)^3 from which p - ``step`` leaves it: the face p_a = 0 for a step
+    +1 along axis a, p_a = n - 1 for -1, each less the faces of the axes
+    before it."""
+    faces, earlier = [], [slice(None)] * 3
+    for a, d in enumerate(step):
+        if d:
+            at = 0 if d > 0 else n - 1
+            faces.append(tuple(earlier[:a]) + (slice(at, at + 1),) + tuple(earlier[a + 1:]))
+            earlier[a] = slice(1, n) if d > 0 else slice(0, n - 1)
+    return faces
 
 
 def _restricted(op: DiscreteOperator, values, idx: np.ndarray, what: str, where: str) -> np.ndarray:
@@ -311,6 +418,33 @@ def _restricted(op: DiscreteOperator, values, idx: np.ndarray, what: str, where:
         f"{what} must have length {op.grid.num_points} (full grid) or "
         f"{len(idx)} ({where}), got {values.shape}"
     )
+
+
+def _scaled_model(grid: GridDomain, A: sp.dia_matrix, inner: sp.dia_matrix) -> tuple[np.ndarray, list, complex]:
+    """(D, [a_0, a_1, a_2], b) of ``_sine_inverse``'s model of A_II on the
+    whole strict interior, n = m - 2 per axis, from the diagonals of A and
+    of A_II (``inner``, see ``_restrict``).
+
+    D and the couplings are read from A_II's diagonals.  Each row sum adds
+    A's diagonals on the interior rows in ascending offset order, the order
+    of the row's entries in a CSR product, so the model is the one of the
+    CSR's own diagonals and row sums bit for bit.
+    """
+    m, n = grid.m_per_axis, grid.m_per_axis - 2
+    diagonal = dict(zip(inner.offsets.tolist(), inner.data))
+    inv_diagonal = 1.0 / diagonal[0]
+    s = np.sqrt(inv_diagonal)
+    # the unknowns are C-ordered, so axis d couples indices k = n^(2-d)
+    # apart; the diagonal at that offset holds zeros where a line of unknowns
+    # wraps, and A^ at (i, i + k) is s_i A_II[i, i + k] s_{i+k}, stored at column i + k
+    a = [-(s[:-k] * diagonal[k][k:]) @ s[k:] / (n * n * (n - 1)) for k in (n * n, n, 1)]
+    # entry (i, i + o) of A sits at column i + o of offset o: on the interior
+    # rows, the interior block shifted by the offset's step
+    steps = _grid_steps(A.offsets, m)
+    row_sums = np.zeros((n, n, n), dtype=complex)
+    for k in np.argsort(A.offsets):
+        row_sums += A.data[k].reshape(m, m, m)[tuple(slice(1 + d, m - 1 + d) for d in steps[k])]
+    return diagonal[0].copy(), a, row_sums.ravel() @ inv_diagonal / n**3
 
 
 def _sine_inverse(op: DiscreteOperator) -> Callable[[np.ndarray], np.ndarray]:
@@ -332,26 +466,22 @@ def _sine_inverse(op: DiscreteOperator) -> Callable[[np.ndarray], np.ndarray]:
     without reaction).  On a constant medium D is constant and M is the
     unscaled model.  S is applied as real n x n products along each axis, on
     the interleaved real and imaginary parts (the last axis by S x I_2).
+
+    The fit is ``_scaled_model``, made with the blocks.
     """
     n = op.grid.m_per_axis - 2
     j = np.arange(1, n + 1)
     S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
     S_last = np.kron(S, np.eye(2))
     second_difference = 2.0 - 2.0 * np.cos(np.pi * j / (n + 1))
-    inv_diagonal = 1.0 / op.A_II.diagonal()
-    s = np.sqrt(inv_diagonal)
-    # the unknowns are C-ordered, so axis d couples indices k = n^(2-d)
-    # apart; the diagonal at that offset holds zeros where a line of unknowns
-    # wraps, and A^ at (i, i + k) is s_i A_II[i, i + k] s_{i+k}
-    a = [-(s[:-k] * op.A_II.diagonal(k)) @ s[k:] / (n * n * (n - 1)) for k in (n * n, n, 1)]
-    b = (op.matrix @ np.ones(op.grid.num_points))[op.interior_idx] @ inv_diagonal / n**3
+    diagonal, a, b = op._partition[2]
     inv_eig = 1.0 / (
         a[0] * second_difference[:, None, None]
         + a[1] * second_difference[None, :, None]
         + a[2] * second_difference[None, None, :]
         + b
     )
-    s = s.reshape(n, n, n)
+    s = np.sqrt(1.0 / diagonal).reshape(n, n, n)
 
     def transform(x):
         # x is C-contiguous complex (n, n, n): as floats, (n, n, 2n) with the

@@ -15,6 +15,10 @@ transcription error:
   gather and scatter (against the indexed overwrite of the quadrature);
 - the energy matrix as COO triplets summed by the CSR conversion (against
   the diagonal-by-diagonal build of ``solver._stencil``);
+- the four blocks of the partition sliced from the full CSR, and the sine
+  preconditioner's model from the CSR's diagonals and row sums (against
+  ``DiscreteOperator``'s blocks and ``solver._scaled_model``, read from the
+  stencil's diagonals);
 - the diffusion tensor K = (n (M - ik I))^{-1} by a direct complex
   inverse, and the spectra of K_R and K_I by ``eigvalsh`` of the sampled
   parts (against the adjugate closed form of ``split_real_imag`` and the
@@ -405,6 +409,28 @@ def coo_energy_matrix(grid: GridDomain, tensor: ComplexTensorField, include_reac
         shape=(N, N),
         dtype=complex,
     ).tocsr()
+
+
+def sliced_blocks(op):
+    """(A_II, A_IB, A_BI, A_BB) of ``op`` sliced from its full CSR matrix by
+    fancy indexing, rows first."""
+    A, ii, bb = op.matrix, op.interior_idx, op.boundary_idx
+    A_IB = A[ii][:, bb].tocsc()
+    return A[ii][:, ii].tocsr(), A_IB, A_IB.T.tocsr(), A[bb][:, bb].tocsr()
+
+
+def csr_sine_model(op):
+    """(D, [a_0, a_1, a_2], b) of the sine preconditioner's model on the
+    whole strict interior from the CSR: D and the couplings from
+    ``diagonal(k)`` of the sliced A_II, the row sums from the full matrix
+    times ones."""
+    n = op.grid.m_per_axis - 2
+    A_II = sliced_blocks(op)[0]
+    D = A_II.diagonal()
+    s = np.sqrt(1.0 / D)
+    a = [-(s[:-k] * A_II.diagonal(k)) @ s[k:] / (n * n * (n - 1)) for k in (n * n, n, 1)]
+    b = (op.matrix @ np.ones(op.grid.num_points))[op.interior_idx] @ (1.0 / D) / n**3
+    return D, a, b
 
 
 # ---------------------------------------------------------------------------

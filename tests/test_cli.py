@@ -167,6 +167,23 @@ class TestCliExitCodes:
         assert (out / "check_report.json").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "o"]
 
+    @pytest.mark.parametrize("command", ["check", "stability"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_on_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, command, under):
+        # --out naming a file, or a path below one, used to run the whole
+        # command and then die on a FileExistsError traceback
+        config = small_config(tmp_path)
+        blocker = tmp_path / "report.txt"
+        blocker.write_text("kept")
+        out = blocker / "sub" if under else blocker
+        ran = []
+        monkeypatch.setitem(otlab.cli.COMMANDS, command, lambda *args: ran.append(args) or 0)
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --out: ") and repr(str(blocker)) in err
+        assert ran == [] and blocker.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report.txt"]
+
     def test_perturbation_without_grid_support_exits_2(self, tmp_path, capsys):
         path = small_config(tmp_path, **{"experiments.stability": {
             "profile_order": 1, "h": 0, "eps_start": 0.2, "eps_count": 3,

@@ -300,6 +300,17 @@ class TestClosedForms:
         expected = np.linalg.eigvalsh(base_matrix(med.mu_a, med.mu_s, med.B))
         np.testing.assert_allclose(eig_M, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
+    def test_tensor_and_eigenvalues_are_coefficient_major(self):
+        # K and eig_M are views of arrays that hold one row per coefficient:
+        # the audit reads eig_M's rows with no copy, the stencil K's entries
+        med = mixed_support_medium(3, 0.12)
+        field = split_real_imag(med)
+        N = med.grid.num_points
+        for view, shape in ((field.K, (3, 3, N)), (field.eig_M, (3, N))):
+            assert view.base is not None and view.base.shape == shape
+            assert view.base.flags.c_contiguous
+            assert np.array_equal(np.moveaxis(view.base, -1, 0), view)
+
     def test_eigen_solves_run_on_the_anisotropic_rows_only(self, monkeypatch):
         # eig(M) = mu_a + mu_s eig(I - B) is mu_a + mu_s where B = 0: the
         # tensor pass and the audit each solve on the 57 nodes of the bump

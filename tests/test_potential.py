@@ -390,11 +390,15 @@ class TestSharedSourceBlocks:
 
         monkeypatch.setattr(otlab.singular, "_block_source", recording)
         monkeypatch.setattr(otlab.singular, "_inner_tail", recording_tail)
-        potential_decay_fit(
-            harmonic_source(5.25), 2, self.DYADIC, 1.0, direction=self.DIRECTION,
-            verify_source=False,
-        )
-        assert 0 < held[0] <= 10 * 2**20
+        # a real Y_1 source on dyadic radii, and the mixed source walking its
+        # whole ladder on radii that share no block, whose values were kept
+        # for the whole fit (29.1 MB) before each block's users were counted
+        non_dyadic = [0.031, 0.017, 0.0093, 0.0047, 0.0153, 0.0076]
+        for f, nu, radii in ((harmonic_source(5.25), 2, self.DYADIC), (mixed_source, 1, non_dyadic)):
+            held[0] = 0
+            sizes.clear()
+            potential_decay_fit(f, nu, radii, 1.0, direction=self.DIRECTION, verify_source=False)
+            assert 0 < held[0] <= 10 * 2**20
 
 
 class TestColumnMajorPoints:

@@ -11,7 +11,7 @@ from otlab.grid import GridDomain
 from otlab.medium import AprioriData, OpticalMedium, split_real_imag
 from otlab.solver import ComplexField, DiscreteOperator, apply_operator, assemble, solve_dirichlet
 
-from oracles import coo_energy_matrix
+from oracles import coo_energy_matrix, csr_sine_model, sliced_blocks
 
 
 def apriori(**kw):
@@ -238,6 +238,60 @@ class TestStencilOracle:
             assert np.abs(found.data - expected.data).max() <= tol
         # every row of the anisotropic medium reaches its 12 cross-term offsets
         assert (np.diff(op.matrix.indptr).max() == 19) == (medium == "anisotropic")
+
+
+class TestDiagonalPartition:
+    """The blocks and the sine model read from the stencil's diagonals
+    against the full CSR's slices, diagonals and row sums: the same bits."""
+
+    @pytest.mark.parametrize("annulus", [False, True], ids=["strict-interior", "annulus"])
+    @pytest.mark.parametrize("m", [9, 17])
+    @pytest.mark.parametrize("medium", ["isotropic", "variable", "anisotropic"])
+    def test_blocks_and_model_equal_the_csr_route(self, medium, m, annulus):
+        grid = GridDomain(extent=1.0, m_per_axis=m)
+        spec = VARIABLE_MEDIA.get(medium, dict(mu_a="1", mu_s="1"))
+        med = OpticalMedium.from_expressions(grid, apriori(), **spec)
+        mask = grid.annulus_interior_mask(np.zeros(3), 0.15, 0.45) if annulus else None
+        op = assemble(med, grid, interior_mask=mask)
+        found = [op.A_II, op.A_IB, op.A_BI, op.A_BB]
+        for block, expected in zip(found, sliced_blocks(op)):
+            assert block.format == expected.format
+            for part in ("indptr", "indices", "data"):
+                assert getattr(block, part).tobytes() == getattr(expected, part).tobytes()
+        if not annulus:
+            D, a, b = op._partition[2]
+            D_ref, a_ref, b_ref = csr_sine_model(op)
+            assert D.tobytes() == D_ref.tobytes()
+            assert np.array(a + [b]).tobytes() == np.array(a_ref + [b_ref]).tobytes()
+
+    def test_strict_interior_solve_builds_no_full_matrix(self, monkeypatch):
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        med = OpticalMedium.from_expressions(grid, apriori(), **VARIABLE_MEDIA["anisotropic"])
+        shapes, real = [], sp.dia_matrix.tocsr
+
+        def recording(self, *args, **kwargs):
+            shapes.append(self.shape)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.dia_matrix, "tocsr", recording)
+        op = assemble(med, grid)
+        solve_dirichlet(op, np.cos(grid.points[:, 0]), np.ones(grid.num_points))
+        assert shapes == [(7**3, 7**3)]
+        assert "matrix" not in vars(op)
+        # the full matrix is still there for its readers, built on first read
+        assert op.matrix.shape == (grid.num_points, grid.num_points)
+        assert shapes[-1] == (grid.num_points, grid.num_points)
+
+    def test_an_operator_given_its_matrix_takes_its_diagonals_from_it(self):
+        grid = GridDomain(extent=1.0, m_per_axis=9)
+        med = OpticalMedium.from_expressions(grid, apriori(), **VARIABLE_MEDIA["anisotropic"])
+        op = assemble(med, grid)
+        given = DiscreteOperator(grid, op.matrix, op.interior_idx, op.boundary_idx)
+        for found, expected in ((given.A_II, op.A_II), (given.A_IB, op.A_IB)):
+            assert (found != expected).nnz == 0
+        rng = np.random.default_rng(3)
+        r = rng.normal(size=op.interior_count) + 1j * rng.normal(size=op.interior_count)
+        assert given.preconditioner(r).tobytes() == op.preconditioner(r).tobytes()
 
 
 class TestComplexFactor:

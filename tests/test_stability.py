@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 import otlab.dnmap
+from otlab.config import RunConfig
 from otlab.dnmap import SobolevScale, difference_norm
 from otlab.errors import InadmissibleAmplitudeError, InadmissibleWaveNumberError
 from otlab.grid import GridDomain
@@ -459,3 +462,32 @@ class TestStabilityExperiment:
         assert all(r.dn_gap > 0.0 for r in rep.rows)
         assert len(steps) >= 60
         assert sum(steps) / len(steps) <= 5.0, (sum(steps), len(steps))
+
+
+class TestBoundaryLimit:
+    """The high-frequency limit behind the stability of boundary values, on
+    the bundled config's first amplitude (eps = 0.2, profile order 0).
+
+    A checkerboard on one face of the 7-point stencil decays by 5 - sqrt(24)
+    per layer, and whitened, its boundary row tends to sqrt(3) kappa, where
+    the continuum symbol gives kappa.  So the D-N gap tends to
+    sqrt(3) sup |kappa(mu_a + eps p) - kappa(mu_a)| on the boundary, which for
+    an isotropic K is the Frobenius norm of the tensor difference: the
+    order-0 ``tensor_gap`` of the same row.  The gap approaches it at first
+    order in h, gap = tensor_gap (1 - c h); c measured 3.59-3.63 from m = 17
+    to m = 49."""
+
+    @pytest.mark.parametrize("m", [17, 25])
+    def test_the_gap_approaches_the_tensor_gap_at_first_order_in_h(self, m):
+        raw = copy.deepcopy(RunConfig.default().raw)
+        raw["grid"]["m_per_axis"] = m
+        config = RunConfig.from_dict(raw)
+        section = config.experiment("stability")
+        grid = config.grid()
+        pspec = PerturbationSpec(
+            config.medium(grid), section["profile_order"], section["width"], section["depth"]
+        )
+        assert (pspec.profile_order, section["eps_start"]) == (0, 0.2)
+        report = run_stability_experiment(pspec, 0, [section["eps_start"]], seed=config.seed)
+        row = report.rows[0]
+        assert 3.4 <= (1.0 - row.dn_gap / row.tensor_gap) / grid.h <= 3.8
